@@ -5,8 +5,6 @@ Cones are given either by integer generators or by integer inequality rows
 tight-set rank test for extremality, exact over the integers.
 """
 
-from fractions import Fraction
-
 from . import lp
 from .linalg import (
     dot,
@@ -99,11 +97,6 @@ def in_cone_hrep(hrep, x):
     return all(dot(w, x) >= 0 for w in ineqs) and all(dot(e, x) == 0 for e in eqs)
 
 
-def in_relative_interior(hrep, x):
-    ineqs, eqs = hrep
-    return all(dot(w, x) > 0 for w in ineqs) and all(dot(e, x) == 0 for e in eqs)
-
-
 def cone_dim(gens):
     if not gens:
         return 0
@@ -168,11 +161,3 @@ def cones_equal(gens_a, gens_b, dim):
     return all(in_cone_hrep(hb, g) for g in gens_a) and \
         all(in_cone_hrep(ha, g) for g in gens_b)
 
-
-def rational_point_in_cone(v, gens):
-    """Whether a rational vector lies in cone(gens) (generator form)."""
-    den = 1
-    for x in v:
-        den = den * Fraction(x).denominator
-    vi = [int(Fraction(x) * den) for x in v]
-    return lp.in_cone(tuple(vi), [tuple(g) for g in gens])

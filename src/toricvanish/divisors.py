@@ -150,7 +150,12 @@ def polytope_dim(fan, coeffs):
 
 
 def positivity(fan, coeffs, cd=None):
-    """Nef/ample/big verdicts for a Q-Cartier divisor."""
+    """Nef/ample/big verdicts for a Q-Cartier divisor.
+
+    D is big iff P_D is full-dimensional, iff some m satisfies every section
+    row <m, u_rho> >= -a_rho strictly: one feasibility call on the all-strict
+    rows, with the same verdict as polytope_dim(fan, coeffs) == fan.rank.
+    """
     if cd is None:
         cd = cartier_data(fan, coeffs)
     if isinstance(cd, NotQCartier):
@@ -168,7 +173,8 @@ def positivity(fan, coeffs, cd=None):
                 ample = False
             elif i not in cone and val == -coeffs[i]:
                 ample = False
-    big = polytope_dim(fan, coeffs) == fan.rank
+    interior = tuple((a, c, True) for a, c, _ in _section_rows(fan, coeffs))
+    big = feasible(IneqSystem(fan.rank, interior)) is not None
     return Positivity(nef=nef, ample=ample and nef, big=big)
 
 

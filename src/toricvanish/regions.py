@@ -3,11 +3,20 @@
 A system is a conjunction of rows <a, x> >= c or <a, x> > c with rational
 data. Rows are normalized to integer form. Feasibility and witnesses come
 from Fourier-Motzkin elimination, which handles strict rows natively.
+
+Pruning invariant: each eliminated level keeps, per primitive direction
+d = a / gcd(a), only the row with the largest bound c / gcd(a), the strict one
+on a tie; constant rows (a = 0) keep the most restrictive one. A dropped row
+is implied by the kept one and so is every combination made from it, so each
+level's rows are, up to positive scaling, a subset of the unpruned level's,
+and the largest lower and smallest upper bound on every variable, with their
+strictness, are the same. Witnesses and lattice points are therefore those
+of unpruned elimination.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 from .linalg import gcd_list, lcm_list
 
@@ -45,28 +54,51 @@ def _trivial_row_ok(c, strict):
 
 
 def _eliminate(rows, k):
-    """Project away variable k (exact Fourier-Motzkin step)."""
-    lows, ups, rest = [], [], []
-    for a, c, s in rows:
-        if a[k] > 0:
-            lows.append((a, c, s))
-        elif a[k] < 0:
-            ups.append((a, c, s))
+    """Project away variable k (exact Fourier-Motzkin step).
+
+    Of the output rows sharing a primitive direction only the tightest is
+    kept, then normalized by gcd(a, c); the result is sorted.
+    """
+    lows, ups = [], []
+    # primitive direction d -> (c, g, strict) of the tightest row g*d >= c;
+    # the zero direction is stored with g = 1
+    best = {}
+
+    def keep(a, c, s):
+        g = gcd(*a)
+        if g > 1:
+            a = tuple([x // g for x in a])
         else:
-            rest.append((a, c, s))
-    out = set(rest)
+            g = 1
+        old = best.get(a)
+        if old is not None:
+            oc, og, os = old
+            # compare the bounds c / g and oc / og (g, og > 0)
+            lhs, rhs = c * og, oc * g
+            if lhs < rhs or (lhs == rhs and (os or not s)):
+                return
+        best[a] = (c, g, s)
+
+    for row in rows:
+        a = row[0]
+        if a[k] > 0:
+            lows.append(row)
+        elif a[k] < 0:
+            ups.append(row)
+        else:
+            keep(*row)
     for al, cl, sl in lows:
         p = al[k]
         for au, cu, su in ups:
             q = -au[k]
-            a = tuple(q * x + p * y for x, y in zip(al, au))
-            c = q * cl + p * cu
-            g = gcd_list(list(a) + [c])
-            if g:
-                a = tuple(x // g for x in a)
-                c = c // g
-            out.add((a, c, sl or su))
-    return sorted(out)
+            keep(tuple([q * x + p * y for x, y in zip(al, au)]), q * cl + p * cu, sl or su)
+    out = []
+    for d, (c, g, s) in best.items():
+        h = (gcd(g, c) if any(d) else abs(c)) or 1
+        m = g // h
+        out.append((tuple([x * m for x in d]) if m > 1 else d, c // h, s))
+    out.sort()
+    return out
 
 
 def _levels(sys):

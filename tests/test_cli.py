@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -89,6 +90,15 @@ def test_suite_cli_deterministic(tmp_path, capsys):
     assert main(args + ["--report", str(r1)]) == 0
     assert main(args + ["--report", str(r2)]) == 0
     assert r1.read_bytes() == r2.read_bytes()
+
+
+def test_suite_seed_42_report_is_golden(tmp_path):
+    # byte-level guard on the default suite: any change to a verdict, a
+    # certificate or the report format moves this digest
+    report = tmp_path / "r.json"
+    assert main(["--quiet", "suite", "--seed", "42", "--report", str(report)]) == 0
+    digest = hashlib.sha256(report.read_bytes()).hexdigest()
+    assert digest == "5987fc0e612ecc18466ee186965d2237b8ac882f9ff6733afb66beacca8c4a57"
 
 
 def test_exit_code_2_on_bad_input(tmp_path, capsys):

@@ -3,7 +3,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import f1_fan, flip_side_a
+from conftest import (
+    cube_fan,
+    f1_fan,
+    flip_side_a,
+    flip_side_b,
+    p1xp1_fan,
+    p2_fan,
+    p3_fan,
+    p112_fan,
+)
+from toricvanish.corpus import seed_fans
 from toricvanish.divisors import (
     INFINITE,
     ZERO,
@@ -16,6 +26,7 @@ from toricvanish.divisors import (
     discrepancy,
     h0_dim,
     klt_check,
+    polytope_dim,
     positivity,
     principal,
     pullback,
@@ -246,3 +257,26 @@ def test_big_growth_crosscheck(p2, f1):
     assert not positivity(f1, fiber).big
     # linear growth only: h0(l*fiber) = l + 1
     assert fcounts == [2, 3, 4, 5]
+
+
+def test_big_is_full_dimensional_section_polytope():
+    p2, f1 = p2_fan(), f1_fan()
+    # big, not big (the fibre of F1), zero divisor, empty P_D (K on P2)
+    assert positivity(p2, ray_divisor(p2, (1, 0))).big
+    assert polytope_dim(p2, ray_divisor(p2, (1, 0))) == 2
+    assert polytope_dim(f1, ray_divisor(f1, (0, 1))) == 1
+    assert polytope_dim(p2, coeffs_of(p2, {})) == 0
+    assert polytope_dim(p2, canonical(p2)) == -1
+    fans = [p2, p1xp1_fan(), f1, p112_fan(), p3_fan(), cube_fan(), flip_side_a(), flip_side_b()]
+    fans += [fan for rank in (2, 3) for _, fan in seed_fans(rank)]
+    rng = random.Random(5)
+    for fan in fans:
+        n = len(fan.rays)
+        divisors = [coeffs_of(fan, {}), canonical(fan), scale(-1, canonical(fan))]
+        divisors += [ray_divisor(fan, r) for r in fan.rays]
+        divisors += [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                     for _ in range(6)]
+        for D in divisors:
+            if isinstance(cartier_data(fan, D), NotQCartier):
+                continue
+            assert positivity(fan, D).big == (polytope_dim(fan, D) == fan.rank), (fan, D)

@@ -1,9 +1,14 @@
 import random
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from toricvanish import regions
 from toricvanish.cones import extreme_rays
+from toricvanish.linalg import gcd_list
 from toricvanish.regions import (
     IneqSystem,
     count_lattice_points,
@@ -181,3 +186,79 @@ def test_subtract_cones_cover():
     assert subtract_cones(2, [], [left, right]) is None
     w = subtract_cones(2, [], [left])
     assert w is not None and w[0] < 0
+
+
+def _reference_eliminate(rows, k):
+    """Unpruned Fourier-Motzkin step: every combined row is kept."""
+    lows, ups, rest = [], [], []
+    for a, c, s in rows:
+        if a[k] > 0:
+            lows.append((a, c, s))
+        elif a[k] < 0:
+            ups.append((a, c, s))
+        else:
+            rest.append((a, c, s))
+    out = set(rest)
+    for al, cl, sl in lows:
+        p = al[k]
+        for au, cu, su in ups:
+            q = -au[k]
+            a = tuple(q * x + p * y for x, y in zip(al, au))
+            c = q * cl + p * cu
+            g = gcd_list(list(a) + [c])
+            if g:
+                a = tuple(x // g for x in a)
+                c = c // g
+            out.add((a, c, sl or su))
+    return sorted(out)
+
+
+@st.composite
+def parallel_rich_systems(draw):
+    """Systems with scaled duplicates, strict/non-strict ties and zero rows."""
+    dim = draw(st.integers(1, 3))
+    coeff = st.integers(-3, 3)
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        a = tuple(draw(coeff) for _ in range(dim))
+        c = draw(st.integers(-4, 4))
+        s = draw(st.booleans())
+        rows.append((a, c, s))
+        kind = draw(st.sampled_from(("none", "scaled", "tie")))
+        lam = draw(st.integers(2, 3))
+        if kind == "scaled":
+            # e.g. (2,4) >= 3 next to (1,2) >= 1
+            rows.append((tuple(lam * x for x in a), lam * c + draw(st.integers(-1, 1)),
+                         draw(st.booleans())))
+        elif kind == "tie":
+            rows.append((tuple(lam * x for x in a), lam * c, not s))
+    if draw(st.booleans()):
+        rows.append(((0,) * dim, draw(st.integers(-2, 0)), draw(st.booleans())))
+    return IneqSystem.build(dim, rows)
+
+
+def _answers(sys):
+    w = feasible(sys)
+    bounded = w is not None and is_bounded(sys)
+    pts = lattice_points(sys) if bounded else None
+    return w, pts, has_lattice_point(sys)
+
+
+@given(parallel_rich_systems())
+@settings(max_examples=300, deadline=None)
+def test_pruned_elimination_matches_unpruned(sys):
+    got = _answers(sys)
+    with patch.object(regions, "_eliminate", _reference_eliminate):
+        want = _answers(sys)
+    assert got == want
+
+
+def test_elimination_keeps_tightest_parallel_row():
+    # x + 2y >= 1 and 2x + 4y >= 3 are parallel; only the second binds
+    rows = [((1, 2, 1), 1, False), ((2, 4, 1), 3, False), ((0, 0, -1), 0, False)]
+    assert regions._eliminate(rows, 2) == [((2, 4, 0), 3, False)]
+    # on a tie the strict row survives; of the constant rows 0 >= -1, 0 > -2
+    # only the more restrictive one does
+    rows = [((1,), 1, False), ((2,), 2, True), ((0,), -1, False), ((0,), -2, True)]
+    assert regions._eliminate(rows, 0) == [((0,), -1, False)]
+    assert regions._eliminate(rows[:2] + [((-1,), -1, False)], 0) == [((0,), 0, True)]
