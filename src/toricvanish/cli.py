@@ -19,12 +19,6 @@ from .divisors import (
     semiample_witness,
 )
 from .fans import is_complete, is_simplicial, properties, support_is_convex, validate
-
-
-def _require_valid(fan):
-    defects = validate(fan)
-    if defects:
-        raise ParseError("invalid fan: " + "; ".join(defects))
 from .formats import (
     ParseError,
     canonical_json,
@@ -44,6 +38,12 @@ from .verify import (
     verify_mfs,
     verify_mmp,
 )
+
+
+def _require_valid(fan):
+    defects = validate(fan)
+    if defects:
+        raise ParseError("invalid fan: " + "; ".join(defects))
 
 
 def _fan_info(args):

@@ -46,7 +46,6 @@ def neg_complex(fan, neg):
     ic = incidence_complex(fan)
     neg = frozenset(neg)
     faces = {tuple(sorted(set(f) & neg)) for f in ic.facets}
-    faces = {f for f in faces}
     maximal = [f for f in faces
                if not any(f != g and set(f) <= set(g) for g in faces)]
     return tuple(sorted(f for f in maximal if f))

@@ -77,19 +77,11 @@ def cone_dual(gens, dim):
     """Generators of the dual cone {w : <w, g> >= 0 for all g}.
 
     Returns (rays, lineality); the lineality space is the orthogonal
-    complement of span(gens).
+    complement of span(gens). Read as an H-representation of cone(gens):
+    x is in the cone iff <w,x> >= 0 for w in rays and <e,x> = 0 for e in
+    lineality.
     """
     return dd_cone([tuple(g) for g in gens], dim)
-
-
-def cone_hrep(gens, dim):
-    """Inequality/equality description of cone(gens).
-
-    Returns (ineqs, eqs): x in cone iff <w,x> >= 0 for w in ineqs and
-    <e,x> = 0 for e in eqs.
-    """
-    rays, lin = cone_dual(gens, dim)
-    return rays, lin
 
 
 def in_cone_hrep(hrep, x):
@@ -105,7 +97,7 @@ def cone_dim(gens):
 
 def cone_lineality(gens, dim):
     """Basis of the lineality space of cone(gens)."""
-    ineqs, eqs = cone_hrep(gens, dim)
+    ineqs, eqs = cone_dual(gens, dim)
     rows = [list(w) for w in ineqs] + [list(e) for e in eqs]
     if not rows:
         return [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
@@ -118,7 +110,7 @@ def cone_is_pointed(gens, dim):
 
 def cone_facets(gens, dim):
     """Facets of cone(gens) as (normal, tuple of generator indices on it)."""
-    normals, _ = cone_hrep(gens, dim)
+    normals, _ = cone_dual(gens, dim)
     out = []
     for w in normals:
         idx = tuple(i for i, g in enumerate(gens) if dot(w, g) == 0)
@@ -156,8 +148,8 @@ def extreme_rays(gens):
 
 def cones_equal(gens_a, gens_b, dim):
     """Mutual containment of two cones given by generators."""
-    ha = cone_hrep(gens_a, dim)
-    hb = cone_hrep(gens_b, dim)
+    ha = cone_dual(gens_a, dim)
+    hb = cone_dual(gens_b, dim)
     return all(in_cone_hrep(hb, g) for g in gens_a) and \
         all(in_cone_hrep(ha, g) for g in gens_b)
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
-from .fans import Fan, _cone_hrep, cone_contains, is_complete, is_simplicial, support_is_convex
+from .fans import cone_contains
 from .linalg import (
     adapted_basis,
     dot,

@@ -55,7 +55,7 @@ def make_fan(rank, rays, max_cones):
 @lru_cache(maxsize=16384)
 def _cone_hrep(fan, cone):
     gens = [fan.rays[i] for i in cone]
-    return cones.cone_hrep(gens, fan.rank)
+    return cones.cone_dual(gens, fan.rank)
 
 
 @lru_cache(maxsize=16384)
@@ -175,7 +175,7 @@ def support_is_convex(fan):
     """Whether the union of cones equals the cone generated by all rays."""
     if not fan.max_cones:
         return True
-    hull_ineqs, hull_eqs = cones.cone_hrep(list(fan.rays), fan.rank)
+    hull_ineqs, hull_eqs = cones.cone_dual(list(fan.rays), fan.rank)
     base = [(tuple(w), 0, False) for w in hull_ineqs]
     for e in hull_eqs:
         base.append((tuple(e), 0, False))

@@ -40,7 +40,7 @@ from .linalg import (
     mat_vec,
     primitive,
 )
-from .mori import _primitive_direction, curve_class, extremal_rays, intersect, walls
+from .mori import CurveClass, _primitive_direction, curve_class, extremal_rays, intersect, walls
 
 STEP_CAP = 10000
 
@@ -281,16 +281,10 @@ def flip_diagram(x_fan, x_plus, z_fan):
             if j != e_idx and pb[j] != pb_plus[j]:
                 raise ValueError("pullbacks differ away from the exceptional ray")
         kappa.append(pb_plus[e_idx] - pb[e_idx])
-    gamma = curve_class_from_pairing(tuple(kappa))
+    gamma = CurveClass(tuple(Fraction(x) for x in kappa))
     if not any(kappa):
         raise ValueError("flip diagram produced a zero 1-cycle")
     return FlipDiagram(theta, e_ray, gamma, psi, psi_prime)
-
-
-def curve_class_from_pairing(pairing):
-    from .mori import CurveClass
-
-    return CurveClass(tuple(Fraction(x) for x in pairing))
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,14 @@
 vanishing statements, plus the deterministic suite driver.
 
 A verdict records the re-checked hypothesis, per-field vanishing flags,
-per-model dimension tables and the MMP step certificates. Negative controls
-are labeled and must fail in exactly the predicted way.
+per-model dimension tables and the MMP step certificates. Each Q-Cartier
+instance gets one pass (`_verify_instance`): one Q-factorialization, one MMP
+run and one cohomology table per model, which the KV verdict (first table)
+and the MMP verdict (every table) both read; `verify_kv` builds only the
+first table. Negative controls are labeled and must fail in exactly the
+predicted way.
 """
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -89,13 +92,13 @@ def check_hypothesis(inst):
 
 
 def _q_factorial_model(inst):
-    """Small Q-factorialization with the divisors pulled back (same rays)."""
+    """Small Q-factorialization, divisors pulled back (same rays), its note."""
     if is_simplicial(inst.fan):
-        return inst.fan, inst.b_coeffs, inst.d_coeffs, False
+        return inst.fan, inst.b_coeffs, inst.d_coeffs, []
     qf, mp = q_factorialize(inst.fan)
     d = pullback(mp, inst.d_coeffs)
     b = pullback(mp, inst.b_coeffs)
-    return qf, b, d, True
+    return qf, b, d, ["computed on the small Q-factorialization (pulling)"]
 
 
 def _model_cohomology(fan, coeffs, fields):
@@ -110,33 +113,35 @@ def _model_cohomology(fan, coeffs, fields):
                         for f in fields}
 
 
+def _vanishes(mode, value):
+    """Whether degree->=1 cohomology vanishes, from one field's table entry."""
+    return all(x == 0 for x in value[1:]) if mode == "complete" else value[0]
+
+
+def _kv_verdict(inst, hyp, fields, table, notes):
+    """The vanishing verdict read off the first model's table."""
+    mode, payload = table
+    vanishing = {f: _vanishes(mode, payload[f]) for f in fields}
+    dims = {f: [payload[f]] for f in fields} if mode == "complete" else {}
+    if mode == "relative":
+        notes += [f"{f}: witness chamber {payload[f][1][0]} in degree "
+                  f"{payload[f][1][1]}" for f in fields if not vanishing[f]]
+    passed = (not hyp[0]) or (bool(vanishing) and all(vanishing.values()))
+    return Verdict(inst.label, *hyp, vanishing, dims, (), passed, tuple(notes))
+
+
+def _cohomology_skipped(inst, hyp):
+    return Verdict(inst.label, *hyp, {}, {}, (), not hyp[0],
+                   ("cohomology skipped: D is not Q-Cartier",))
+
+
 def verify_kv(inst, fields=DEFAULT_FIELDS):
     """Re-check the hypothesis and the vanishing conclusion on one instance."""
-    hyp_ok, reason = check_hypothesis(inst)
-    vanishing = {}
-    dims = {}
-    notes = []
+    hyp = check_hypothesis(inst)
     if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
-        notes.append("cohomology skipped: D is not Q-Cartier")
-    else:
-        fan, b, d, factored = _q_factorial_model(inst)
-        if factored:
-            notes.append("computed on the small Q-factorialization (pulling)")
-        mode, payload = _model_cohomology(fan, d, fields)
-        if mode == "complete":
-            for f in fields:
-                dims[f] = [payload[f]]
-                vanishing[f] = all(x == 0 for x in payload[f][1:])
-        else:
-            for f in fields:
-                ok, witness = payload[f]
-                vanishing[f] = ok
-                if not ok:
-                    notes.append(f"{f}: witness chamber {witness[0]} "
-                                 f"in degree {witness[1]}")
-    passed = (not hyp_ok) or (bool(vanishing) and all(vanishing.values()))
-    return Verdict(inst.label, hyp_ok, reason, vanishing, dims, (), passed,
-                   tuple(notes))
+        return _cohomology_skipped(inst, hyp)
+    fan, _, d, notes = _q_factorial_model(inst)
+    return _kv_verdict(inst, hyp, fields, _model_cohomology(fan, d, fields), notes)
 
 
 def _certificate_obj(step):
@@ -157,35 +162,24 @@ def _certificate_obj(step):
     return obj
 
 
-def verify_mmp(inst, fields=DEFAULT_FIELDS):
-    """Run the divisor-directed program and check step invariance of the full
-    dimension vectors, certificate ranges, and the end-model vanishing."""
-    hyp_ok, reason = check_hypothesis(inst)
-    fan, b, d, factored = _q_factorial_model(inst)
-    notes = ["computed on the small Q-factorialization (pulling)"] if factored else []
+def _verify_instance(inst, hyp, fields):
+    """The one pass over a Q-Cartier instance: Q-factorialize, run the MMP and
+    build each model's cohomology table once. Returns the KV verdict, read off
+    the first table, and the MMP verdict, read off all of them."""
+    fan, b, d, notes = _q_factorial_model(inst)
     run = run_mmp(fan, d, b)
-    tables = {f: [] for f in fields}
-    modes = []
-    for model, div in zip(run.models, run.divisors):
-        mode, payload = _model_cohomology(model, div, fields)
-        modes.append(mode)
-        for f in fields:
-            tables[f].append(payload[f])
-    invariant = True
+    tables = [_model_cohomology(model, div, fields)
+              for model, div in zip(run.models, run.divisors)]
+    kv = _kv_verdict(inst, hyp, fields, tables[0], list(notes))
+    changes = []
     for f in fields:
-        col = tables[f]
-        for i in range(len(col) - 1):
-            if modes[i] == modes[i + 1] == "complete":
-                if col[i] != col[i + 1]:
-                    invariant = False
-                    notes.append(f"{f}: dims changed at step {i}")
-            else:
-                if (col[i][0] if modes[i] == "relative" else
-                        all(x == 0 for x in col[i][1:])) != \
-                        (col[i + 1][0] if modes[i + 1] == "relative" else
-                         all(x == 0 for x in col[i + 1][1:])):
-                    invariant = False
-                    notes.append(f"{f}: vanishing verdict changed at step {i}")
+        for i, ((mode, payload), (mode_next, payload_next)) in enumerate(
+                zip(tables, tables[1:])):
+            if mode == mode_next == "complete" and payload[f] != payload_next[f]:
+                changes.append(f"{f}: dims changed at step {i}")
+            elif _vanishes(mode, payload[f]) != _vanishes(mode_next, payload_next[f]):
+                changes.append(f"{f}: vanishing verdict changed at step {i}")
+    notes += changes
     cert_ok = True
     for step in run.steps:
         cert = step.certificate
@@ -198,32 +192,31 @@ def verify_mmp(inst, fields=DEFAULT_FIELDS):
                 cert_ok = False
             if cert.case == "high" and not (0 < -cert.a < 1 and 0 < cert.b < 1):
                 cert_ok = False
-    end_ok = True
-    vanishing = {}
-    end_model, end_div = run.models[-1], run.divisors[-1]
-    end_mode, end_payload = _model_cohomology(end_model, end_div, fields)
-    for f in fields:
-        if end_mode == "complete":
-            vanishing[f] = all(x == 0 for x in end_payload[f][1:])
-        else:
-            vanishing[f] = end_payload[f][0]
-        end_ok = end_ok and vanishing[f]
+    end_mode, end_payload = tables[-1]
+    vanishing = {f: _vanishes(end_mode, end_payload[f]) for f in fields}
     mfs_ok = True
     if run.end == "mori_fibre_space":
-        mfs = verify_mfs(end_model, end_div, run.end_data, fields)
+        _require_fibration(run.models[-1], run.divisors[-1], run.end_data)
+        mfs = _mfs_verdict(run.models[-1], run.divisors[-1], tables[-1])
         mfs_ok = mfs.passed
         notes.extend(f"mfs: {n}" for n in mfs.notes)
-    passed = (not hyp_ok) or (invariant and cert_ok and end_ok and mfs_ok)
+    passed = (not hyp[0]) or (not changes and cert_ok and all(vanishing.values())
+                              and mfs_ok)
     certs = tuple(_certificate_obj(s) for s in run.steps)
-    dims = {f: tables[f] if all(m == "complete" for m in modes) else []
+    complete = all(mode == "complete" for mode, _ in tables)
+    dims = {f: [payload[f] for _, payload in tables] if complete else []
             for f in fields}
-    return Verdict(inst.label, hyp_ok, reason, vanishing, dims, certs, passed,
-                   tuple(notes))
+    return kv, Verdict(inst.label, *hyp, vanishing, dims, certs, passed,
+                       tuple(notes))
 
 
-def verify_mfs(fan, d_coeffs, contraction, fields=DEFAULT_FIELDS):
-    """At a Mori fibre space with -D relatively ample, sections vanish; on a
-    complete total space every cohomology degree vanishes, h^0 included."""
+def verify_mmp(inst, fields=DEFAULT_FIELDS):
+    """Run the divisor-directed program and check step invariance of the full
+    dimension vectors, certificate ranges, and the end-model vanishing."""
+    return _verify_instance(inst, check_hypothesis(inst), fields)[1]
+
+
+def _require_fibration(fan, d_coeffs, contraction):
     if contraction.kind != "fibration":
         raise ValueError("contraction is not a fibration")
     group_of = {}
@@ -235,23 +228,27 @@ def verify_mfs(fan, d_coeffs, contraction, fields=DEFAULT_FIELDS):
         if ga is not None and ga == gb:
             if intersect(fan, d_coeffs, w) >= 0:
                 raise ValueError("-D is not relatively ample on the fibration")
-    notes = []
+
+
+def _mfs_verdict(fan, d_coeffs, table):
+    """No sections, and on a complete total space no cohomology at all."""
+    mode, payload = table
     sections = h0_dim(fan, d_coeffs)
     ok = sections == ZERO
-    if not ok:
-        notes.append(f"h0 = {sections} (expected zero)")
-    vanishing = {}
-    dims = {}
-    if is_complete(fan):
-        for f in fields:
-            rep = coh_dims(fan, d_coeffs, parse_field(f))
-            dims[f] = [list(rep.dims)]
-            vanishing[f] = all(x == 0 for x in rep.dims)
-    else:
-        for f in fields:
-            vanishing[f], _ = vanishing_higher(fan, d_coeffs, parse_field(f))
+    notes = () if ok else (f"h0 = {sections} (expected zero)",)
+    complete = mode == "complete"
+    vanishing = {f: all(x == 0 for x in v) if complete else v[0]
+                 for f, v in payload.items()}
+    dims = {f: [v] for f, v in payload.items()} if complete else {}
     passed = ok and all(vanishing.values())
-    return Verdict("mfs", True, "ok", vanishing, dims, (), passed, tuple(notes))
+    return Verdict("mfs", True, "ok", vanishing, dims, (), passed, notes)
+
+
+def verify_mfs(fan, d_coeffs, contraction, fields=DEFAULT_FIELDS):
+    """At a Mori fibre space with -D relatively ample, sections vanish; on a
+    complete total space every cohomology degree vanishes, h^0 included."""
+    _require_fibration(fan, d_coeffs, contraction)
+    return _mfs_verdict(fan, d_coeffs, _model_cohomology(fan, d_coeffs, fields))
 
 
 def verify_flip_diagram_for(fan, d_coeffs, seed=0):
@@ -321,7 +318,6 @@ def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
     Returns (report_obj, exit_code): 0 when everything passes (controls must
     fail exactly as predicted), 1 otherwise.
     """
-    workers = os.environ.get("KV_VERIFY_THREADS")
     entries = []
     all_ok = True
 
@@ -338,16 +334,20 @@ def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
     log(f"{'verdict':18s} label")
 
     for inst in instances:
-        verdict = verify_kv(inst, fields)
-        entry = verdict.to_obj()
-        if not isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
-            mmp_verdict = verify_mmp(inst, fields)
+        hyp = check_hypothesis(inst)
+        if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
+            verdict = _cohomology_skipped(inst, hyp)
+            entry = verdict.to_obj()
+        else:
+            verdict, mmp_verdict = _verify_instance(inst, hyp, fields)
+            entry = verdict.to_obj()
             entry["mmp"] = list(mmp_verdict.certificates)
             entry["mmp_pass"] = bool(mmp_verdict.passed)
             if any(mmp_verdict.dims.values()):
                 entry["dims"] = {k: v for k, v in sorted(mmp_verdict.dims.items())}
-            verdict.passed = verdict.passed and mmp_verdict.passed
-            entry["pass"] = bool(verdict.passed)
+            entry["notes"] += [n for n in mmp_verdict.notes
+                               if n not in entry["notes"]]
+            entry["pass"] = bool(verdict.passed and mmp_verdict.passed)
         if inst.label in EXPECTED_FAIL:
             behaved = _control_behaves(inst.label, verdict)
             entry["verdict"] = "expected-fail" if behaved else "control-misbehaved"
@@ -361,6 +361,4 @@ def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
     report = {"instances": sorted(entries, key=lambda e: e["label"])}
     if skipped_total:
         report["skipped"] = sorted(skipped_total)
-    if workers:
-        report["workers_hint"] = workers
     return report, (0 if all_ok else 1)

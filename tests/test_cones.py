@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from toricvanish.cones import (
     cone_dim,
+    cone_dual,
     cone_facets,
-    cone_hrep,
     cone_is_pointed,
     cone_lineality,
     dd_cone,
@@ -33,7 +33,7 @@ def test_dd_infeasible_direction_is_origin():
 
 
 def test_hrep_of_zero_cone():
-    ineqs, eqs = cone_hrep([], 2)
+    ineqs, eqs = cone_dual([], 2)
     assert ineqs == []
     assert len(eqs) == 2
     assert in_cone_hrep((ineqs, eqs), (0, 0))
@@ -65,7 +65,7 @@ def test_dd_membership_round_trip(gens):
     gens = [g for g in gens if any(g)]
     if not gens:
         return
-    hrep = cone_hrep(gens, 3)
+    hrep = cone_dual(gens, 3)
     # every generator satisfies its own H-representation
     for g in gens:
         assert in_cone_hrep(hrep, g)

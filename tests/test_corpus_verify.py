@@ -9,9 +9,18 @@ from toricvanish.corpus import (
     projective_space,
     seed_fans,
 )
-from toricvanish.divisors import canonical, klt_check, positivity, sub
+from toricvanish import verify
+from toricvanish.divisors import (
+    NotQCartier,
+    canonical,
+    cartier_data,
+    klt_check,
+    positivity,
+    sub,
+)
 from toricvanish.fans import properties, validate
 from toricvanish.formats import canonical_json, instance_to_obj
+from toricvanish.mmp import run_mmp
 from toricvanish.verify import (
     check_hypothesis,
     suite,
@@ -152,3 +161,56 @@ def test_suite_exit_codes():
     control = next(e for e in report["instances"]
                    if e["label"] == "control-p2-canonical")
     assert control["verdict"] == "expected-fail"
+
+
+def _two_verifier_entry(inst, fields):
+    """Reference: the suite entry rebuilt from the public verifiers with the
+    merge rule the suite used before it made one pass per instance."""
+    kv = verify_kv(inst, fields)
+    entry = kv.to_obj()
+    if not isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
+        mmp = verify_mmp(inst, fields)
+        entry["mmp"] = list(mmp.certificates)
+        entry["mmp_pass"] = bool(mmp.passed)
+        if any(mmp.dims.values()):
+            entry["dims"] = {k: v for k, v in sorted(mmp.dims.items())}
+        entry["pass"] = bool(kv.passed and mmp.passed)
+    return entry
+
+
+def test_one_pass_agrees_with_public_verifiers():
+    fields = ("q", "f2")
+    report, _ = suite(seed=7, ranks=(2, 3), count=3, fields=fields, quiet=True)
+    instances = {inst.label: inst for _, inst in curated_instances()}
+    for rank in (2, 3):
+        instances.update((inst.label, inst)
+                         for inst in gen_corpus(7, rank, count=3)[0])
+    assert sorted(instances) == [e["label"] for e in report["instances"]]
+    for entry in report["instances"]:
+        expect = _two_verifier_entry(instances[entry["label"]], fields)
+        for key in ("hypothesis_ok", "vanishing", "dims", "mmp", "mmp_pass", "pass"):
+            assert entry.get(key) == expect.get(key), (entry["label"], key)
+        # the KV notes come first, and a note shared with the MMP verdict
+        # (the Q-factorialization) appears once
+        assert entry["notes"][:len(expect["notes"])] == expect["notes"]
+        assert len(set(entry["notes"])) == len(entry["notes"])
+
+
+def test_suite_reports_why_the_mmp_check_failed(monkeypatch):
+    inst = dict(curated_instances())["cubeq-flop"]
+    flipped = run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs).models[1]
+    real = verify._model_cohomology
+
+    def one_step_changes_h0(fan, coeffs, fields):
+        mode, payload = real(fan, coeffs, fields)
+        if fan == flipped:
+            payload = {f: [dims[0] + 1] + dims[1:] for f, dims in payload.items()}
+        return mode, payload
+
+    monkeypatch.setattr(verify, "_model_cohomology", one_step_changes_h0)
+    report, code = suite(ranks=(), fields=("q",), quiet=True)
+    entry = next(e for e in report["instances"] if e["label"] == "cubeq-flop")
+    assert code == 1
+    assert entry["verdict"] == "fail" and entry["mmp_pass"] is False
+    assert "q: dims changed at step 0" in entry["notes"]
+    assert "q: dims changed at step 1" in entry["notes"]

@@ -1,0 +1,71 @@
+"""Static hygiene of the package, read with `ast` only: no unused imports in
+`src/toricvanish/`, and no module-level function or class there that nothing
+in `src/`, `tests/` or `perfbench/` refers to."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "toricvanish"
+SCANNED = ("src", "tests", "perfbench")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _references(nodes):
+    """Identifiers the nodes refer to: names, attributes, imported names, and
+    identifier-like strings (perfbench/layers.py looks functions up by name)."""
+    refs = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                refs.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                refs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                refs.add(node.name.split(".")[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and node.value.isidentifier():
+                refs.add(node.value)
+    return refs
+
+
+def _bound_imports(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_package_has_no_unused_imports():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _tree(path)
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        unused += [f"{path.name}:{line} {name}"
+                   for name, line in _bound_imports(tree) if name not in loaded]
+    assert not unused, "unused imports: " + ", ".join(unused)
+
+
+def test_every_module_level_def_is_referenced():
+    elsewhere = {}
+    for top in SCANNED:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            elsewhere[path] = _references([_tree(path)])
+    dead = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        body = _tree(path).body
+        others = set().union(*(refs for p, refs in elsewhere.items() if p != path))
+        for node in body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            # a self-reference (recursion) does not keep a definition alive
+            local = _references(n for n in body if n is not node)
+            if node.name not in local and node.name not in others:
+                dead.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not dead, "unreferenced definitions: " + ", ".join(dead)
