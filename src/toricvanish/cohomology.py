@@ -153,6 +153,13 @@ def _chambers_cached(fan, coeffs):
     return tuple(out)
 
 
+@lru_cache(maxsize=4096)
+def _lattice_count(region):
+    """Lattice points of a bounded chamber region, counted once per process:
+    `coh_dims` asks for the same chamber once per coefficient field."""
+    return len(lattice_points(region))
+
+
 def chambers(fan, coeffs):
     """Feasible sign-pattern chambers of D, in binary order over the rays."""
     if not is_simplicial(fan):
@@ -188,7 +195,7 @@ def coh_dims(fan, coeffs, field=None):
                                        "and lattice points on a complete fan")
                 count = 0
             else:
-                count = len(lattice_points(ch.region))
+                count = _lattice_count(ch.region)
         else:
             count = 0
         for p in range(fan.rank + 1):

@@ -3,6 +3,12 @@
 A fan stores primitive ray generators plus maximal cones as ray-index sets.
 Rays are kept lexicographically sorted and cone index sets sorted, so fan
 equality is structural.
+
+Fan-level predicates that run Fourier-Motzkin (`is_complete`,
+`support_is_convex`) and the per-cone H-representations and dimensions are
+memoized per process with `lru_cache`. This is safe because a `Fan` is a
+frozen dataclass compared structurally: equal fans give equal answers, and no
+fan changes after it is built.
 """
 
 from dataclasses import dataclass
@@ -171,6 +177,7 @@ def _facet_two_sided_everywhere(fan):
     return True
 
 
+@lru_cache(maxsize=4096)
 def support_is_convex(fan):
     """Whether the union of cones equals the cone generated by all rays."""
     if not fan.max_cones:
@@ -184,6 +191,7 @@ def support_is_convex(fan):
     return subtract_cones(fan.rank, base, hreps) is None
 
 
+@lru_cache(maxsize=4096)
 def is_complete(fan):
     if fan.rank == 0:
         return True

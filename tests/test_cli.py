@@ -1,11 +1,17 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from conftest import p2_fan
 from toricvanish.cli import main
 from toricvanish.formats import fan_to_obj, fraction_to_str, save
+
+GOLDEN_SUITE_42 = "5987fc0e612ecc18466ee186965d2237b8ac882f9ff6733afb66beacca8c4a57"
 
 
 @pytest.fixture
@@ -98,7 +104,20 @@ def test_suite_seed_42_report_is_golden(tmp_path):
     report = tmp_path / "r.json"
     assert main(["--quiet", "suite", "--seed", "42", "--report", str(report)]) == 0
     digest = hashlib.sha256(report.read_bytes()).hexdigest()
-    assert digest == "5987fc0e612ecc18466ee186965d2237b8ac882f9ff6733afb66beacca8c4a57"
+    assert digest == GOLDEN_SUITE_42
+
+
+def test_suite_seed_42_report_is_golden_under_python_O(tmp_path):
+    # python -O strips asserts: no cached or reported value may hang on one
+    report = tmp_path / "r.json"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-m", "toricvanish.cli", "--quiet",
+                           "suite", "--seed", "42", "--report", str(report)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SUITE_42
 
 
 def test_exit_code_2_on_bad_input(tmp_path, capsys):

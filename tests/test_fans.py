@@ -1,6 +1,17 @@
 import pytest
 
-from conftest import f1_fan, flip_side_a, flip_side_b
+from conftest import (
+    cube_fan,
+    f1_fan,
+    flip_side_a,
+    flip_side_b,
+    p1xp1_fan,
+    p2_fan,
+    p3_fan,
+    p112_fan,
+)
+from toricvanish import fans
+from toricvanish.corpus import curated_instances, seed_fans
 from toricvanish.fans import (
     ToricMap,
     check_map,
@@ -15,6 +26,7 @@ from toricvanish.fans import (
     torus_factor,
     validate,
 )
+from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
 
 
 def test_validate_p2(p2):
@@ -191,3 +203,57 @@ def test_complete_implies_convex(p2, p1xp1, cube):
         p = properties(fan)
         if p.complete:
             assert p.support_convex
+
+
+def _fans_to_check():
+    out = [p2_fan(), p1xp1_fan(), f1_fan(), p112_fan(), p3_fan(), cube_fan(),
+           flip_side_a(), flip_side_b()]
+    out += [inst.fan for _, inst in curated_instances()]
+    out += [fan for rank in (2, 3) for _, fan in seed_fans(rank)]
+    # convex support, not complete: the first quadrant
+    out.append(make_fan(2, [(1, 0), (0, 1)], [(0, 1)]))
+    # support not convex: two cones spanning 225 degrees
+    out.append(make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2)]))
+    return out
+
+
+def test_memoized_predicates_agree_with_originals():
+    seen = set()
+    for fan in _fans_to_check():
+        complete = fans.is_complete.__wrapped__(fan)
+        convex = fans.support_is_convex.__wrapped__(fan)
+        assert fans.is_complete(fan) is complete
+        assert fans.support_is_convex(fan) is convex
+        # asked again, the cache answers the same
+        assert fans.is_complete(fan) is complete
+        assert fans.support_is_convex(fan) is convex
+        seen.add((complete, convex))
+    assert {(True, True), (False, True), (False, False)} <= seen
+
+
+def _count_subtract_cones(monkeypatch):
+    calls = []
+    real = fans.subtract_cones
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(fans, "subtract_cones", counted)
+    fans.is_complete.cache_clear()
+    fans.support_is_convex.cache_clear()
+    return calls
+
+
+def test_model_cohomology_runs_one_subtract_cones_on_a_complete_fan(monkeypatch):
+    calls = _count_subtract_cones(monkeypatch)
+    mode, payload = _model_cohomology(p2_fan(), (1, 0, 0), DEFAULT_FIELDS)
+    assert mode == "complete" and payload["q"] == [3, 0, 0]
+    assert len(calls) == 1
+
+
+def test_model_cohomology_runs_one_subtract_cones_on_a_relative_fan(monkeypatch):
+    calls = _count_subtract_cones(monkeypatch)
+    mode, _ = _model_cohomology(flip_side_a(), (0, 0, 0, 0), DEFAULT_FIELDS)
+    assert mode == "relative"
+    assert len(calls) == 1
