@@ -28,8 +28,8 @@ from .formats import (
     load_instance,
     save,
 )
-from .mmp import contract, run_mmp
-from .mori import extremal_rays, intersect, walls
+from .mmp import negative_contractions, run_mmp
+from .mori import walls
 from .verify import (
     DEFAULT_FIELDS,
     suite,
@@ -152,13 +152,8 @@ def _verify(args):
     elif args.what == "mfs":
         fan, coeffs = load_divisor(args.path)
         _require_valid(fan)
-        chosen = None
-        for item in extremal_rays(fan):
-            if intersect(fan, coeffs, item[1][0]) < 0:
-                res = contract(fan, item)
-                if res.kind == "fibration":
-                    chosen = res
-                    break
+        chosen = next((r for r in negative_contractions(fan, coeffs)
+                       if r.kind == "fibration"), None)
         if chosen is None:
             raise ParseError("no D-negative fibration ray")
         verdict = verify_mfs(fan, coeffs, chosen, _fields(args))

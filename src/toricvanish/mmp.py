@@ -1,10 +1,12 @@
 """Extremal contractions, flips, the common-resolution flip diagram, and the
 divisor-directed minimal model program on simplicial fans with convex support.
 
-Each flip step carries a certificate with the discrepancy a of the inserted
-divisor, the rounding defect b of the pulled-back divisor, the flip
-coefficient c, and the case split on -a+b (below 1 or not), including the
-unique nonnegative shift m for the low case.
+Each step takes the first D-negative extremal ray (`negative_contractions`)
+and contracts it once; a flip step hands that contraction to `flip` rather
+than contracting again. Each flip step carries a certificate with the
+discrepancy a of the inserted divisor, the rounding defect b of the
+pulled-back divisor, the flip coefficient c, and the case split on -a+b
+(below 1 or not), including the unique nonnegative shift m for the low case.
 """
 
 from dataclasses import dataclass
@@ -40,7 +42,7 @@ from .linalg import (
     mat_vec,
     primitive,
 )
-from .mori import CurveClass, _primitive_direction, curve_class, extremal_rays, intersect, walls
+from .mori import CurveClass, extremal_rays, intersect, walls
 
 STEP_CAP = 10000
 
@@ -52,9 +54,10 @@ class ContractionResult:
     map: ToricMap
     removed_ray: object  # ray vector for divisorial contractions
     merged_groups: tuple  # per group: tuple of source max-cone indices
+    walls: tuple  # the walls whose class spans the contracted ray
 
 
-def _merge_groups(fan, ray_direction):
+def _merge_groups(fan, ray_walls):
     parent = list(range(len(fan.max_cones)))
 
     def find(i):
@@ -63,19 +66,14 @@ def _merge_groups(fan, ray_direction):
             i = parent[i]
         return i
 
-    on_ray = []
-    for w in walls(fan):
-        if _primitive_direction(curve_class(fan, w).pairing) == ray_direction:
-            on_ray.append(w)
-            a, b = find(w.cone_a), find(w.cone_b)
-            if a != b:
-                parent[a] = b
-    if not on_ray:
-        raise ValueError("no wall class lies on the given ray")
+    for w in ray_walls:
+        a, b = find(w.cone_a), find(w.cone_b)
+        if a != b:
+            parent[a] = b
     groups = {}
     for i in range(len(fan.max_cones)):
         groups.setdefault(find(i), []).append(i)
-    return [tuple(v) for _, v in sorted(groups.items())], on_ray
+    return [tuple(v) for _, v in sorted(groups.items())]
 
 
 def contract(fan, extremal):
@@ -83,8 +81,8 @@ def contract(fan, extremal):
 
     `extremal` is an entry of mori.extremal_rays: (direction, walls).
     """
-    direction = extremal[0]
-    groups, _ = _merge_groups(fan, direction)
+    ray_walls = tuple(extremal[1])
+    groups = _merge_groups(fan, ray_walls)
     merged = [g for g in groups if len(g) > 1]
     if not merged:
         raise ValueError("ray contracts nothing")
@@ -96,7 +94,7 @@ def contract(fan, extremal):
         lineal.extend(cones.cone_lineality([fan.rays[i] for i in idx], fan.rank))
 
     if lineal:
-        return _fibration(fan, merged, lineal)
+        return _fibration(fan, merged, lineal, ray_walls)
 
     removed = set()
     new_cones = {}
@@ -133,10 +131,10 @@ def contract(fan, extremal):
     if defects:
         raise ValueError("contracted structure is not a fan: " + "; ".join(defects))
     mp = identity_map(fan, target)
-    return ContractionResult(kind, target, mp, removed_ray, tuple(merged))
+    return ContractionResult(kind, target, mp, removed_ray, tuple(merged), ray_walls)
 
 
-def _fibration(fan, merged, lineal):
+def _fibration(fan, merged, lineal, ray_walls):
     W, k = adapted_basis(lineal, fan.rank)
     Winv = invert_unimodular(W)
     # quotient by the lineality span: keep the last rank-k adapted coordinates
@@ -167,7 +165,7 @@ def _fibration(fan, merged, lineal):
     if defects:
         raise ValueError("fibration target is not a fan: " + "; ".join(defects))
     mp = ToricMap(q_matrix, fan, target)
-    return ContractionResult("fibration", target, mp, None, tuple(merged))
+    return ContractionResult("fibration", target, mp, None, tuple(merged), ray_walls)
 
 
 def _circuit(fan, ray_indices):
@@ -185,22 +183,27 @@ def _sides(fan, ray_indices, rel):
     return plus, minus
 
 
-def flip(fan, extremal, coeffs):
-    """The opposite small simplicial model over a flipping contraction.
+def negative_contractions(fan, coeffs, cd=None):
+    """Contract, lazily and in extremal_rays order, each extremal ray on which
+    the divisor is negative; the MMP step takes the first one."""
+    if cd is None:
+        cd = cartier_data(fan, coeffs)
+    for item in extremal_rays(fan):
+        if intersect(fan, coeffs, item[1][0], cd=cd) < 0:
+            yield contract(fan, item)
 
-    Returns (flipped fan, contraction result of the original fan).
-    """
-    res = contract(fan, extremal)
-    if res.kind != "flipping":
-        raise ValueError(f"ray is {res.kind}, not flipping")
-    rep_wall = extremal[1][0]
-    if intersect(fan, coeffs, rep_wall) >= 0:
+
+def flip(fan, contraction, coeffs):
+    """The opposite small simplicial model over a flipping contraction of fan."""
+    if contraction.kind != "flipping":
+        raise ValueError(f"ray is {contraction.kind}, not flipping")
+    if intersect(fan, coeffs, contraction.walls[0]) >= 0:
         raise ValueError("divisor is not negative on the flipping ray")
-    current = {frozenset(fan.max_cones[ci]) for g in res.merged_groups for ci in g}
+    current = {frozenset(fan.max_cones[ci]) for g in contraction.merged_groups for ci in g}
     new_cones = [tuple(c) for c in fan.max_cones
                  if frozenset(c) not in current]
     flip_families = []
-    for g in res.merged_groups:
+    for g in contraction.merged_groups:
         idx = sorted(set().union(*(fan.max_cones[ci] for ci in g)))
         rel = _circuit(fan, idx)
         plus, minus = _sides(fan, idx, rel)
@@ -219,21 +222,24 @@ def flip(fan, extremal, coeffs):
         new_cones.extend(family)
         flip_families.append(family)
     flipped = make_fan(fan.rank, list(fan.rays), new_cones)
-    assert flipped.rays == fan.rays
+    if flipped.rays != fan.rays:
+        raise ValueError("flipped fan does not keep the rays")
     defects = validate(flipped)
-    assert not defects, defects
+    if defects:
+        raise ValueError("flipped structure is not a fan: " + "; ".join(defects))
     # strict transform must be ample over the contraction: positive on the
     # new wall curves inside each flipped family
+    cd = cartier_data(flipped, coeffs)
+    flipped_walls = walls(flipped)
     for family in flip_families:
         fam = {frozenset(c) for c in family}
-        for w in walls(flipped):
+        for w in flipped_walls:
             ca = frozenset(flipped.max_cones[w.cone_a])
             cb = frozenset(flipped.max_cones[w.cone_b])
             if ca in fam and cb in fam:
-                val = intersect(flipped, coeffs, w)
-                if val <= 0:
+                if intersect(flipped, coeffs, w, cd=cd) <= 0:
                     raise ValueError("strict transform is not relatively ample")
-    return flipped, res
+    return flipped
 
 
 @dataclass(frozen=True)
@@ -377,13 +383,9 @@ def run_mmp(fan, d_coeffs, b_coeffs):
         if all(intersect(x_n, d_n, w, cd=cd) >= 0 for w in ws):
             return MMPRun(tuple(models), tuple(divisors), tuple(boundaries),
                           tuple(steps), "nef")
-        chosen = None
-        for item in extremal_rays(x_n):
-            if intersect(x_n, d_n, item[1][0], cd=cd) < 0:
-                chosen = item
-                break
-        assert chosen is not None, "negative wall but no negative extremal ray"
-        res = contract(x_n, chosen)
+        res = next(negative_contractions(x_n, d_n, cd), None)
+        if res is None:
+            raise RuntimeError("negative wall but no negative extremal ray")
         if res.kind == "fibration":
             steps.append(MMPStep("fibration", len(models) - 1, res, None))
             return MMPRun(tuple(models), tuple(divisors), tuple(boundaries),
@@ -402,7 +404,7 @@ def run_mmp(fan, d_coeffs, b_coeffs):
             divisors.append(d_next)
             boundaries.append(b_next)
             continue
-        flipped, _ = flip(x_n, chosen, d_n)
+        flipped = flip(x_n, res, d_n)
         diagram = flip_diagram(x_n, flipped, res.target)
         cert = step_certificate(x_n, b_n, d_n, diagram)
         steps.append(MMPStep("flip", len(models) - 1, res, cert, diagram))

@@ -32,8 +32,8 @@ from .divisors import (
 )
 from .fans import is_complete, is_simplicial, q_factorialize, support_is_convex
 from .formats import fraction_to_str
-from .mmp import contract, flip, flip_diagram, run_mmp
-from .mori import extremal_rays, intersect, walls
+from .mmp import flip, flip_diagram, negative_contractions, run_mmp
+from .mori import intersect, walls
 
 DEFAULT_FIELDS = ("q", "f2", "f3", "f5", "f7")
 
@@ -223,10 +223,11 @@ def _require_fibration(fan, d_coeffs, contraction):
     for gi, g in enumerate(contraction.merged_groups):
         for ci in g:
             group_of[ci] = gi
+    cd = cartier_data(fan, d_coeffs)
     for w in walls(fan):
         ga, gb = group_of.get(w.cone_a), group_of.get(w.cone_b)
         if ga is not None and ga == gb:
-            if intersect(fan, d_coeffs, w) >= 0:
+            if intersect(fan, d_coeffs, w, cd=cd) >= 0:
                 raise ValueError("-D is not relatively ample on the fibration")
 
 
@@ -255,17 +256,11 @@ def verify_flip_diagram_for(fan, d_coeffs, seed=0):
     """Build the flip diagram of the D-negative flipping ray and verify the
     pullback equation exactly on all coordinate divisors and five random
     rational combinations."""
-    chosen = None
-    for item in extremal_rays(fan):
-        if intersect(fan, d_coeffs, item[1][0]) < 0:
-            res = contract(fan, item)
-            if res.kind == "flipping":
-                chosen = (item, res)
-                break
-    if chosen is None:
+    res = next((r for r in negative_contractions(fan, d_coeffs)
+                if r.kind == "flipping"), None)
+    if res is None:
         raise ValueError("no D-negative flipping ray")
-    item, res = chosen
-    flipped, _ = flip(fan, item, d_coeffs)
+    flipped = flip(fan, res, d_coeffs)
     dia = flip_diagram(fan, flipped, res.target)
     notes = []
     ok = True

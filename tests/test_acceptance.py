@@ -5,6 +5,7 @@ lattice counts, hand-solved Cartier data, and the brute-force style oracles
 exercised in the unit-test modules.
 """
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -57,12 +58,14 @@ def _report(name, ok, detail=""):
     assert ok, f"{name}: {detail}"
 
 
+@functools.lru_cache(maxsize=None)
 def _corpus():
+    """The acceptance corpus, generated once per session."""
     instances = []
     for rank, count in ((2, 45), (3, 40)):
         gen, _ = gen_corpus(42, rank, max_rays=12, count=count)
         instances.extend(gen)
-    return instances
+    return tuple(instances)
 
 
 def test_criterion_1_kv_vanishing_suite():

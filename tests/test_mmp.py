@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import flip_side_a, flip_side_b, p2_fan
+from toricvanish import mmp
+from toricvanish.corpus import curated_instances, seed_fans
 from toricvanish.divisors import (
     canonical,
     coeffs_of,
@@ -12,21 +14,14 @@ from toricvanish.divisors import (
     scale,
 )
 from toricvanish.fans import check_map, is_simplicial, make_fan, validate
-from toricvanish.mmp import contract, flip, flip_diagram, run_mmp
-from toricvanish.mori import extremal_rays, intersect, walls
-
-
-def d_negative_ray(fan, coeffs):
-    for item in extremal_rays(fan):
-        if intersect(fan, coeffs, item[1][0]) < 0:
-            return item
-    return None
+from toricvanish.mmp import flip, flip_diagram, negative_contractions, run_mmp
+from toricvanish.mori import _primitive_direction, curve_class, extremal_rays, intersect, walls
+from toricvanish.verify import verify_flip_diagram_for
 
 
 def test_contract_f1_divisorial(f1, p2):
     E = ray_divisor(f1, (1, 1))
-    ray = d_negative_ray(f1, E)
-    res = contract(f1, ray)
+    res = next(negative_contractions(f1, E))
     assert res.kind == "divisorial"
     assert res.removed_ray == (1, 1)
     assert res.target == p2
@@ -37,9 +32,8 @@ def test_contract_f1_divisorial(f1, p2):
 def test_contract_flip_side_a():
     fan = flip_side_a()
     D = scale(-1, ray_divisor(fan, (0, 0, 1)))
-    ray = d_negative_ray(fan, D)
-    assert ray is not None
-    res = contract(fan, ray)
+    res = next(negative_contractions(fan, D), None)
+    assert res is not None
     assert res.kind == "flipping"
     assert len(res.target.max_cones) == 1
     assert len(res.target.max_cones[0]) == 4
@@ -48,8 +42,7 @@ def test_contract_flip_side_a():
 
 def test_contract_p2_fibration(p2):
     D = canonical(p2)
-    ray = d_negative_ray(p2, D)
-    res = contract(p2, ray)
+    res = next(negative_contractions(p2, D))
     assert res.kind == "fibration"
     assert res.target.rank == 0
     cm = check_map(res.map)
@@ -58,8 +51,7 @@ def test_contract_p2_fibration(p2):
 
 def test_contract_p1xp1_fibration(p1xp1):
     D = scale(-1, ray_divisor(p1xp1, (0, 1)))
-    ray = d_negative_ray(p1xp1, D)
-    res = contract(p1xp1, ray)
+    res = next(negative_contractions(p1xp1, D))
     assert res.kind == "fibration"
     assert res.target.rank == 1
     assert len(res.target.rays) == 2
@@ -68,7 +60,7 @@ def test_contract_p1xp1_fibration(p1xp1):
 def test_flip_sides():
     fan = flip_side_a()
     D = scale(-1, ray_divisor(fan, (0, 0, 1)))
-    flipped, res = flip(fan, d_negative_ray(fan, D), D)
+    flipped = flip(fan, next(negative_contractions(fan, D)), D)
     assert flipped == flip_side_b()
     # D becomes positive on the new wall
     (w,) = walls(flipped)
@@ -78,25 +70,25 @@ def test_flip_sides():
 def test_flip_involution_flop():
     fan = flip_side_a((1, 1, -1))
     D = scale(-1, ray_divisor(fan, (0, 0, 1)))
-    flipped, _ = flip(fan, d_negative_ray(fan, D), D)
+    flipped = flip(fan, next(negative_contractions(fan, D)), D)
     assert flipped == flip_side_b((1, 1, -1))
     # flipping again with the negated strict transform undoes the flip
     D_back = scale(-1, D)
-    back, _ = flip(flipped, d_negative_ray(flipped, D_back), D_back)
+    back = flip(flipped, next(negative_contractions(flipped, D_back)), D_back)
     assert back == fan
 
 
 def test_flip_non_flipping_ray_errors(f1):
     E = ray_divisor(f1, (1, 1))
     with pytest.raises(ValueError, match="not flipping"):
-        flip(f1, d_negative_ray(f1, E), E)
+        flip(f1, next(negative_contractions(f1, E)), E)
 
 
 def test_flip_diagram_flop():
     fan = flip_side_a((1, 1, -1))
     D = scale(-1, ray_divisor(fan, (0, 0, 1)))
-    ray = d_negative_ray(fan, D)
-    flipped, res = flip(fan, ray, D)
+    res = next(negative_contractions(fan, D))
+    flipped = flip(fan, res, D)
     dia = flip_diagram(fan, flipped, res.target)
     assert dia.e_ray == (1, 1, 0)
     assert is_simplicial(dia.theta)
@@ -124,8 +116,8 @@ def test_flip_diagram_equation_exact():
     for w4 in ((1, 1, -1), (1, 1, -2)):
         fan = flip_side_a(w4)
         D = scale(-1, ray_divisor(fan, (0, 0, 1)))
-        ray = d_negative_ray(fan, D)
-        flipped, res = flip(fan, ray, D)
+        res = next(negative_contractions(fan, D))
+        flipped = flip(fan, res, D)
         dia = flip_diagram(fan, flipped, res.target)
         e_idx = dia.theta.ray_index(dia.e_ray)
         for i in range(len(fan.rays)):
@@ -245,8 +237,8 @@ def test_flip_strict_transform_through_resolution():
         D = coeffs_of(fan, {(0, 0, 1): -1, (1, 0, 0): Fr(2)})
         if intersect(fan, D, walls(fan)[0]) >= 0:
             D = scale(-1, D)
-        ray = d_negative_ray(fan, D)
-        flipped, res = flip(fan, ray, D)
+        res = next(negative_contractions(fan, D))
+        flipped = flip(fan, res, D)
         dia = flip_diagram(fan, flipped, res.target)
         up = pullback(dia.psi, D)
         down = pushforward(dia.psi_prime, up)
@@ -261,7 +253,8 @@ def test_flip_diagram_kills_principal_divisors():
 
     fan = flip_side_a()
     D = scale(-1, ray_divisor(fan, (0, 0, 1)))
-    flipped, res = flip(fan, d_negative_ray(fan, D), D)
+    res = next(negative_contractions(fan, D))
+    flipped = flip(fan, res, D)
     dia = flip_diagram(fan, flipped, res.target)
     for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3)):
         F = principal(fan, m)
@@ -287,3 +280,91 @@ def test_star_subdivide_maps_always_proper_birational():
         assert validate(out) == []
         cm = check_map(m)
         assert cm["well_defined"] and cm["proper"] and cm["birational"]
+
+
+def _count_contract(monkeypatch):
+    calls = []
+    real = mmp.contract
+
+    def counting(fan, extremal):
+        calls.append(extremal[0])
+        return real(fan, extremal)
+
+    monkeypatch.setattr(mmp, "contract", counting)
+    return calls
+
+
+def _curated(label):
+    return dict(curated_instances())[label]
+
+
+def test_run_mmp_contracts_once_per_step(monkeypatch):
+    inst = _curated("cubeq-flop")
+    calls = _count_contract(monkeypatch)
+    run = run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)
+    assert [s.kind for s in run.steps] == ["flip", "divisorial"]
+    assert len(calls) == len(run.steps) == 2
+
+
+def test_flip_diagram_verifier_contracts_once(monkeypatch):
+    inst = _curated("flip2-relative")
+    calls = _count_contract(monkeypatch)
+    verdict = verify_flip_diagram_for(inst.fan, inst.d_coeffs)
+    assert verdict.passed
+    assert len(calls) == 1
+
+
+def _merge_groups_rescan(fan, direction):
+    """Reference grouping: rescan every wall and keep those whose curve class
+    lies on the given ray."""
+    parent = list(range(len(fan.max_cones)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    on_ray = []
+    for w in walls(fan):
+        if _primitive_direction(curve_class(fan, w).pairing) == direction:
+            on_ray.append(w)
+            a, b = find(w.cone_a), find(w.cone_b)
+            if a != b:
+                parent[a] = b
+    groups = {}
+    for i in range(len(fan.max_cones)):
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(v) for _, v in sorted(groups.items())], on_ray
+
+
+def _outcome(fan, item):
+    try:
+        res = mmp.contract(fan, item)
+    except ValueError as exc:
+        return str(exc)
+    return res.kind, res.target, res.merged_groups, res.removed_ray
+
+
+def test_contract_walls_from_entry_match_a_rescan(monkeypatch):
+    from conftest import cube_fan, f1_fan, p1xp1_fan, p112_fan, p3_fan
+
+    fans = [p2_fan(), p1xp1_fan(), f1_fan(), p112_fan(), p3_fan(), cube_fan(),
+            flip_side_a(), flip_side_b(), flip_side_a((1, 1, -1))]
+    fans += [fan for rank in (2, 3) for _, fan in seed_fans(rank)]
+    fans += [inst.fan for _, inst in curated_instances()]
+    checked = 0
+    for fan in fans:
+        if not is_simplicial(fan):
+            continue
+        for item in extremal_rays(fan):
+            groups, on_ray = _merge_groups_rescan(fan, item[0])
+            assert list(item[1]) == on_ray
+            got = _outcome(fan, item)
+            with monkeypatch.context() as m:
+                m.setattr(mmp, "_merge_groups", lambda f, _w: groups)
+                expected = _outcome(fan, item)
+            assert got == expected
+            if not isinstance(got, str):
+                assert got[2] == tuple(g for g in groups if len(g) > 1)
+            checked += 1
+    assert checked >= 20
