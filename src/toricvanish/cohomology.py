@@ -19,9 +19,9 @@ from .regions import (
     IneqSystem,
     feasible,
     has_lattice_point,
-    is_bounded,
     lattice_points,
     make_row,
+    recession_is_zero,
 )
 
 
@@ -149,7 +149,8 @@ def _chambers_cached(fan, coeffs):
     out = []
     for pattern, rows, witness in cells:
         region = IneqSystem(fan.rank, rows)
-        out.append(ChamberReport(pattern, region, is_bounded(region), witness))
+        # the witness shows the region is nonempty: no feasibility guard
+        out.append(ChamberReport(pattern, region, recession_is_zero(region), witness))
     return tuple(out)
 
 

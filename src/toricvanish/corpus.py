@@ -142,9 +142,10 @@ def _mode2_divisors(rng, fan, budget=60):
         else:
             c = _random_fraction(rng, 0, 3)
             a = tuple(c for _ in fan.rays)  # multiple of -K stays Q-Cartier
-        if isinstance(cartier_data(fan, a), NotQCartier):
+        cd = cartier_data(fan, a)
+        if isinstance(cd, NotQCartier):
             continue
-        pos = positivity(fan, a)
+        pos = positivity(fan, a, cd)
         if not pos.ample:
             continue
         d = round_divisor(add(k, a), "up")

@@ -18,7 +18,14 @@ from .linalg import (
     lcm_list,
     solve_rational,
 )
-from .regions import IneqSystem, count_lattice_points, feasible, has_lattice_point, is_bounded, make_row
+from .regions import (
+    IneqSystem,
+    count_lattice_points,
+    has_lattice_point,
+    is_feasible,
+    make_row,
+    recession_is_zero,
+)
 
 
 def coeffs_of(fan, mapping, default=Fraction(0)):
@@ -99,7 +106,8 @@ def cartier_data(fan, coeffs):
         coords = [[sum(ray[i] * Winv[i][j] for i in range(fan.rank))
                    for j in range(r_span)] for ray in rays]
         sub_sol = solve_rational(coords, rhs)
-        assert sub_sol is not None
+        if sub_sol is None:
+            raise RuntimeError(f"cone {ci} has no covector on its adapted basis")
         z = sub_sol[0]
         m = tuple(sum(z[j] * Winv[i][j] for j in range(r_span))
                   for i in range(fan.rank))
@@ -134,13 +142,13 @@ def section_system(fan, coeffs):
 def polytope_dim(fan, coeffs):
     """Dimension of P_D (-1 when empty), via implicit-equality detection."""
     sys = section_system(fan, coeffs)
-    if feasible(sys) is None:
+    if not is_feasible(sys):
         return -1
     implicit = []
     for i, row in enumerate(sys.rows):
         a, c, _ = row
         probe = IneqSystem(fan.rank, sys.rows + ((a, c, True),))
-        if feasible(probe) is None:
+        if not is_feasible(probe):
             implicit.append(list(a))
     if not implicit:
         return fan.rank
@@ -174,7 +182,7 @@ def positivity(fan, coeffs, cd=None):
             elif i not in cone and val == -coeffs[i]:
                 ample = False
     interior = tuple((a, c, True) for a, c, _ in _section_rows(fan, coeffs))
-    big = feasible(IneqSystem(fan.rank, interior)) is not None
+    big = is_feasible(IneqSystem(fan.rank, interior))
     return Positivity(nef=nef, ample=ample and nef, big=big)
 
 
@@ -206,7 +214,8 @@ def semiample_witness(fan, coeffs):
     for m in cd.covectors:
         lm = tuple(int(x * ell) for x in m)
         for i, ray in enumerate(fan.rays):
-            assert Fraction(dot(lm, ray)) >= -ell * coeffs[i]
+            if dot(lm, ray) < -ell * coeffs[i]:
+                raise RuntimeError(f"section {lm} of {ell}D fails ray {ray}")
         sections.append(lm)
     return SemiampleWitness(ell, tuple(sections))
 
@@ -276,7 +285,8 @@ def h0_dim(fan, coeffs):
     sys = section_system(fan, coeffs)
     if not has_lattice_point(sys):
         return ZERO
-    if feasible(sys) is not None and is_bounded(sys):
+    # a lattice point makes P_D nonempty, so boundedness is its recession cone
+    if recession_is_zero(sys):
         n = count_lattice_points(sys)
         return n if n else ZERO
     return INFINITE

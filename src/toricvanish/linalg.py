@@ -143,7 +143,27 @@ def snf_diagonal(A):
 
 
 def int_rank(A):
-    return len(snf_diagonal(A))
+    """Rank of an integer matrix (Bareiss fraction-free row echelon form)."""
+    M = [list(row) for row in A]
+    m = len(M)
+    n = len(M[0]) if m else 0
+    r = 0
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(r, m) if M[i][c]), None)
+        if piv is None:
+            continue
+        M[r], M[piv] = M[piv], M[r]
+        p = M[r][c]
+        for i in range(r + 1, m):
+            f = M[i][c]
+            M[i] = [0] * (c + 1) + [(x * p - f * y) // prev
+                                    for x, y in zip(M[i][c + 1:], M[r][c + 1:])]
+        prev = p
+        r += 1
+        if r == m:
+            break
+    return r
 
 
 def int_kernel(A):

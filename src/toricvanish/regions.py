@@ -3,6 +3,14 @@
 A system is a conjunction of rows <a, x> >= c or <a, x> > c with rational
 data. Rows are normalized to integer form. Feasibility and witnesses come
 from Fourier-Motzkin elimination, which handles strict rows natively.
+Callers that need only a yes or no ask `is_feasible`, which stops after the
+elimination; `feasible` goes on to back-substitute a witness.
+
+Boundedness asks whether the recession cone C = {x : Ax >= 0} is {0}, with
+A the rows' covectors: C = {0} iff rank A = dim and no x has Ax >= 0 and
+(1^T A) x > 0. If rank A < dim, ker A is in C. If rank A = dim, a nonzero
+x in C has Ax >= 0 and Ax != 0, so (1^T A) x > 0; conversely such an x is a
+nonzero point of C. That is one rank and one elimination per region.
 
 Pruning invariant: each eliminated level keeps, per primitive direction
 d = a / gcd(a), only the row with the largest bound c / gcd(a), the strict one
@@ -18,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .linalg import gcd_list, lcm_list
+from .linalg import gcd_list, int_rank, lcm_list
 
 
 def make_row(coeffs, const, strict=False):
@@ -155,17 +163,42 @@ def _pick(lo, lo_s, hi, hi_s):
     return (lo + hi) / 2
 
 
+def _feasible_levels(sys):
+    """The elimination levels of a feasible system, or None."""
+    levels = _levels(sys)
+    return levels if all(_level_ok(rows) for rows in levels) else None
+
+
+def is_feasible(sys):
+    """Whether some point satisfies every row; no witness is built."""
+    return _feasible_levels(sys) is not None
+
+
 def feasible(sys):
     """An exact rational witness satisfying every row, or None."""
-    levels = _levels(sys)
-    for k in range(sys.dim + 1):
-        if not _level_ok(levels[k]):
-            return None
+    levels = _feasible_levels(sys)
+    if levels is None:
+        return None
     x = []
     for k in range(sys.dim):
         lo, lo_s, hi, hi_s = _bounds_at(levels, k, x)
         x.append(_pick(lo, lo_s, hi, hi_s))
     return tuple(x)
+
+
+def recession_is_zero(sys):
+    """Whether the recession cone {x : <a, x> >= 0 for every row} is {0}.
+
+    It is exactly when the covectors have rank dim and no x satisfies the
+    recession rows together with <sum of covectors, x> > 0; see the module
+    docstring.
+    """
+    covectors = [a for a, _, _ in sys.rows]
+    if int_rank(covectors) != sys.dim:
+        return False
+    total = tuple(sum(col) for col in zip(*covectors))
+    rows = _recession_rows(sys) + ((total, 0, True),)
+    return not is_feasible(IneqSystem(sys.dim, rows))
 
 
 def _recession_rows(sys):
@@ -179,12 +212,11 @@ def _unit(k, n, sgn=1):
 def is_bounded(sys):
     """Whether the closure of the solution set is bounded.
 
-    Raises on an infeasible input. The recession cone of the weak closure is
-    probed against every +-coordinate direction.
+    Raises on an infeasible input.
     """
-    if feasible(sys) is None:
+    if not is_feasible(sys):
         raise ValueError("empty region")
-    return recession_direction(sys) is None
+    return recession_is_zero(sys)
 
 
 def recession_direction(sys):
@@ -213,11 +245,11 @@ def _int_high(v, strict):
 
 def lattice_points(sys):
     """All integer points of a bounded region, in lexicographic order."""
-    if feasible(sys) is None:
+    levels = _feasible_levels(sys)
+    if levels is None:
         return []
-    if not is_bounded(sys):
+    if not recession_is_zero(sys):
         raise ValueError("unbounded region")
-    levels = _levels(sys)
     n = sys.dim
     out = []
 
@@ -248,15 +280,14 @@ def has_lattice_point(sys):
     """
     from .linalg import adapted_basis
 
-    if feasible(sys) is None:
+    levels = _feasible_levels(sys)
+    if levels is None:
         return False
     n = sys.dim
     if n == 0:
         return True
     d = recession_direction(sys)
     if d is None:
-        levels = _levels(sys)
-
         def search(k, x):
             if k == n:
                 return True
@@ -299,7 +330,7 @@ def subtract_cones(dim, base_rows, cone_hreps):
             prefix = []
             for h in halfspaces:
                 cand = piece + prefix + [(tuple(-x for x in h), 0, True)]
-                if feasible(IneqSystem(dim, tuple(cand))) is not None:
+                if is_feasible(IneqSystem(dim, tuple(cand))):
                     new_pieces.append(cand)
                 prefix.append((h, 0, False))
         pieces = new_pieces

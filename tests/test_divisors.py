@@ -13,6 +13,7 @@ from conftest import (
     p3_fan,
     p112_fan,
 )
+from toricvanish import divisors
 from toricvanish.corpus import seed_fans
 from toricvanish.divisors import (
     INFINITE,
@@ -135,6 +136,16 @@ def test_semiample_p112_index2(p112):
     # D_{(0,1)} is already Cartier
     w2 = semiample_witness(p112, ray_divisor(p112, (0, 1)))
     assert w2.multiple == 1
+
+
+def test_semiample_section_check_raises(p112, monkeypatch):
+    # D has a half-integral covector; with the multiple forced to 1 its
+    # truncated section leaves 1*P_D, and the check must say so even under -O
+    D = (Fraction(0), Fraction(1), Fraction(-1))
+    assert semiample_witness(p112, D).multiple == 2
+    monkeypatch.setattr(divisors, "lcm_list", lambda values: 1)
+    with pytest.raises(RuntimeError, match="fails ray"):
+        semiample_witness(p112, D)
 
 
 def test_semiample_not_nef(f1):

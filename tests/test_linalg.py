@@ -14,6 +14,7 @@ from toricvanish.linalg import (
     mat_mul,
     primitive,
     smith_normal_form,
+    snf_diagonal,
     solve_integer,
     solve_rational,
 )
@@ -64,6 +65,29 @@ def test_snf_random(rows):
     diag = check_snf(rows)
     assert len(diag) >= 1 or all(all(x == 0 for x in r) for r in rows) or True
     assert len([d for d in diag if d]) == int_rank(rows)
+
+
+@st.composite
+def rank_matrices(draw):
+    """Matrices up to 12x12 whose rows mix free rows and combinations of
+    earlier ones, so that the rank is often below both sides."""
+    m = draw(st.integers(0, 12))
+    n = draw(st.integers(0, 12))
+    entry = st.integers(-6, 6)
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            lams = [draw(st.integers(-2, 2)) for _ in rows]
+            rows.append([sum(lam * r[j] for lam, r in zip(lams, rows)) for j in range(n)])
+        else:
+            rows.append([draw(entry) for _ in range(n)])
+    return rows
+
+
+@given(rank_matrices())
+@settings(max_examples=300, deadline=None)
+def test_int_rank_matches_snf(rows):
+    assert int_rank(rows) == len(snf_diagonal(rows))
 
 
 def test_primitive():

@@ -15,7 +15,9 @@ from toricvanish.regions import (
     feasible,
     has_lattice_point,
     is_bounded,
+    is_feasible,
     lattice_points,
+    recession_is_zero,
     subtract_cones,
 )
 
@@ -262,3 +264,81 @@ def test_elimination_keeps_tightest_parallel_row():
     rows = [((1,), 1, False), ((2,), 2, True), ((0,), -1, False), ((0,), -2, True)]
     assert regions._eliminate(rows, 0) == [((0,), -1, False)]
     assert regions._eliminate(rows[:2] + [((-1,), -1, False)], 0) == [((0,), 0, True)]
+
+
+@st.composite
+def small_systems(draw):
+    """Systems of dim 0-3: empty row sets, zero rows, rank-deficient and
+    strict rows."""
+    dim = draw(st.integers(0, 3))
+    coeff = st.integers(-3, 3)
+    # rows drawn from a span of 0..dim generators are rank-deficient when
+    # fewer than dim generators are drawn
+    gens = draw(st.lists(st.tuples(*[coeff] * dim), max_size=dim))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(("free", "span", "zero")))
+        if kind == "free":
+            a = tuple(draw(coeff) for _ in range(dim))
+        elif kind == "span":
+            lams = [draw(st.integers(-2, 2)) for _ in gens]
+            a = tuple(sum(lam * g[i] for lam, g in zip(lams, gens)) for i in range(dim))
+        else:
+            a = (0,) * dim
+        rows.append((a, draw(st.integers(-4, 4)), draw(st.booleans())))
+    return IneqSystem.build(dim, rows)
+
+
+def _probe_recession_is_zero(sys):
+    """Reference test: the recession cone meets none of the 2*dim probes
+    {Ax >= 0, +-x_k >= 1}."""
+    rec = tuple((a, 0, False) for a, _, _ in sys.rows)
+    n = sys.dim
+    for k in range(n):
+        for sgn in (1, -1):
+            unit = tuple(sgn if i == k else 0 for i in range(n))
+            if feasible(IneqSystem(n, rec + ((unit, 1, False),))) is not None:
+                return False
+    return True
+
+
+@given(small_systems())
+@settings(max_examples=400, deadline=None)
+def test_is_feasible_matches_witness(sys):
+    assert is_feasible(sys) == (feasible(sys) is not None)
+
+
+@given(small_systems())
+@settings(max_examples=400, deadline=None)
+def test_boundedness_matches_probes(sys):
+    want = _probe_recession_is_zero(sys)
+    assert recession_is_zero(sys) == want
+    if feasible(sys) is None:
+        with pytest.raises(ValueError, match="empty region"):
+            is_bounded(sys)
+    else:
+        assert is_bounded(sys) == want
+
+
+def test_boundedness_in_dim_zero():
+    # the only point of R^0 is 0, so every feasible region there is bounded
+    assert is_bounded(IneqSystem(0, ()))
+    assert is_bounded(sys_of(0, [((), -1, False), ((), 0, False)]))
+    assert lattice_points(IneqSystem(0, ())) == [()]
+
+
+def test_is_bounded_eliminates_twice(monkeypatch):
+    # a bounded rank-3 simplex: one elimination for the feasibility guard
+    # and one for the recession cone (2*3 probes plus the guard before)
+    calls = []
+    real = regions._levels
+
+    def counted(sys):
+        calls.append(sys)
+        return real(sys)
+
+    monkeypatch.setattr(regions, "_levels", counted)
+    s = sys_of(3, [((1, 0, 0), -1, False), ((0, 1, 0), -1, False),
+                   ((0, 0, 1), -1, False), ((-1, -1, -1), -1, False)])
+    assert is_bounded(s)
+    assert len(calls) == 2
