@@ -152,9 +152,7 @@ def polytope_dim(fan, coeffs):
             implicit.append(list(a))
     if not implicit:
         return fan.rank
-    from .linalg import rational_rank
-
-    return fan.rank - rational_rank(implicit)
+    return fan.rank - int_rank(implicit)
 
 
 def positivity(fan, coeffs, cd=None):

@@ -1,11 +1,15 @@
 """Exact integer and rational linear algebra.
 
 Everything runs on arbitrary-precision Python ints and fractions.Fraction;
-there is no floating point anywhere in the engine.
+there is no floating point anywhere in the engine. The eliminations are
+fraction-free: ranks and determinants by Bareiss, and the rational solves and
+unimodular inverses by one integer Gauss-Jordan (`_gauss_jordan`) whose rows
+are divided by their gcd after each step. A Fraction is built only when a
+solution, a kernel basis or an inverse is read off the final rows.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 def gcd_list(values):
@@ -198,6 +202,52 @@ def solve_integer(A, b):
     return mat_vec(V, y)
 
 
+def _int_row(values):
+    """The row of ints or Fractions times the lcm of its denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _eliminate(row, prow, c):
+    """p*row - f*prow for p = prow[c], f = row[c], divided by its gcd.
+
+    The result is zero in column c and stands for row - (f/p)*prow times a
+    nonzero scale, positive when p > 0.
+    """
+    p, f = prow[c], row[c]
+    out = [p * x - f * y for x, y in zip(row, prow)]
+    g = gcd(*out)
+    return [x // g for x in out] if g > 1 else out
+
+
+def _gauss_jordan(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination on the first ncols columns.
+
+    rows are integer lists, changed in place. Returns the pivot columns; row k
+    then has its pivot at column pivots[k] and zeros in every other pivot
+    column, so it is row k of the reduced row echelon form times the nonzero
+    integer rows[k][pivots[k]]. Each elimination is `_eliminate`, so no
+    Fraction is built.
+    """
+    m = len(rows)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, m) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        prow = rows[r]
+        for i in range(m):
+            if i != r and rows[i][c]:
+                rows[i] = _eliminate(rows[i], prow, c)
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return pivots
+
+
 def solve_rational(A, b):
     """Exact solution set of A x = b over the rationals.
 
@@ -207,61 +257,21 @@ def solve_rational(A, b):
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        M[r] = [x / pv for x in M[r]]
-        for i in range(m):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if M[i][n]:
-            return None
+    rows = [_int_row(list(row) + [bv]) for row, bv in zip(A, b)]
+    pivots = _gauss_jordan(rows, n)
+    if any(rows[i][n] for i in range(len(pivots), m)):
+        return None
     particular = [Fraction(0)] * n
-    for k, c in enumerate(pivots):
-        particular[c] = M[k][n]
-    free = [c for c in range(n) if c not in pivots]
+    for row, c in zip(rows, pivots):
+        particular[c] = Fraction(row[n], row[c])
     kernel = []
-    for fc in free:
+    for fc in [c for c in range(n) if c not in pivots]:
         v = [Fraction(0)] * n
         v[fc] = Fraction(1)
-        for k, c in enumerate(pivots):
-            v[c] = -M[k][fc]
+        for row, c in zip(rows, pivots):
+            v[c] = Fraction(-row[fc], row[c])
         kernel.append(tuple(v))
     return tuple(particular), kernel
-
-
-def rational_rank(A):
-    """Rank of a matrix with Fraction/int entries, by Gaussian elimination."""
-    M = [[Fraction(x) for x in row] for row in A]
-    m = len(M)
-    n = len(M[0]) if m else 0
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, m) if M[i][c]), None)
-        if pr is None:
-            continue
-        M[r], M[pr] = M[pr], M[r]
-        pv = M[r][c]
-        for i in range(r + 1, m):
-            if M[i][c]:
-                f = M[i][c] / pv
-                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
-        r += 1
-        if r == m:
-            break
-    return r
 
 
 def det_int(A):
@@ -290,27 +300,16 @@ def det_int(A):
 def invert_unimodular(A):
     """Inverse of a unimodular integer matrix, as an integer matrix."""
     n = len(A)
-    M = [[Fraction(x) for x in row] for row in A]
-    aug = [row + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(M)]
-    for c in range(n):
-        pr = next(i for i in range(c, n) if aug[i][c])
-        aug[c], aug[pr] = aug[pr], aug[c]
-        pv = aug[c][c]
-        aug[c] = [x / pv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    inv = [[aug[i][n + j] for j in range(n)] for i in range(n)]
+    rows = [list(row) + [1 if i == j else 0 for j in range(n)]
+            for i, row in enumerate(A)]
+    if len(_gauss_jordan(rows, n)) < n:
+        raise ValueError("matrix is not unimodular")
     out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
+    for i, row in enumerate(rows):
+        p = row[i]
+        if any(x % p for x in row[n:]):
+            raise ValueError("matrix is not unimodular")
+        out.append([x // p for x in row[n:]])
     return out
 
 

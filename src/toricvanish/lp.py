@@ -1,74 +1,69 @@
-"""Exact Phase-I simplex for feasibility in nonnegative variables.
+"""Exact Phase-I simplex for cone membership.
 
-Used for cone membership tests, where the natural variables (coefficients of
-generators) are already sign-constrained. Bland's rule guarantees termination.
+`in_cone` asks whether G x = v has a solution x >= 0, where the columns of G
+are the generators: the natural variables (coefficients of generators) are
+already sign-constrained, so Phase I alone decides it and no witness is read
+off. Bland's rule (smallest entering index; ratio ties to the smallest basic
+index) guarantees termination.
+
+The tableau is fraction-free (Edmonds 1967; Bareiss 1968): each row holds
+integers and stands for its rational row times an unknown positive scale. A
+pivot replaces every other row r by p*r - f*(pivot row), p > 0 the pivot, and
+divides out the gcd (`linalg._eliminate`); the phase-I cost row is updated
+the same way. Signs and ratios do not depend on the scales, so every decision
+of the rational simplex is read off the integer rows, ratios compared by
+cross-multiplication.
 """
 
-from fractions import Fraction
+from math import lcm
 
-
-def standard_feasible(A, b):
-    """A point x >= 0 with A x = b, or None.
-
-    A is a list of m rows of length n (ints or Fractions), b a length-m vector.
-    """
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if m == 0:
-        return tuple(Fraction(0) for _ in range(n))
-    T = []
-    rhs = []
-    for i in range(m):
-        row = [Fraction(x) for x in A[i]]
-        bv = Fraction(b[i])
-        if bv < 0:
-            row = [-x for x in row]
-            bv = -bv
-        T.append(row + [Fraction(1) if j == i else Fraction(0) for j in range(m)])
-        rhs.append(bv)
-    total = n + m
-    basis = list(range(n, total))
-    cost = [Fraction(0)] * n + [Fraction(1)] * m
-
-    while True:
-        # price out: y solves y B = c_B sequentially via the tableau being
-        # kept in basis-canonical form, so reduced costs read off directly
-        reduced = []
-        for j in range(total):
-            rc = cost[j] - sum(cost[basis[i]] * T[i][j] for i in range(m))
-            reduced.append(rc)
-        enter = next((j for j in range(total) if reduced[j] < 0), None)
-        if enter is None:
-            break
-        ratios = [(rhs[i] / T[i][enter], basis[i], i)
-                  for i in range(m) if T[i][enter] > 0]
-        if not ratios:
-            raise RuntimeError("phase-I objective unbounded")  # cannot happen
-        _, _, leave = min(ratios)
-        piv = T[leave][enter]
-        T[leave] = [x / piv for x in T[leave]]
-        rhs[leave] /= piv
-        for i in range(m):
-            if i != leave and T[i][enter]:
-                f = T[i][enter]
-                T[i] = [x - f * y for x, y in zip(T[i], T[leave])]
-                rhs[i] -= f * rhs[leave]
-        basis[leave] = enter
-
-    total_cost = sum(cost[basis[i]] * rhs[i] for i in range(m))
-    if total_cost != 0:
-        return None
-    x = [Fraction(0)] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = rhs[i]
-    return tuple(x)
+from .linalg import _eliminate, _int_row
 
 
 def in_cone(v, generators):
     """Whether v is a nonnegative rational combination of the generators."""
     if not generators:
         return all(x == 0 for x in v)
-    n = len(v)
-    A = [[g[i] for g in generators] for i in range(n)]
-    return standard_feasible(A, list(v)) is not None
+    m, n = len(v), len(generators)
+    # row i is [g_1[i] .. g_n[i] | e_i | v_i], negated outside e_i when
+    # v_i < 0, times the lcm of its denominators; its artificial entry
+    # rows[i][n + i] holds that positive scale
+    rows = []
+    for i, vi in enumerate(v):
+        sign = -1 if vi < 0 else 1
+        unit = [0] * m
+        unit[i] = 1
+        rows.append(_int_row([sign * g[i] for g in generators] + unit + [sign * vi]))
+    basis = list(range(n, n + m))
+    # phase-I cost row for the objective sum(x_art) at basis = artificials:
+    # reduced costs, then minus the objective value, all times `scale`
+    scale = lcm(*(row[n + i] for i, row in enumerate(rows)))
+    weights = [scale // row[n + i] for i, row in enumerate(rows)]
+    cost = [-sum(w * row[j] for w, row in zip(weights, rows))
+            for j in range(n + m + 1)]
+    cost[n:n + m] = [0] * m
+
+    while cost[-1]:
+        enter = next((j for j in range(n + m) if cost[j] < 0), None)
+        if enter is None:
+            return False
+        leave = None
+        for i, row in enumerate(rows):
+            a = row[enter]
+            if a <= 0:
+                continue
+            if leave is not None:
+                best = rows[leave]
+                lhs, rhs = row[-1] * best[enter], best[-1] * a
+                if lhs > rhs or (lhs == rhs and basis[i] > basis[leave]):
+                    continue
+            leave = i
+        if leave is None:
+            raise RuntimeError("phase-I objective unbounded")  # cannot happen
+        prow = rows[leave]
+        for i, row in enumerate(rows):
+            if i != leave and row[enter]:
+                rows[i] = _eliminate(row, prow, enter)
+        cost = _eliminate(cost, prow, enter)
+        basis[leave] = enter
+    return True

@@ -3,10 +3,15 @@
 On a simplicial fan with convex support the torus-invariant wall curves
 generate the cone of relative curve classes; classes are represented as
 pairing functionals on divisor coefficients, D.C = sum_rho a_rho c_rho.
+
+`wall_relation` is memoized per process with `lru_cache`, as the fan-level
+predicates of `fans` are: a `Fan` and a `Wall` are frozen dataclasses
+compared structurally, so equal arguments give equal relations.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import cones
 from .divisors import NotQCartier, cartier_data
@@ -56,22 +61,26 @@ class WallRelation:
 def _off_ray(fan, wall, cone_index):
     cone = fan.max_cones[cone_index]
     extra = [i for i in cone if i not in wall.rays]
-    assert len(extra) == 1
+    if len(extra) != 1:
+        raise ValueError(f"wall {wall.rays} is not a facet of cone {cone}")
     return extra[0]
 
 
+@lru_cache(maxsize=4096)
 def wall_relation(fan, wall):
     u = _off_ray(fan, wall, wall.cone_a)
     v = _off_ray(fan, wall, wall.cone_b)
     support = list(wall.rays) + [u, v]
     matrix = [[fan.rays[i][k] for i in support] for k in range(fan.rank)]
     kernel = int_kernel(matrix)
-    assert len(kernel) == 1, "wall relation is not one-dimensional"
+    if len(kernel) != 1:
+        raise ValueError(f"relation of wall {wall.rays} is not one-dimensional")
     rel = list(kernel[0])
     upos = support.index(u)
     if rel[upos] < 0:
         rel = [-x for x in rel]
-    assert rel[upos] > 0 and rel[support.index(v)] > 0
+    if not (rel[upos] > 0 and rel[support.index(v)] > 0):
+        raise ValueError(f"cones of wall {wall.rays} lie on one side of it")
     return WallRelation(tuple(zip(support, rel)))
 
 
@@ -92,7 +101,8 @@ def intersect(fan, coeffs, wall, cd=None, relation=None):
     via_b = Fraction(dot(delta, fan.rays[v]), b[u])
     via_a = Fraction(-dot(delta, fan.rays[u]), b[v])
     total = Fraction(sum(b[i] * Fraction(coeffs[i]) for i in b), b[u] * b[v])
-    assert via_a == via_b == total
+    if not via_a == via_b == total:
+        raise RuntimeError(f"wall {wall.rays}: D.C is {via_a}, {via_b} and {total}")
     return total
 
 

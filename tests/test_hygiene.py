@@ -1,6 +1,8 @@
 """Static hygiene of the package, read with `ast` only: no unused imports in
-`src/toricvanish/`, and no module-level function or class there that nothing
-in `src/`, `tests/` or `perfbench/` refers to."""
+`src/toricvanish/`, no module-level function or class there that nothing
+in `src/`, `tests/` or `perfbench/` refers to, and no module with more
+`assert` statements than its ceiling (`python -O` strips them, so checks
+move to explicit raises and the ceilings only go down)."""
 
 import ast
 from pathlib import Path
@@ -8,6 +10,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "toricvanish"
 SCANNED = ("src", "tests", "perfbench")
+# assert statements allowed per module of src/toricvanish/; any module not
+# listed is allowed none. Lower a ceiling when its asserts become raises.
+ASSERT_CEILING = {"mmp": 8, "corpus": 2, "fans": 1, "mori": 0}
 
 
 def _tree(path):
@@ -69,3 +74,13 @@ def test_every_module_level_def_is_referenced():
             if node.name not in local and node.name not in others:
                 dead.append(f"{path.name}:{node.lineno} {node.name}")
     assert not dead, "unreferenced definitions: " + ", ".join(dead)
+
+
+def test_assert_count_does_not_grow():
+    over = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        count = sum(isinstance(n, ast.Assert) for n in ast.walk(_tree(path)))
+        ceiling = ASSERT_CEILING.get(path.stem, 0)
+        if count > ceiling:
+            over.append(f"{path.name}: {count} > {ceiling}")
+    assert not over, "asserts over their ceiling: " + ", ".join(over)

@@ -144,3 +144,106 @@ def test_adapted_basis_plane():
 def test_invert_unimodular():
     M = [[1, 2], [0, 1]]
     assert mat_mul(M, invert_unimodular(M)) == [[1, 0], [0, 1]]
+
+
+def _reference_solve(A, b):
+    """Gauss-Jordan over Fractions: the rational reference for solve_rational
+    (first nonzero entry at or below the pivot row, free variables 0)."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    M = [[Fraction(x) for x in row] + [Fraction(bv)] for row, bv in zip(A, b)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, m) if M[i][c]), None)
+        if pr is None:
+            continue
+        M[r], M[pr] = M[pr], M[r]
+        M[r] = [x / M[r][c] for x in M[r]]
+        for i in range(m):
+            if i != r and M[i][c]:
+                f = M[i][c]
+                M[i] = [x - f * y for x, y in zip(M[i], M[r])]
+        pivots.append(c)
+    if any(M[i][n] for i in range(len(pivots), m)):
+        return None
+    particular = [Fraction(0)] * n
+    for k, c in enumerate(pivots):
+        particular[c] = M[k][n]
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[fc] = Fraction(1)
+        for k, c in enumerate(pivots):
+            v[c] = -M[k][fc]
+        kernel.append(tuple(v))
+    return tuple(particular), kernel
+
+
+@st.composite
+def linear_systems(draw):
+    """Systems up to 8x8 with dependent rows; right-hand sides are zero,
+    arbitrary rationals, or A x for a rational x (so consistent)."""
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(m):
+        if rows and draw(st.booleans()):
+            lams = [draw(st.integers(-2, 2)) for _ in rows]
+            rows.append([sum(lam * r[j] for lam, r in zip(lams, rows)) for j in range(n)])
+        else:
+            rows.append([draw(st.integers(-5, 5)) for _ in range(n)])
+    frac = st.fractions(-5, 5, max_denominator=6)
+    kind = draw(st.sampled_from(("zero", "random", "image")))
+    if kind == "zero":
+        b = [0] * m
+    elif kind == "random":
+        b = [draw(frac) for _ in range(m)]
+    else:
+        x = [draw(frac) for _ in range(n)]
+        b = [sum(a * xi for a, xi in zip(row, x)) for row in rows]
+    return rows, b
+
+
+@given(linear_systems())
+@settings(max_examples=400, deadline=None)
+def test_solve_rational_matches_fraction_gauss_jordan(system):
+    A, b = system
+    got = solve_rational(A, b)
+    assert got == _reference_solve(A, b)
+    if got is not None:
+        particular, kernel = got
+        assert all(type(x) is Fraction for x in particular)
+        assert all(type(x) is Fraction for v in kernel for x in v)
+
+
+@st.composite
+def unimodular_matrices(draw):
+    """Products of random row swaps, negations and shears, up to 6x6."""
+    n = draw(st.integers(1, 6))
+    M = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 12))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("swap", "negate", "shear")))
+        if op == "swap":
+            M[i], M[j] = M[j], M[i]
+        elif op == "negate":
+            M[i] = [-x for x in M[i]]
+        elif i != j:
+            q = draw(st.integers(-3, 3))
+            M[i] = [x + q * y for x, y in zip(M[i], M[j])]
+    return M
+
+
+@given(unimodular_matrices(), st.integers(2, 5))
+@settings(max_examples=300, deadline=None)
+def test_invert_unimodular_inverts_and_rejects_the_rest(M, k):
+    n = len(M)
+    identity = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    assert mat_mul(invert_unimodular(M), M) == identity
+    scaled = [[k * x for x in M[0]]] + M[1:]
+    with pytest.raises(ValueError, match="not unimodular"):
+        invert_unimodular(scaled)
+    singular = [[0] * n] + M[1:]
+    with pytest.raises(ValueError, match="not unimodular"):
+        invert_unimodular(singular)

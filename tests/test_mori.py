@@ -1,11 +1,26 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from conftest import flip_side_a
+from toricvanish import mori
+from toricvanish.corpus import curated_instances
 from toricvanish.divisors import cartier_data, positivity, principal, ray_divisor
-from toricvanish.mori import curve_class, extremal_rays, intersect, wall_relation, walls
+from toricvanish.mmp import run_mmp
+from toricvanish.mori import (
+    Wall,
+    _off_ray,
+    curve_class,
+    extremal_rays,
+    intersect,
+    wall_relation,
+    walls,
+)
 
 
 def test_wall_counts(p2, f1, p1xp1):
@@ -142,3 +157,49 @@ def test_nef_via_walls_agrees_with_support_function(p2, f1, p112):
                 continue
             nef_walls = all(intersect(fan, D, w) >= 0 for w in ws)
             assert nef_walls == positivity(fan, D).nef
+
+
+def test_wall_relation_solves_once_per_fan_and_wall(monkeypatch):
+    # run_mmp reaches wall_relation through both intersect and curve_class;
+    # the memo makes one int_kernel solve per distinct (fan, wall) pair
+    inst = dict(curated_instances())["cubeq-flop"]
+    mori.wall_relation.cache_clear()
+    solves, queries = [], []
+    real_kernel, real_relation = mori.int_kernel, mori.wall_relation
+
+    def counting_kernel(matrix):
+        solves.append(matrix)
+        return real_kernel(matrix)
+
+    def recording_relation(fan, wall):
+        queries.append((fan, wall))
+        return real_relation(fan, wall)
+
+    monkeypatch.setattr(mori, "int_kernel", counting_kernel)
+    monkeypatch.setattr(mori, "wall_relation", recording_relation)
+    run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)
+    assert len(queries) > len(set(queries))
+    assert len(solves) == len(set(queries))
+
+
+def test_off_ray_rejects_a_wall_that_is_not_a_facet(p2):
+    bogus = Wall(p2.max_cones[0], 0, 1)
+    with pytest.raises(ValueError, match="not a facet"):
+        _off_ray(p2, bogus, 0)
+
+
+def test_off_ray_check_survives_python_O():
+    script = ("from toricvanish.fans import make_fan\n"
+              "from toricvanish.mori import Wall, _off_ray\n"
+              "p2 = make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])\n"
+              "try:\n"
+              "    _off_ray(p2, Wall(p2.max_cones[0], 0, 1), 0)\n"
+              "except ValueError as exc:\n"
+              "    print('raised:', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: wall (0, 1) is not a facet")
