@@ -14,15 +14,14 @@ from .linalg import (
     adapted_basis,
     dot,
     int_rank,
-    invert_unimodular,
     lcm_list,
     solve_rational,
 )
 from .regions import (
     IneqSystem,
-    count_lattice_points,
     has_lattice_point,
     is_feasible,
+    lattice_points,
     make_row,
     recession_is_zero,
 )
@@ -101,15 +100,14 @@ def cartier_data(fan, coeffs):
             continue
         # canonical representative: vanishes on the adapted-basis complement
         # of the cone's saturated span
-        W, r_span = adapted_basis(rays, fan.rank)
-        Winv = invert_unimodular(W)
-        coords = [[sum(ray[i] * Winv[i][j] for i in range(fan.rank))
+        V, r_span = adapted_basis(rays, fan.rank)
+        coords = [[sum(ray[i] * V[i][j] for i in range(fan.rank))
                    for j in range(r_span)] for ray in rays]
         sub_sol = solve_rational(coords, rhs)
         if sub_sol is None:
             raise RuntimeError(f"cone {ci} has no covector on its adapted basis")
         z = sub_sol[0]
-        m = tuple(sum(z[j] * Winv[i][j] for j in range(r_span))
+        m = tuple(sum(z[j] * V[i][j] for j in range(r_span))
                   for i in range(fan.rank))
         covectors.append(m)
     return CartierData(tuple(covectors))
@@ -285,7 +283,7 @@ def h0_dim(fan, coeffs):
         return ZERO
     # a lattice point makes P_D nonempty, so boundedness is its recession cone
     if recession_is_zero(sys):
-        n = count_lattice_points(sys)
+        n = len(lattice_points(sys))
         return n if n else ZERO
     return INFINITE
 

@@ -17,7 +17,6 @@ from functools import lru_cache
 from . import cones
 from .linalg import (
     adapted_basis,
-    coords_in_basis,
     det_int,
     dot,
     gcd_list,
@@ -246,22 +245,23 @@ def identity_map(source, target):
 
 
 def torus_factor(fan):
-    """Split off the torus factor: (reduced fan, r, change_of_basis rows W).
+    """Split off the torus factor: (reduced fan, r, adapted coordinates V).
 
-    W is unimodular; its first rank-r rows span the saturated span of the
-    support, and reduced rays are coordinates in those rows.
+    V is unimodular and ray.V are the ray's adapted coordinates; the reduced
+    rays are their first rank-r entries, the rest being zero.
     """
-    W, r_span = adapted_basis(list(fan.rays), fan.rank)
+    V, r_span = adapted_basis(list(fan.rays), fan.rank)
     r = fan.rank - r_span
     if r == 0:
-        return fan, 0, W
+        return fan, 0, V
     new_rays = []
     for ray in fan.rays:
-        coords = coords_in_basis(W, ray)
-        assert all(c == 0 for c in coords[r_span:])
+        coords = tuple(dot(ray, col) for col in zip(*V))
+        if any(coords[r_span:]):
+            raise RuntimeError(f"ray {ray} is outside the adapted span of rank {r_span}")
         new_rays.append(coords[:r_span])
     reduced = make_fan(r_span, new_rays, [tuple(c) for c in fan.max_cones])
-    return reduced, r, W
+    return reduced, r, V
 
 
 def star_subdivide(fan, v):

@@ -85,10 +85,8 @@ def fan_from_obj(obj, where="fan"):
     return make_fan(rank, rays, max_cones)
 
 
-def divisor_to_obj(fan, coeffs, inline_fan=True, fan_path=None):
-    obj = {"coeffs": [fraction_to_str(c) for c in coeffs]}
-    obj["fan"] = fan_to_obj(fan) if inline_fan else fan_path
-    return obj
+def divisor_to_obj(fan, coeffs):
+    return {"coeffs": [fraction_to_str(c) for c in coeffs], "fan": fan_to_obj(fan)}
 
 
 def _coeffs_from_obj(obj, fan, where):

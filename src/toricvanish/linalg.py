@@ -184,24 +184,6 @@ def int_kernel(A):
     return [tuple(cols[j]) for j in range(r, n)]
 
 
-def solve_integer(A, b):
-    """An integer solution of A x = b, or None."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    S, U, V = smith_normal_form(A)
-    ub = mat_vec(U, b)
-    y = [0] * n
-    for i in range(m):
-        d = S[i][i] if i < min(m, n) else 0
-        if d:
-            if ub[i] % d:
-                return None
-            y[i] = ub[i] // d
-        elif ub[i]:
-            return None
-    return mat_vec(V, y)
-
-
 def _int_row(values):
     """The row of ints or Fractions times the lcm of its denominators."""
     den = lcm(*(x.denominator for x in values))
@@ -314,26 +296,18 @@ def invert_unimodular(A):
 
 
 def adapted_basis(vectors, n):
-    """A basis of Z^n adapted to the saturation of span(vectors).
+    """Coordinates of Z^n adapted to the saturation of span(vectors).
 
-    Returns (W, r): W is a unimodular matrix whose first r rows are a basis of
-    the saturated sublattice span(vectors) & Z^n and whose remaining rows
-    complete it to a basis of Z^n.
+    Returns (V, r): V is a unimodular matrix and x.V are the adapted
+    coordinates of x. Every input vector's coordinates vanish beyond the
+    first r, and the first r rows of V^-1 are a basis of the saturated
+    sublattice span(vectors) & Z^n.
     """
     rows = [list(v) for v in vectors]
     if not rows:
         return identity_matrix(n), 0
     S, _, V = smith_normal_form(rows)
-    r = len([i for i in range(min(len(rows), n)) if S[i][i]])
-    W = invert_unimodular(V)
-    return W, r
-
-
-def coords_in_basis(W, v):
-    """Coordinates of integer vector v in the basis given by the rows of W."""
-    Vt = invert_unimodular(W)
-    # v = c @ W, so c = v @ W^{-1}
-    return tuple(sum(v[i] * Vt[i][j] for i in range(len(v))) for j in range(len(v)))
+    return V, len([i for i in range(min(len(rows), n)) if S[i][i]])
 
 
 def lcm_list(values):

@@ -38,7 +38,6 @@ from .linalg import (
     adapted_basis,
     int_kernel,
     int_rank,
-    invert_unimodular,
     mat_vec,
     primitive,
 )
@@ -135,10 +134,9 @@ def contract(fan, extremal):
 
 
 def _fibration(fan, merged, lineal, ray_walls):
-    W, k = adapted_basis(lineal, fan.rank)
-    Winv = invert_unimodular(W)
+    V, k = adapted_basis(lineal, fan.rank)
     # quotient by the lineality span: keep the last rank-k adapted coordinates
-    q_matrix = tuple(tuple(Winv[i][j] for i in range(fan.rank))
+    q_matrix = tuple(tuple(V[i][j] for i in range(fan.rank))
                      for j in range(k, fan.rank))
     new_rank = fan.rank - k
     image_cones = []

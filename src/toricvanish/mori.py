@@ -84,15 +84,13 @@ def wall_relation(fan, wall):
     return WallRelation(tuple(zip(support, rel)))
 
 
-def intersect(fan, coeffs, wall, cd=None, relation=None):
+def intersect(fan, coeffs, wall, cd=None):
     """D.C for the wall curve, symmetric in the two adjacent cones."""
     if cd is None:
         cd = cartier_data(fan, coeffs)
     if isinstance(cd, NotQCartier):
         raise ValueError("intersection numbers need a Q-Cartier divisor")
-    if relation is None:
-        relation = wall_relation(fan, wall)
-    b = relation.as_dict()
+    b = wall_relation(fan, wall).as_dict()
     u = _off_ray(fan, wall, wall.cone_a)
     v = _off_ray(fan, wall, wall.cone_b)
     m_a = cd.covectors[wall.cone_a]
@@ -116,10 +114,8 @@ class CurveClass:
         return sum(c * Fraction(a) for c, a in zip(self.pairing, coeffs))
 
 
-def curve_class(fan, wall, relation=None):
-    if relation is None:
-        relation = wall_relation(fan, wall)
-    b = relation.as_dict()
+def curve_class(fan, wall):
+    b = wall_relation(fan, wall).as_dict()
     u = _off_ray(fan, wall, wall.cone_a)
     v = _off_ray(fan, wall, wall.cone_b)
     denom = b[u] * b[v]

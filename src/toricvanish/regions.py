@@ -10,7 +10,9 @@ Boundedness asks whether the recession cone C = {x : Ax >= 0} is {0}, with
 A the rows' covectors: C = {0} iff rank A = dim and no x has Ax >= 0 and
 (1^T A) x > 0. If rank A < dim, ker A is in C. If rank A = dim, a nonzero
 x in C has Ax >= 0 and Ax != 0, so (1^T A) x > 0; conversely such an x is a
-nonzero point of C. That is one rank and one elimination per region.
+nonzero point of C. That is one rank and one elimination per region, and
+the same system gives a recession direction: a kernel vector when rank
+A < dim, and otherwise its witness, if it has one.
 
 Pruning invariant: each eliminated level keeps, per primitive direction
 d = a / gcd(a), only the row with the largest bound c / gcd(a), the strict one
@@ -26,7 +28,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .linalg import gcd_list, int_rank, lcm_list
+from .linalg import (
+    adapted_basis,
+    gcd_list,
+    int_kernel,
+    int_rank,
+    invert_unimodular,
+    lcm_list,
+    primitive,
+)
 
 
 def make_row(coeffs, const, strict=False):
@@ -186,53 +196,38 @@ def feasible(sys):
     return tuple(x)
 
 
-def recession_is_zero(sys):
-    """Whether the recession cone {x : <a, x> >= 0 for every row} is {0}.
-
-    It is exactly when the covectors have rank dim and no x satisfies the
-    recession rows together with <sum of covectors, x> > 0; see the module
-    docstring.
-    """
+def _homogenized(sys):
+    """The system {Ax >= 0, (1^T A) x > 0} of the rows' covectors A, or None
+    when rank A < dim; see the module docstring."""
     covectors = [a for a, _, _ in sys.rows]
     if int_rank(covectors) != sys.dim:
-        return False
+        return None
     total = tuple(sum(col) for col in zip(*covectors))
-    rows = _recession_rows(sys) + ((total, 0, True),)
-    return not is_feasible(IneqSystem(sys.dim, rows))
+    rows = tuple((a, 0, False) for a in covectors) + ((total, 0, True),)
+    return IneqSystem(sys.dim, rows)
 
 
-def _recession_rows(sys):
-    return tuple((a, 0, False) for a, c, s in sys.rows)
-
-
-def _unit(k, n, sgn=1):
-    return tuple(sgn if i == k else 0 for i in range(n))
-
-
-def is_bounded(sys):
-    """Whether the closure of the solution set is bounded.
-
-    Raises on an infeasible input.
-    """
-    if not is_feasible(sys):
-        raise ValueError("empty region")
-    return recession_is_zero(sys)
+def recession_is_zero(sys):
+    """Whether the recession cone {x : <a, x> >= 0 for every row} is {0}."""
+    hom = _homogenized(sys)
+    return hom is not None and not is_feasible(hom)
 
 
 def recession_direction(sys):
-    """A nonzero integer recession direction of the weak closure, or None."""
-    rec = _recession_rows(sys)
-    n = sys.dim
-    for k in range(n):
-        for sgn in (1, -1):
-            probe = IneqSystem(n, rec + ((_unit(k, n, sgn), 1, False),))
-            w = feasible(probe)
-            if w is not None:
-                den = lcm_list([f.denominator for f in w])
-                v = [int(f * den) for f in w]
-                g = gcd_list(v)
-                return tuple(x // g for x in v)
-    return None
+    """A primitive integer recession direction of the weak closure, or None.
+
+    When the covectors have rank < dim it is a vector of their kernel (any
+    unit vector when there are no rows); otherwise it is the homogenized
+    system's witness, scaled to a primitive integer vector.
+    """
+    hom = _homogenized(sys)
+    if hom is None:
+        return int_kernel([a for a, _, _ in sys.rows] or [(0,) * sys.dim])[0]
+    w = feasible(hom)
+    if w is None:
+        return None
+    den = lcm_list([f.denominator for f in w])
+    return primitive([int(f * den) for f in w])
 
 
 def _int_low(v, strict):
@@ -243,6 +238,23 @@ def _int_high(v, strict):
     return ceil(v) - 1 if strict else floor(v)
 
 
+def _points(levels, n):
+    """The integer points of a region from its elimination levels, in
+    lexicographic order; raises on a prefix whose next variable is unbounded."""
+    def extend(x):
+        k = len(x)
+        if k == n:
+            yield tuple(x)
+            return
+        lo, lo_s, hi, hi_s = _bounds_at(levels, k, x)
+        if lo is None or hi is None:
+            raise ValueError("unbounded region")
+        for v in range(_int_low(lo, lo_s), _int_high(hi, hi_s) + 1):
+            yield from extend(x + [v])
+
+    return extend([])
+
+
 def lattice_points(sys):
     """All integer points of a bounded region, in lexicographic order."""
     levels = _feasible_levels(sys)
@@ -250,25 +262,7 @@ def lattice_points(sys):
         return []
     if not recession_is_zero(sys):
         raise ValueError("unbounded region")
-    n = sys.dim
-    out = []
-
-    def rec(k, x):
-        if k == n:
-            out.append(tuple(x))
-            return
-        lo, lo_s, hi, hi_s = _bounds_at(levels, k, x)
-        if lo is None or hi is None:
-            raise ValueError("unbounded region")
-        for v in range(_int_low(lo, lo_s), _int_high(hi, hi_s) + 1):
-            rec(k + 1, x + [v])
-
-    rec(0, [])
-    return out
-
-
-def count_lattice_points(sys):
-    return len(lattice_points(sys))
+    return list(_points(levels, sys.dim))
 
 
 def has_lattice_point(sys):
@@ -278,8 +272,6 @@ def has_lattice_point(sys):
     coordinates and projects; the projection is handled recursively until the
     remaining region is bounded.
     """
-    from .linalg import adapted_basis
-
     levels = _feasible_levels(sys)
     if levels is None:
         return False
@@ -288,19 +280,11 @@ def has_lattice_point(sys):
         return True
     d = recession_direction(sys)
     if d is None:
-        def search(k, x):
-            if k == n:
-                return True
-            lo, lo_s, hi, hi_s = _bounds_at(levels, k, x)
-            for v in range(_int_low(lo, lo_s), _int_high(hi, hi_s) + 1):
-                if search(k + 1, x + [v]):
-                    return True
-            return False
-
-        return search(0, [])
-    W, _ = adapted_basis([d], n)
-    # x = sum_j y_j W[j]; y integral iff x integral, and +y_0 runs along d,
-    # so the y_0 interval over any feasible projection point is infinite
+        return next(_points(levels, n), None) is not None
+    V, _ = adapted_basis([d], n)
+    W = invert_unimodular(V)
+    # x = sum_j y_j W[j] with W[0] = +-d; y integral iff x integral, and the
+    # y_0 interval over any feasible projection point is infinite
     new_rows = []
     for a, c, s in sys.rows:
         a2 = tuple(sum(a[i] * W[j][i] for i in range(n)) for j in range(n))

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from conftest import (
@@ -26,6 +31,7 @@ from toricvanish.fans import (
     torus_factor,
     validate,
 )
+from toricvanish.linalg import adapted_basis
 from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
 
 
@@ -108,6 +114,38 @@ def test_torus_factor_idempotent():
     reduced, r, _ = torus_factor(fan)
     again, r2, _ = torus_factor(reduced)
     assert r2 == 0 and again == reduced
+
+
+def _under_reported(vectors, n):
+    V, r = adapted_basis(vectors, n)
+    return V, r - 1
+
+
+_PLANE = make_fan(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [(0, 1), (0, 2), (1, 2)])
+
+
+def test_torus_factor_rejects_rays_outside_the_reported_span(monkeypatch):
+    monkeypatch.setattr(fans, "adapted_basis", _under_reported)
+    with pytest.raises(RuntimeError, match="is outside the adapted span of rank 1"):
+        torus_factor(_PLANE)
+
+
+def test_torus_factor_span_check_survives_python_O():
+    script = ("import test_fans\n"
+              "from toricvanish import fans\n"
+              "fans.adapted_basis = test_fans._under_reported\n"
+              "try:\n"
+              "    fans.torus_factor(test_fans._PLANE)\n"
+              "except RuntimeError as exc:\n"
+              "    print('raised:', exc)\n")
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "is outside the adapted span of rank 1" in proc.stdout
 
 
 def test_star_subdivide_p2_to_f1(p2):

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from toricvanish.linalg import (
     adapted_basis,
-    coords_in_basis,
     det_int,
     int_kernel,
     int_rank,
@@ -15,7 +14,6 @@ from toricvanish.linalg import (
     primitive,
     smith_normal_form,
     snf_diagonal,
-    solve_integer,
     solve_rational,
 )
 
@@ -126,19 +124,37 @@ def test_int_kernel():
         assert v[0] + v[1] - 2 * v[2] == 0
 
 
-def test_solve_integer():
-    assert solve_integer([[2, 0], [0, 3]], [4, 9]) == (2, 3)
-    assert solve_integer([[2]], [3]) is None
+def _coords(x, V):
+    """The adapted coordinates x.V."""
+    return tuple(sum(x[i] * V[i][j] for i in range(len(x))) for j in range(len(V[0])))
 
 
 def test_adapted_basis_plane():
-    W, r = adapted_basis([(1, 0, 0), (0, 1, 0)], 3)
+    V, r = adapted_basis([(1, 0, 0), (0, 1, 0)], 3)
     assert r == 2
-    assert abs(det_int(W)) == 1
+    assert abs(det_int(V)) == 1
+    W = invert_unimodular(V)
     for v in [(1, 0, 0), (0, 1, 0), (3, -2, 0)]:
-        c = coords_in_basis(W, v)
+        c = _coords(v, V)
         assert c[2] == 0
         assert tuple(sum(c[j] * W[j][i] for j in range(3)) for i in range(3)) == v
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-4, 4), min_size=n, max_size=n), max_size=4)
+    .map(lambda rows: (rows, n))))
+@settings(max_examples=300, deadline=None)
+def test_adapted_basis_coordinates(case):
+    vectors, n = case
+    V, r = adapted_basis(vectors, n)
+    assert abs(det_int(V)) == 1
+    assert r == int_rank(vectors)
+    for x in vectors:
+        assert not any(_coords(x, V)[r:])
+    # the first r rows of V^-1 add nothing to the inputs' rank, so they lie
+    # in the saturated span of the inputs
+    head = invert_unimodular(V)[:r]
+    assert int_rank([list(x) for x in vectors] + head) == r
 
 
 def test_invert_unimodular():

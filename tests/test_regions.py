@@ -8,15 +8,14 @@ from hypothesis import strategies as st
 
 from toricvanish import regions
 from toricvanish.cones import extreme_rays
-from toricvanish.linalg import gcd_list
+from toricvanish.linalg import gcd_list, primitive
 from toricvanish.regions import (
     IneqSystem,
-    count_lattice_points,
     feasible,
     has_lattice_point,
-    is_bounded,
     is_feasible,
     lattice_points,
+    recession_direction,
     recession_is_zero,
     subtract_cones,
 )
@@ -43,16 +42,19 @@ def test_feasible_chamber_strict():
     assert feasible(s) == (0, 0)
 
 
+def _bounded(sys):
+    """A nonempty region whose recession cone is {0}."""
+    return is_feasible(sys) and recession_is_zero(sys)
+
+
 def test_is_bounded():
     square = sys_of(2, [((1, 0), 0, False), ((-1, 0), -1, False),
                         ((0, 1), 0, False), ((0, -1), -1, False)])
-    assert is_bounded(square)
+    assert _bounded(square)
     half = sys_of(2, [((1, 0), 0, False)])
-    assert not is_bounded(half)
+    assert not _bounded(half)
     chamber = sys_of(2, [((-1, 0), -1, True), ((0, -1), -1, True), ((1, 1), -1, True)])
-    assert is_bounded(chamber)
-    with pytest.raises(ValueError, match="empty region"):
-        is_bounded(sys_of(1, [((1,), 0, False), ((-1,), 1, False)]))
+    assert _bounded(chamber)
 
 
 def test_lattice_points_triangle():
@@ -131,17 +133,20 @@ def test_random_systems_against_grid():
                         ((dx, dy) for dx in range(-3, 4) for dy in range(-3, 4))
                         if d != (0, 0)
                         and all(a[0] * d[0] + a[1] * d[1] >= 0 for a, c, st in triples)]
-            assert is_bounded(s) == (not rec_dirs)
-        if w is not None and is_bounded(s):
+            assert _bounded(s) == (not rec_dirs)
+        if grid:
+            assert has_lattice_point(s)
+        if _bounded(s):
             inner = brute_force_box(triples, 2, radius=200)
             assert sorted(lattice_points(s)) == inner
+            assert has_lattice_point(s) == bool(inner)
 
 
 def test_lattice_count_unimodular_invariance():
     rng = random.Random(11)
     base = [((1, 0), -2, False), ((0, 1), -2, False), ((-1, -1), -3, False)]
     s = sys_of(2, base)
-    n0 = count_lattice_points(s)
+    n0 = len(lattice_points(s))
     for _ in range(10):
         # random unimodular transform T: count of {x : A(Tx) >= c} equals n0
         a, b = rng.randint(-2, 2), rng.randint(-2, 2)
@@ -151,7 +156,7 @@ def test_lattice_count_unimodular_invariance():
             newcov = (cov[0] * T[0][0] + cov[1] * T[1][0],
                       cov[0] * T[0][1] + cov[1] * T[1][1])
             rows.append((newcov, c, strict))
-        assert count_lattice_points(sys_of(2, rows)) == n0
+        assert len(lattice_points(sys_of(2, rows))) == n0
 
 
 def test_extreme_rays_examples():
@@ -241,7 +246,7 @@ def parallel_rich_systems(draw):
 
 def _answers(sys):
     w = feasible(sys)
-    bounded = w is not None and is_bounded(sys)
+    bounded = _bounded(sys)
     pts = lattice_points(sys) if bounded else None
     return w, pts, has_lattice_point(sys)
 
@@ -313,17 +318,23 @@ def test_is_feasible_matches_witness(sys):
 def test_boundedness_matches_probes(sys):
     want = _probe_recession_is_zero(sys)
     assert recession_is_zero(sys) == want
-    if feasible(sys) is None:
-        with pytest.raises(ValueError, match="empty region"):
-            is_bounded(sys)
-    else:
-        assert is_bounded(sys) == want
+    assert _bounded(sys) == (want and feasible(sys) is not None)
+
+
+@given(small_systems())
+@settings(max_examples=400, deadline=None)
+def test_recession_direction_is_a_primitive_recession_vector(sys):
+    d = recession_direction(sys)
+    assert (d is None) == recession_is_zero(sys)
+    if d is not None:
+        assert len(d) == sys.dim and any(d) and primitive(d) == tuple(d)
+        assert all(sum(x * y for x, y in zip(a, d)) >= 0 for a, _, _ in sys.rows)
 
 
 def test_boundedness_in_dim_zero():
     # the only point of R^0 is 0, so every feasible region there is bounded
-    assert is_bounded(IneqSystem(0, ()))
-    assert is_bounded(sys_of(0, [((), -1, False), ((), 0, False)]))
+    assert _bounded(IneqSystem(0, ()))
+    assert _bounded(sys_of(0, [((), -1, False), ((), 0, False)]))
     assert lattice_points(IneqSystem(0, ())) == [()]
 
 
@@ -340,5 +351,24 @@ def test_is_bounded_eliminates_twice(monkeypatch):
     monkeypatch.setattr(regions, "_levels", counted)
     s = sys_of(3, [((1, 0, 0), -1, False), ((0, 1, 0), -1, False),
                    ((0, 0, 1), -1, False), ((-1, -1, -1), -1, False)])
-    assert is_bounded(s)
+    assert _bounded(s)
     assert len(calls) == 2
+
+
+def test_has_lattice_point_finds_a_recession_direction_once_per_level(monkeypatch):
+    # 1/4 <= x - y <= 1/3, 0 <= x + y <= 5, z <= 0: rank 3, recession cone
+    # the ray of -e3, no integer points. Each recursion level asks for at
+    # most the one witness of its homogenized system.
+    calls = []
+    real = regions.feasible
+
+    def counted(sys):
+        calls.append(sys.dim)
+        return real(sys)
+
+    monkeypatch.setattr(regions, "feasible", counted)
+    s = sys_of(3, [((4, -4, 0), 1, False), ((-3, 3, 0), -1, False),
+                   ((1, 1, 0), 0, False), ((-1, -1, 0), -5, False),
+                   ((0, 0, -1), 0, False)])
+    assert not has_lattice_point(s)
+    assert sorted(calls) == [2, 3]
