@@ -94,8 +94,7 @@ def _coh_dims(args):
     _require_valid(fan)
     field = parse_field(args.field)
     if is_complete(fan):
-        rep = coh_dims(fan, coeffs, field)
-        print(" ".join(str(d) for d in rep.dims))
+        print(" ".join(str(d) for d in coh_dims(fan, coeffs, field)))
         return 0
     if support_is_convex(fan) and is_simplicial(fan):
         ok, witness = vanishing_higher(fan, coeffs, field)

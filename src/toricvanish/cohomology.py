@@ -6,6 +6,9 @@ induced on the rays where the section inequality <m, u_rho> >= -a_rho fails.
 Chambers of constant sign pattern are enumerated exactly; homology is read
 off integer boundary matrices once and reduced to any coefficient field via
 their invariant factors (Q: nonzero ones; F_p: those not divisible by p).
+A field is `parse_field`'s result: None for Q, or the prime p. A chamber is
+its sign pattern and region; `coh_dims` decides boundedness only for the
+chambers with nonzero homology, whose lattice points it counts.
 """
 
 from dataclasses import dataclass
@@ -35,10 +38,6 @@ def parse_field(name):
         if p >= 2:
             return p
     raise ValueError(f"unknown field {name!r}")
-
-
-def field_name(field):
-    return "q" if field is None else f"f{field}"
 
 
 def neg_complex(fan, neg):
@@ -115,8 +114,6 @@ def reduced_homology(maximal_faces, field):
 class ChamberReport:
     pattern: tuple  # sorted ray indices with <m, u> < -a
     region: IneqSystem
-    bounded: bool
-    witness: tuple
 
 
 @lru_cache(maxsize=512)
@@ -146,19 +143,16 @@ def _chambers_cached(fan, coeffs):
                         continue
                 new_cells.append((pat, rws, wit))
         cells = new_cells
-    out = []
-    for pattern, rows, witness in cells:
-        region = IneqSystem(fan.rank, rows)
-        # the witness shows the region is nonempty: no feasibility guard
-        out.append(ChamberReport(pattern, region, recession_is_zero(region), witness))
-    return tuple(out)
+    return tuple(ChamberReport(pattern, IneqSystem(fan.rank, rows))
+                 for pattern, rows, _ in cells)
 
 
 @lru_cache(maxsize=4096)
 def _lattice_count(region):
-    """Lattice points of a bounded chamber region, counted once per process:
-    `coh_dims` asks for the same chamber once per coefficient field."""
-    return len(lattice_points(region))
+    """Lattice points of a chamber region, or None when it is unbounded;
+    decided once per process, as `coh_dims` asks for the same chamber once
+    per coefficient field."""
+    return len(lattice_points(region)) if recession_is_zero(region) else None
 
 
 def chambers(fan, coeffs):
@@ -166,13 +160,6 @@ def chambers(fan, coeffs):
     if not is_simplicial(fan):
         raise ValueError("chamber decomposition requires a simplicial fan")
     return list(_chambers_cached(fan, tuple(Fraction(c) for c in coeffs)))
-
-
-@dataclass(frozen=True)
-class CohomologyReport:
-    field: object
-    dims: tuple
-    chamber_data: tuple  # (pattern, bounded, lattice_count, homology dims)
 
 
 def coh_dims(fan, coeffs, field=None):
@@ -184,25 +171,20 @@ def coh_dims(fan, coeffs, field=None):
     """
     if not is_complete(fan):
         raise ValueError("coh_dims requires a complete fan; use vanishing_higher")
-    field = parse_field(field) if isinstance(field, str) else field
     dims = [0] * (fan.rank + 1)
-    details = []
     for ch in chambers(fan, coeffs):
         hom = homology_dims(_pattern_homology(fan, ch.pattern), field, fan.rank - 1)
-        if any(hom.values()):
-            if not ch.bounded:
-                if has_lattice_point(ch.region):
-                    raise RuntimeError("unbounded chamber with nonzero homology "
-                                       "and lattice points on a complete fan")
-                count = 0
-            else:
-                count = _lattice_count(ch.region)
-        else:
-            count = 0
+        if not any(hom.values()):
+            continue
+        count = _lattice_count(ch.region)
+        if count is None:
+            if has_lattice_point(ch.region):
+                raise RuntimeError("unbounded chamber with nonzero homology "
+                                   "and lattice points on a complete fan")
+            continue
         for p in range(fan.rank + 1):
             dims[p] += count * hom.get(p - 1, 0)
-        details.append((ch.pattern, ch.bounded, count, tuple(sorted(hom.items()))))
-    return CohomologyReport(field_name(field), tuple(dims), tuple(details))
+    return tuple(dims)
 
 
 def vanishing_higher(fan, coeffs, field=None):
@@ -212,7 +194,6 @@ def vanishing_higher(fan, coeffs, field=None):
     is not required. Only chambers holding a lattice point can contribute a
     graded piece. Returns (True, None) or (False, (pattern, degree)).
     """
-    field = parse_field(field) if isinstance(field, str) else field
     for ch in chambers(fan, coeffs):
         hom = homology_dims(_pattern_homology(fan, ch.pattern), field, fan.rank - 1)
         bad = next((p for p in range(1, fan.rank + 1) if hom.get(p - 1, 0)), None)
@@ -228,7 +209,6 @@ def pattern_of(fan, coeffs, m):
 
 def graded_piece(fan, coeffs, m, field=None):
     """Chamber-formula dimensions of the degree-m piece, h^0..h^rank."""
-    field = parse_field(field) if isinstance(field, str) else field
     hom = homology_dims(_pattern_homology(fan, pattern_of(fan, coeffs, m)),
                         field, fan.rank - 1)
     return tuple(hom.get(p - 1, 0) for p in range(fan.rank + 1))
@@ -237,7 +217,6 @@ def graded_piece(fan, coeffs, m, field=None):
 def cech_graded(fan, coeffs, m, field=None):
     """Independent oracle: degree-m piece of the Cech complex on the cover
     by maximal-cone charts; dimensions for degrees 0..rank."""
-    field = parse_field(field) if isinstance(field, str) else field
     if not is_simplicial(fan):
         raise ValueError("cech_graded requires a simplicial fan")
     ncones = len(fan.max_cones)
@@ -271,5 +250,5 @@ def cech_graded(fan, coeffs, m, field=None):
                  for p in range(fan.rank + 1))
 
 
-def euler_characteristic(report):
-    return sum((-1) ** i * d for i, d in enumerate(report.dims))
+def euler_characteristic(dims):
+    return sum((-1) ** i * d for i, d in enumerate(dims))

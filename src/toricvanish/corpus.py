@@ -142,11 +142,8 @@ def _mode2_divisors(rng, fan, budget=60):
         else:
             c = _random_fraction(rng, 0, 3)
             a = tuple(c for _ in fan.rays)  # multiple of -K stays Q-Cartier
-        cd = cartier_data(fan, a)
-        if isinstance(cd, NotQCartier):
-            continue
-        pos = positivity(fan, a, cd)
-        if not pos.ample:
+        if (isinstance(cartier_data(fan, a), NotQCartier)
+                or not positivity(fan, a).ample):
             continue
         d = round_divisor(add(k, a), "up")
         b = sub(sub(d, k), a)

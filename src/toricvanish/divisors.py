@@ -3,10 +3,18 @@
 A divisor on a fan is a tuple of exact rational coefficients, one per ray in
 the fan's ray order. Transfers between fans always match rays by value, never
 by index.
+
+`cartier_data` is memoized on (fan, coefficients), safe for the same reason
+as the `fans` predicates: a `Fan` is frozen and compared structurally.
+Callers ask for it by value. The memo is a small LRU because the repeats come
+within one instance (hypothesis, positivity, each wall, each MMP step): a
+larger one got no more hits on one instance and kept every divisor a
+generator tried.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import ceil, floor
 
 from .fans import cone_contains
@@ -86,7 +94,13 @@ def cartier_data(fan, coeffs):
 
     On cones of less-than-full dimension the covector is the canonical one
     vanishing on an adapted-basis complement of the cone's saturated span.
+    Solved once per distinct (fan, coefficients) while it stays in the memo.
     """
+    return _cartier_data(fan, tuple(coeffs))
+
+
+@lru_cache(maxsize=32)
+def _cartier_data(fan, coeffs):
     covectors = []
     for ci, cone in enumerate(fan.max_cones):
         rays = [fan.rays[i] for i in cone]
@@ -153,15 +167,14 @@ def polytope_dim(fan, coeffs):
     return fan.rank - int_rank(implicit)
 
 
-def positivity(fan, coeffs, cd=None):
+def positivity(fan, coeffs):
     """Nef/ample/big verdicts for a Q-Cartier divisor.
 
     D is big iff P_D is full-dimensional, iff some m satisfies every section
     row <m, u_rho> >= -a_rho strictly: one feasibility call on the all-strict
     rows, with the same verdict as polytope_dim(fan, coeffs) == fan.rank.
     """
-    if cd is None:
-        cd = cartier_data(fan, coeffs)
+    cd = cartier_data(fan, coeffs)
     if isinstance(cd, NotQCartier):
         raise ValueError(f"not Q-Cartier (cone {cd.cone_index})")
     nef = True
@@ -203,9 +216,7 @@ def semiample_witness(fan, coeffs):
         for i, ray in enumerate(fan.rays):
             if Fraction(dot(m, ray)) < -coeffs[i]:
                 return NotNef(ci, i)
-    dens = [x.denominator for m in cd.covectors for x in m]
-    dens += [c.denominator for c in coeffs]
-    ell = lcm_list(dens) if dens else 1
+    ell = q_cartier_index(fan, coeffs)
     sections = []
     for m in cd.covectors:
         lm = tuple(int(x * ell) for x in m)

@@ -199,21 +199,9 @@ def is_complete(fan):
     return _facet_two_sided_everywhere(fan) and support_is_convex(fan)
 
 
-def q_gorenstein_index(fan):
-    """Smallest l with l*K Cartier, or None (computed from the canonical data)."""
-    from .divisors import canonical, cartier_data, NotQCartier
-    from .linalg import lcm_list
-
-    cd = cartier_data(fan, canonical(fan))
-    if isinstance(cd, NotQCartier):
-        return None
-    dens = []
-    for m in cd.covectors:
-        dens.extend(x.denominator for x in m)
-    return lcm_list(dens) if dens else 1
-
-
 def properties(fan):
+    from .divisors import canonical, q_cartier_index
+
     defects = validate(fan)
     if defects:
         raise ValueError("invalid fan: " + "; ".join(defects))
@@ -222,7 +210,7 @@ def properties(fan):
         smooth=all(_is_smooth_cone(fan, c) for c in fan.max_cones),
         complete=is_complete(fan),
         support_convex=support_is_convex(fan),
-        q_gorenstein_index_of_K=q_gorenstein_index(fan),
+        q_gorenstein_index_of_K=q_cartier_index(fan, canonical(fan)),
     )
 
 

@@ -15,7 +15,6 @@ from math import ceil, floor
 
 from . import cones
 from .divisors import (
-    CartierData,
     NotQCartier,
     cartier_data,
     discrepancy,
@@ -181,13 +180,11 @@ def _sides(fan, ray_indices, rel):
     return plus, minus
 
 
-def negative_contractions(fan, coeffs, cd=None):
+def negative_contractions(fan, coeffs):
     """Contract, lazily and in extremal_rays order, each extremal ray on which
     the divisor is negative; the MMP step takes the first one."""
-    if cd is None:
-        cd = cartier_data(fan, coeffs)
     for item in extremal_rays(fan):
-        if intersect(fan, coeffs, item[1][0], cd=cd) < 0:
+        if intersect(fan, coeffs, item[1][0]) < 0:
             yield contract(fan, item)
 
 
@@ -227,7 +224,6 @@ def flip(fan, contraction, coeffs):
         raise ValueError("flipped structure is not a fan: " + "; ".join(defects))
     # strict transform must be ample over the contraction: positive on the
     # new wall curves inside each flipped family
-    cd = cartier_data(flipped, coeffs)
     flipped_walls = walls(flipped)
     for family in flip_families:
         fam = {frozenset(c) for c in family}
@@ -235,7 +231,7 @@ def flip(fan, contraction, coeffs):
             ca = frozenset(flipped.max_cones[w.cone_a])
             cb = frozenset(flipped.max_cones[w.cone_b])
             if ca in fam and cb in fam:
-                if intersect(flipped, coeffs, w, cd=cd) <= 0:
+                if intersect(flipped, coeffs, w) <= 0:
                     raise ValueError("strict transform is not relatively ample")
     return flipped
 
@@ -375,13 +371,13 @@ def run_mmp(fan, d_coeffs, b_coeffs):
     steps = []
     for _ in range(STEP_CAP):
         x_n, d_n, b_n = models[-1], divisors[-1], boundaries[-1]
-        cd = cartier_data(x_n, d_n)
-        assert isinstance(cd, CartierData)
+        if isinstance(cartier_data(x_n, d_n), NotQCartier):
+            raise RuntimeError(f"divisor on model {len(models) - 1} is not Q-Cartier")
         ws = walls(x_n)
-        if all(intersect(x_n, d_n, w, cd=cd) >= 0 for w in ws):
+        if all(intersect(x_n, d_n, w) >= 0 for w in ws):
             return MMPRun(tuple(models), tuple(divisors), tuple(boundaries),
                           tuple(steps), "nef")
-        res = next(negative_contractions(x_n, d_n, cd), None)
+        res = next(negative_contractions(x_n, d_n), None)
         if res is None:
             raise RuntimeError("negative wall but no negative extremal ray")
         if res.kind == "fibration":
@@ -394,8 +390,10 @@ def run_mmp(fan, d_coeffs, b_coeffs):
             pb = pullback(res.map, d_next)
             e_idx = x_n.ray_index(res.removed_ray)
             a = d_n[e_idx] - pb[e_idx]
-            assert a > 0, f"divisorial coefficient {a} <= 0"
-            assert tuple(x + (a if i == e_idx else 0) for i, x in enumerate(pb)) == d_n
+            if not a > 0:
+                raise RuntimeError(f"divisorial coefficient {a} <= 0")
+            if tuple(x + (a if i == e_idx else 0) for i, x in enumerate(pb)) != d_n:
+                raise RuntimeError("D is not the pullback of its pushforward plus a*E")
             cert = StepCertificate("divisorial", a, exceptional=res.removed_ray)
             steps.append(MMPStep("divisorial", len(models) - 1, res, cert))
             models.append(res.target)

@@ -84,10 +84,9 @@ def wall_relation(fan, wall):
     return WallRelation(tuple(zip(support, rel)))
 
 
-def intersect(fan, coeffs, wall, cd=None):
+def intersect(fan, coeffs, wall):
     """D.C for the wall curve, symmetric in the two adjacent cones."""
-    if cd is None:
-        cd = cartier_data(fan, coeffs)
+    cd = cartier_data(fan, coeffs)
     if isinstance(cd, NotQCartier):
         raise ValueError("intersection numbers need a Q-Cartier divisor")
     b = wall_relation(fan, wall).as_dict()

@@ -105,7 +105,7 @@ def _model_cohomology(fan, coeffs, fields):
     """(mode, payload): per-field dim vectors on complete fans, else
     per-field higher-vanishing verdicts on support-convex fans."""
     if is_complete(fan):
-        return "complete", {f: list(coh_dims(fan, coeffs, parse_field(f)).dims)
+        return "complete", {f: list(coh_dims(fan, coeffs, parse_field(f)))
                             for f in fields}
     if not support_is_convex(fan):
         raise ValueError("fan is neither complete nor support-convex")
@@ -213,7 +213,10 @@ def _verify_instance(inst, hyp, fields):
 def verify_mmp(inst, fields=DEFAULT_FIELDS):
     """Run the divisor-directed program and check step invariance of the full
     dimension vectors, certificate ranges, and the end-model vanishing."""
-    return _verify_instance(inst, check_hypothesis(inst), fields)[1]
+    hyp = check_hypothesis(inst)
+    if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
+        return _cohomology_skipped(inst, hyp)
+    return _verify_instance(inst, hyp, fields)[1]
 
 
 def _require_fibration(fan, d_coeffs, contraction):
@@ -223,11 +226,10 @@ def _require_fibration(fan, d_coeffs, contraction):
     for gi, g in enumerate(contraction.merged_groups):
         for ci in g:
             group_of[ci] = gi
-    cd = cartier_data(fan, d_coeffs)
     for w in walls(fan):
         ga, gb = group_of.get(w.cone_a), group_of.get(w.cone_b)
         if ga is not None and ga == gb:
-            if intersect(fan, d_coeffs, w, cd=cd) >= 0:
+            if intersect(fan, d_coeffs, w) >= 0:
                 raise ValueError("-D is not relatively ample on the fibration")
 
 

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import f1_fan, p2_fan
-from toricvanish.cohomology import cech_graded, coh_dims, graded_piece
+from toricvanish.cohomology import cech_graded, coh_dims, graded_piece, parse_field
 from toricvanish.corpus import (
     cube_face_fan,
     curated_instances,
@@ -89,13 +89,13 @@ def test_criterion_1_kv_vanishing_suite():
 
 def test_criterion_2_negative_control():
     p2 = p2_fan()
-    k_rep = coh_dims(p2, canonical(p2), None)
+    h_k = coh_dims(p2, canonical(p2), None)
     control = dict(curated_instances())["control-p2-canonical"]
     hyp_ok, _ = check_hypothesis(control)
-    three_h = coh_dims(p2, scale(3, ray_divisor(p2, (1, 0))), None)
+    h_3h = coh_dims(p2, scale(3, ray_divisor(p2, (1, 0))), None)
     _report("criterion-2 negative-control",
-            k_rep.dims == (0, 0, 1) and not hyp_ok and three_h.dims == (10, 0, 0),
-            f"h(K)={k_rep.dims}, h(3H)={three_h.dims}")
+            h_k == (0, 0, 1) and not hyp_ok and h_3h == (10, 0, 0),
+            f"h(K)={h_k}, h(3H)={h_3h}")
 
 
 def test_criterion_3_oracle_equivalence():
@@ -111,7 +111,8 @@ def test_criterion_3_oracle_equivalence():
             D = tuple(Fraction(rng.randint(-3, 3)) for _ in fan.rays)
             m = tuple(rng.randint(-4, 4) for _ in range(fan.rank))
             for field in ("q", "f2"):
-                if cech_graded(fan, D, m, field) != graded_piece(fan, D, m, field):
+                f = parse_field(field)
+                if cech_graded(fan, D, m, f) != graded_piece(fan, D, m, f):
                     mismatches += 1
             checked += 1
     _report("criterion-3 oracle-equivalence",
@@ -140,9 +141,9 @@ def test_criterion_4_demazure_nef():
         sections = h0_dim(fan, D)
         expected_h0 = 0 if sections == ZERO else sections
         for field in ALL_FIELDS:
-            rep = coh_dims(fan, D, field)
-            if rep.dims[0] != expected_h0 or any(rep.dims[1:]):
-                bad.append((fan.rank, D, field, rep.dims))
+            dims = coh_dims(fan, D, parse_field(field))
+            if dims[0] != expected_h0 or any(dims[1:]):
+                bad.append((fan.rank, D, field, dims))
     _report("criterion-4 demazure-nef", found >= 20 and not bad,
             f"{found} nef Cartier divisors, bad={bad[:2]}")
 
@@ -157,8 +158,8 @@ def test_criterion_5_serre_duality():
         K = canonical(fan)
         for _ in range(3):
             D = tuple(Fraction(rng.randint(-2, 2)) for _ in fan.rays)
-            hd = coh_dims(fan, D, None).dims
-            hk = coh_dims(fan, sub(K, D), None).dims
+            hd = coh_dims(fan, D, None)
+            hk = coh_dims(fan, sub(K, D), None)
             if hd != tuple(reversed(hk)):
                 bad.append((fan.rank, D, hd, hk))
             checked += 1
@@ -249,8 +250,8 @@ def test_criterion_8_mori_fibre_space(corpus_runs):
             bad.append((inst.label, v.notes))
         if is_complete(run.models[-1]):
             for field in ALL_FIELDS:
-                rep = coh_dims(run.models[-1], run.divisors[-1], field)
-                if any(rep.dims):
+                dims = coh_dims(run.models[-1], run.divisors[-1], parse_field(field))
+                if any(dims):
                     bad.append((inst.label, f"nonzero dims over {field}"))
     _report("criterion-8 mori-fibre-space", count >= 1 and not bad,
             f"{count} fibration ends, bad={bad[:2]}")

@@ -88,6 +88,27 @@ def test_verify_kv_cli(tmp_path, capsys):
     assert obj["pass"] is True and obj["hypothesis_ok"] is True
 
 
+def test_verify_mmp_cli_skips_cohomology_when_d_is_not_q_cartier(tmp_path, capsys):
+    # a well-formed instance is a verdict, not an input error, for both verifiers
+    from toricvanish.corpus import cube_face_fan
+    from toricvanish.divisors import ray_divisor
+    from toricvanish.formats import Instance, instance_to_obj
+
+    cube = cube_face_fan()
+    d = ray_divisor(cube, cube.rays[0])
+    zero = tuple(0 * x for x in d)
+    save(tmp_path / "inst.json",
+         instance_to_obj(Instance("cube-d1", cube, zero, d, 2, ())))
+    outs = []
+    for what in ("kv", "mmp"):
+        assert main(["verify", what, str(tmp_path / "inst.json")]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    obj = json.loads(outs[0])
+    assert obj["hypothesis_reason"] == "D is not Q-Cartier"
+    assert obj["notes"] == ["cohomology skipped: D is not Q-Cartier"]
+
+
 def test_suite_cli_deterministic(tmp_path, capsys):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"

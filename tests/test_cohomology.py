@@ -64,9 +64,9 @@ def test_chambers_p2_canonical(p2):
     K = canonical(p2)
     chs = chambers(p2, K)
     allneg = next(c for c in chs if c.pattern == (0, 1, 2))
-    assert allneg.bounded
-    from toricvanish.regions import lattice_points
+    from toricvanish.regions import lattice_points, recession_is_zero
 
+    assert recession_is_zero(allneg.region)
     assert lattice_points(allneg.region) == [(0, 0)]
     # the all-positive pattern is infeasible for K
     assert not any(c.pattern == () for c in chs)
@@ -93,11 +93,11 @@ def test_chambers_ray_guard():
 
 def test_coh_dims_p2(p2):
     threeH = scale(3, ray_divisor(p2, (1, 0)))
-    assert coh_dims(p2, threeH, None).dims == (10, 0, 0)
+    assert coh_dims(p2, threeH, None) == (10, 0, 0)
     K = canonical(p2)
-    assert coh_dims(p2, K, None).dims == (0, 0, 1)
-    assert coh_dims(p2, K, 2).dims == (0, 0, 1)
-    assert coh_dims(p2, coeffs_of(p2, {}), None).dims == (1, 0, 0)
+    assert coh_dims(p2, K, None) == (0, 0, 1)
+    assert coh_dims(p2, K, 2) == (0, 0, 1)
+    assert coh_dims(p2, coeffs_of(p2, {}), None) == (1, 0, 0)
 
 
 def test_coh_dims_all_fields(p2, p1xp1, p3):
@@ -107,7 +107,7 @@ def test_coh_dims_all_fields(p2, p1xp1, p3):
         (p3, canonical(p3), (0, 0, 0, 1)),
     ]:
         for field in FIELDS:
-            assert coh_dims(fan, D, field).dims == expected
+            assert coh_dims(fan, D, field) == expected
 
 
 def test_coh_requires_complete():
@@ -168,7 +168,7 @@ def test_linear_equivalence_invariance(p2, f1):
             m = (rng.randint(-2, 2), rng.randint(-2, 2))
             shifted = add(D, principal(fan, m))
             for field in (None, 3):
-                assert coh_dims(fan, D, field).dims == coh_dims(fan, shifted, field).dims
+                assert coh_dims(fan, D, field) == coh_dims(fan, shifted, field)
 
 
 def test_serre_duality(p2, f1, p1xp1, p3):
@@ -177,16 +177,16 @@ def test_serre_duality(p2, f1, p1xp1, p3):
         K = canonical(fan)
         for _ in range(4):
             D = tuple(Fraction(rng.randint(-2, 2)) for _ in fan.rays)
-            hd = coh_dims(fan, D, None).dims
-            hk = coh_dims(fan, sub(K, D), None).dims
+            hd = coh_dims(fan, D, None)
+            hk = coh_dims(fan, sub(K, D), None)
             assert hd == tuple(reversed(hk))
 
 
 def test_euler_characteristic_of_structure_sheaf(p2, f1, p1xp1, p112, p3):
     for fan in (p2, f1, p1xp1, p112, p3):
-        rep = coh_dims(fan, coeffs_of(fan, {}), None)
-        assert euler_characteristic(rep) == 1
-        assert rep.dims[0] == 1
+        dims = coh_dims(fan, coeffs_of(fan, {}), None)
+        assert euler_characteristic(dims) == 1
+        assert dims[0] == 1
 
 
 def test_unimodular_invariance(p2):
@@ -202,7 +202,7 @@ def test_unimodular_invariance(p2):
         coeffs = {tuple(r): Fraction(rng.randint(-3, 3)) for r in p2.rays}
         D1 = coeffs_of(p2, coeffs)
         D2 = coeffs_of(fan2, {tuple(mat_vec(T, r)): v for r, v in coeffs.items()})
-        assert coh_dims(p2, D1, None).dims == coh_dims(fan2, D2, None).dims
+        assert coh_dims(p2, D1, None) == coh_dims(fan2, D2, None)
 
 
 def test_demazure_vanishing(p2, f1, p1xp1, p112):
@@ -223,7 +223,27 @@ def test_demazure_vanishing(p2, f1, p1xp1, p112):
                 continue
             found += 1
             for field in FIELDS:
-                rep = coh_dims(fan, D, field)
-                assert rep.dims[0] == h0_dim(fan, D) if h0_dim(fan, D) != "zero" else rep.dims[0] == 0
-                assert all(d == 0 for d in rep.dims[1:])
+                dims = coh_dims(fan, D, field)
+                assert dims[0] == h0_dim(fan, D) if h0_dim(fan, D) != "zero" else dims[0] == 0
+                assert all(d == 0 for d in dims[1:])
     assert found >= 20
+
+
+def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeypatch):
+    # of the 7 chambers of K on P2 only the all-negative one has homology
+    from toricvanish import cohomology
+
+    calls = []
+    real = cohomology.recession_is_zero
+
+    def counting(region):
+        calls.append(region)
+        return real(region)
+
+    monkeypatch.setattr(cohomology, "recession_is_zero", counting)
+    cohomology._chambers_cached.cache_clear()
+    cohomology._lattice_count.cache_clear()
+    K = canonical(p2)
+    assert coh_dims(p2, K, None) == (0, 0, 1)
+    assert len(chambers(p2, K)) == 7
+    assert len(calls) == 1

@@ -14,7 +14,7 @@ from conftest import (
     p112_fan,
 )
 from toricvanish import divisors
-from toricvanish.corpus import seed_fans
+from toricvanish.corpus import curated_instances, seed_fans
 from toricvanish.divisors import (
     INFINITE,
     ZERO,
@@ -32,12 +32,13 @@ from toricvanish.divisors import (
     principal,
     pullback,
     pushforward,
+    q_cartier_index,
     ray_divisor,
     round_divisor,
     scale,
     semiample_witness,
 )
-from toricvanish.fans import identity_map, star_subdivide
+from toricvanish.fans import identity_map, make_fan, properties, star_subdivide
 from toricvanish.linalg import dot
 
 
@@ -146,6 +147,15 @@ def test_semiample_section_check_raises(p112, monkeypatch):
     monkeypatch.setattr(divisors, "lcm_list", lambda values: 1)
     with pytest.raises(RuntimeError, match="fails ray"):
         semiample_witness(p112, D)
+
+
+def test_q_cartier_index_of_k_on_p113():
+    # the cone on (1,0), (-1,-3) has determinant 3: K and -K need the multiple 3
+    p113 = make_fan(2, [(1, 0), (0, 1), (-1, -3)], [(0, 1), (0, 2), (1, 2)])
+    K = canonical(p113)
+    assert q_cartier_index(p113, K) == 3
+    assert properties(p113).q_gorenstein_index_of_K == 3
+    assert semiample_witness(p113, scale(-1, K)).multiple == 3
 
 
 def test_semiample_not_nef(f1):
@@ -291,3 +301,39 @@ def test_big_is_full_dimensional_section_polytope():
             if isinstance(cartier_data(fan, D), NotQCartier):
                 continue
             assert positivity(fan, D).big == (polytope_dim(fan, D) == fan.rank), (fan, D)
+
+
+def test_memoized_cartier_data_matches_the_uncached_solve():
+    solve = divisors._cartier_data.__wrapped__
+    fans = [p2_fan(), p1xp1_fan(), f1_fan(), p112_fan(), p3_fan(), cube_fan(),
+            flip_side_a(), flip_side_b()]
+    fans += [inst.fan for _, inst in curated_instances()]
+    fans += [fan for rank in (2, 3) for _, fan in seed_fans(rank)]
+    rng = random.Random(29)
+    not_q_cartier = 0
+    for fan in fans:
+        n = len(fan.rays)
+        ints = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(3)]
+        fracs = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                 for _ in range(3)]
+        for D in ints + fracs + [canonical(fan)] + [ray_divisor(fan, r) for r in fan.rays]:
+            expected = solve(fan, tuple(Fraction(x) for x in D))
+            # a list, then a tuple of the same (int or Fraction) values: the
+            # second lookup is answered by the memo
+            assert cartier_data(fan, list(D)) == expected, (fan, D)
+            assert cartier_data(fan, tuple(D)) == expected, (fan, D)
+            not_q_cartier += isinstance(expected, NotQCartier)
+    assert not_q_cartier > 0
+
+
+def test_cartier_data_solves_once_per_fan_and_divisor():
+    # verify_mmp asks for Cartier data at every hypothesis check, positivity,
+    # intersection number and pullback; each distinct (fan, divisor) is solved once
+    from toricvanish.verify import verify_mmp
+
+    inst = dict(curated_instances())["cubeq-flop"]
+    divisors._cartier_data.cache_clear()
+    verify_mmp(inst)
+    info = divisors._cartier_data.cache_info()
+    assert info.hits > info.misses
+    assert info.misses == info.currsize == 22

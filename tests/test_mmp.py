@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -368,3 +372,28 @@ def test_contract_walls_from_entry_match_a_rescan(monkeypatch):
                 assert got[2] == tuple(g for g in groups if len(g) > 1)
             checked += 1
     assert checked >= 20
+
+
+def test_divisorial_pullback_check_survives_python_O():
+    # a pushforward that moves one coefficient keeps a > 0 but breaks
+    # D = pullback(pushforward(D)) + a*E; the check is a raise, not an assert
+    script = ("from toricvanish import mmp\n"
+              "from toricvanish.divisors import coeffs_of, pushforward, ray_divisor\n"
+              "from toricvanish.fans import make_fan\n"
+              "f1 = make_fan(2, [(1, 0), (0, 1), (1, 1), (-1, -1)],\n"
+              "              [(0, 2), (1, 2), (1, 3), (0, 3)])\n"
+              "def shifted(m, coeffs):\n"
+              "    out = pushforward(m, coeffs)\n"
+              "    return (out[0] + 1,) + out[1:]\n"
+              "mmp.pushforward = shifted\n"
+              "try:\n"
+              "    mmp.run_mmp(f1, ray_divisor(f1, (1, 1)), coeffs_of(f1, {}))\n"
+              "except RuntimeError as exc:\n"
+              "    print('raised:', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: D is not the pullback of its pushforward")
