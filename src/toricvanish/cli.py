@@ -2,12 +2,13 @@
 
 Subcommands: fan info, div check, coh dims, mmp run, verify kv|mmp|mfs|flip,
 suite. Exit codes: 0 success / all pass, 1 verdict failure, 2 input error.
+`coh dims` prints the table that `verify._model_cohomology` builds per model;
+`verify kv|mmp` and `suite` read the one per-instance pipeline in `verify`.
 """
 
 import argparse
 import sys
 
-from .cohomology import coh_dims, parse_field, vanishing_higher
 from .divisors import (
     NotQCartier,
     cartier_data,
@@ -18,7 +19,7 @@ from .divisors import (
     q_cartier_index,
     semiample_witness,
 )
-from .fans import is_complete, is_simplicial, properties, support_is_convex, validate
+from .fans import properties, validate
 from .formats import (
     ParseError,
     canonical_json,
@@ -32,6 +33,7 @@ from .mmp import negative_contractions, run_mmp
 from .mori import walls
 from .verify import (
     DEFAULT_FIELDS,
+    _model_cohomology,
     suite,
     verify_flip_diagram_for,
     verify_kv,
@@ -92,18 +94,15 @@ def _div_check(args):
 def _coh_dims(args):
     fan, coeffs = load_divisor(args.divisor)
     _require_valid(fan)
-    field = parse_field(args.field)
-    if is_complete(fan):
-        print(" ".join(str(d) for d in coh_dims(fan, coeffs, field)))
-        return 0
-    if support_is_convex(fan) and is_simplicial(fan):
-        ok, witness = vanishing_higher(fan, coeffs, field)
-        if ok:
-            print("higher cohomology vanishes")
-        else:
-            print(f"nonvanishing: pattern {witness[0]} in degree {witness[1]}")
-        return 0
-    raise ParseError("fan is neither complete nor simplicial with convex support")
+    mode, payload = _model_cohomology(fan, coeffs, (args.field,))
+    value = payload[args.field]
+    if mode == "complete":
+        print(" ".join(str(d) for d in value))
+    elif value[0]:
+        print("higher cohomology vanishes")
+    else:
+        print(f"nonvanishing: pattern {value[1][0]} in degree {value[1][1]}")
+    return 0
 
 
 def _mmp_run(args):
@@ -140,14 +139,11 @@ def _is_quiet(args):
 
 
 def _verify(args):
-    if args.what == "kv":
+    if args.what in ("kv", "mmp"):
         inst = load_instance(args.path)
         _require_valid(inst.fan)
-        verdict = verify_kv(inst, _fields(args))
-    elif args.what == "mmp":
-        inst = load_instance(args.path)
-        _require_valid(inst.fan)
-        verdict = verify_mmp(inst, _fields(args))
+        verifier = verify_kv if args.what == "kv" else verify_mmp
+        verdict = verifier(inst, _fields(args))
     elif args.what == "mfs":
         fan, coeffs = load_divisor(args.path)
         _require_valid(fan)
@@ -156,12 +152,10 @@ def _verify(args):
         if chosen is None:
             raise ParseError("no D-negative fibration ray")
         verdict = verify_mfs(fan, coeffs, chosen, _fields(args))
-    elif args.what == "flip":
+    else:
         fan, coeffs = load_divisor(args.path)
         _require_valid(fan)
         verdict = verify_flip_diagram_for(fan, coeffs)
-    else:
-        raise ParseError(f"unknown verifier {args.what!r}")
     obj = verdict.to_obj()
     if not _is_quiet(args):
         print(canonical_json(obj), end="")

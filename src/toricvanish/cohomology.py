@@ -24,7 +24,6 @@ from .regions import (
     has_lattice_point,
     lattice_points,
     make_row,
-    recession_is_zero,
 )
 
 
@@ -152,7 +151,8 @@ def _lattice_count(region):
     """Lattice points of a chamber region, or None when it is unbounded;
     decided once per process, as `coh_dims` asks for the same chamber once
     per coefficient field."""
-    return len(lattice_points(region)) if recession_is_zero(region) else None
+    pts = lattice_points(region)
+    return None if pts is None else len(pts)
 
 
 def chambers(fan, coeffs):

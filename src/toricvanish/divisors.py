@@ -31,7 +31,6 @@ from .regions import (
     is_feasible,
     lattice_points,
     make_row,
-    recession_is_zero,
 )
 
 
@@ -292,11 +291,8 @@ def h0_dim(fan, coeffs):
     sys = section_system(fan, coeffs)
     if not has_lattice_point(sys):
         return ZERO
-    # a lattice point makes P_D nonempty, so boundedness is its recession cone
-    if recession_is_zero(sys):
-        n = len(lattice_points(sys))
-        return n if n else ZERO
-    return INFINITE
+    pts = lattice_points(sys)
+    return INFINITE if pts is None else len(pts)
 
 
 def q_cartier_index(fan, coeffs):

@@ -16,7 +16,6 @@ from functools import lru_cache
 
 from . import cones
 from .linalg import (
-    adapted_basis,
     det_int,
     dot,
     gcd_list,
@@ -230,26 +229,6 @@ def identity_map(source, target):
     n = source.rank
     return ToricMap(tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)),
                     source, target)
-
-
-def torus_factor(fan):
-    """Split off the torus factor: (reduced fan, r, adapted coordinates V).
-
-    V is unimodular and ray.V are the ray's adapted coordinates; the reduced
-    rays are their first rank-r entries, the rest being zero.
-    """
-    V, r_span = adapted_basis(list(fan.rays), fan.rank)
-    r = fan.rank - r_span
-    if r == 0:
-        return fan, 0, V
-    new_rays = []
-    for ray in fan.rays:
-        coords = tuple(dot(ray, col) for col in zip(*V))
-        if any(coords[r_span:]):
-            raise RuntimeError(f"ray {ray} is outside the adapted span of rank {r_span}")
-        new_rays.append(coords[:r_span])
-    reduced = make_fan(r_span, new_rays, [tuple(c) for c in fan.max_cones])
-    return reduced, r, V
 
 
 def star_subdivide(fan, v):

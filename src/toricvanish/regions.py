@@ -256,12 +256,13 @@ def _points(levels, n):
 
 
 def lattice_points(sys):
-    """All integer points of a bounded region, in lexicographic order."""
+    """All integer points of a bounded region, in lexicographic order; None
+    when the region is nonempty and unbounded."""
     levels = _feasible_levels(sys)
     if levels is None:
         return []
     if not recession_is_zero(sys):
-        raise ValueError("unbounded region")
+        return None
     return list(_points(levels, sys.dim))
 
 

@@ -2,12 +2,12 @@
 vanishing statements, plus the deterministic suite driver.
 
 A verdict records the re-checked hypothesis, per-field vanishing flags,
-per-model dimension tables and the MMP step certificates. Each Q-Cartier
-instance gets one pass (`_verify_instance`): one Q-factorialization, one MMP
-run and one cohomology table per model, which the KV verdict (first table)
-and the MMP verdict (every table) both read; `verify_kv` builds only the
-first table. Negative controls are labeled and must fail in exactly the
-predicted way.
+per-model dimension tables and the MMP step certificates. Every instance goes
+through one generator, `_verdicts`, which yields the KV verdict (first model's
+table) before it runs the MMP and yields the MMP verdict (every model's
+table); `verify_kv`, `verify_mmp`, `verify_instance` and, through
+`report_entry`, the suite all read it. Negative controls are labeled and must
+fail in exactly the predicted way.
 """
 
 import random
@@ -130,20 +130,6 @@ def _kv_verdict(inst, hyp, fields, table, notes):
     return Verdict(inst.label, *hyp, vanishing, dims, (), passed, tuple(notes))
 
 
-def _cohomology_skipped(inst, hyp):
-    return Verdict(inst.label, *hyp, {}, {}, (), not hyp[0],
-                   ("cohomology skipped: D is not Q-Cartier",))
-
-
-def verify_kv(inst, fields=DEFAULT_FIELDS):
-    """Re-check the hypothesis and the vanishing conclusion on one instance."""
-    hyp = check_hypothesis(inst)
-    if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
-        return _cohomology_skipped(inst, hyp)
-    fan, _, d, notes = _q_factorial_model(inst)
-    return _kv_verdict(inst, hyp, fields, _model_cohomology(fan, d, fields), notes)
-
-
 def _certificate_obj(step):
     cert = step.certificate
     if cert is None:
@@ -162,15 +148,22 @@ def _certificate_obj(step):
     return obj
 
 
-def _verify_instance(inst, hyp, fields):
-    """The one pass over a Q-Cartier instance: Q-factorialize, run the MMP and
-    build each model's cohomology table once. Returns the KV verdict, read off
-    the first table, and the MMP verdict, read off all of them."""
+def _verdicts(inst, fields):
+    """The one pass over an instance: the hypothesis and the not-Q-Cartier gate
+    once, then the KV verdict off the first model's table, then the MMP verdict
+    off every model's table, each table built once. A D that is not Q-Cartier
+    yields only the skipped verdict."""
+    hyp = check_hypothesis(inst)
+    if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
+        yield Verdict(inst.label, *hyp, {}, {}, (), not hyp[0],
+                      ("cohomology skipped: D is not Q-Cartier",))
+        return
     fan, b, d, notes = _q_factorial_model(inst)
+    first = _model_cohomology(fan, d, fields)
+    yield _kv_verdict(inst, hyp, fields, first, list(notes))
     run = run_mmp(fan, d, b)
-    tables = [_model_cohomology(model, div, fields)
-              for model, div in zip(run.models, run.divisors)]
-    kv = _kv_verdict(inst, hyp, fields, tables[0], list(notes))
+    tables = [first] + [_model_cohomology(model, div, fields)
+                        for model, div in zip(run.models[1:], run.divisors[1:])]
     changes = []
     for f in fields:
         for i, ((mode, payload), (mode_next, payload_next)) in enumerate(
@@ -206,17 +199,28 @@ def _verify_instance(inst, hyp, fields):
     complete = all(mode == "complete" for mode, _ in tables)
     dims = {f: [payload[f] for _, payload in tables] if complete else []
             for f in fields}
-    return kv, Verdict(inst.label, *hyp, vanishing, dims, certs, passed,
-                       tuple(notes))
+    yield Verdict(inst.label, *hyp, vanishing, dims, certs, passed, tuple(notes))
+
+
+def verify_instance(inst, fields=DEFAULT_FIELDS):
+    """(kv, mmp): both verdicts of one pass, or (skipped, None) when D is not
+    Q-Cartier."""
+    verdicts = _verdicts(inst, fields)
+    return next(verdicts), next(verdicts, None)
+
+
+def verify_kv(inst, fields=DEFAULT_FIELDS):
+    """Re-check the hypothesis and the vanishing conclusion on one instance;
+    the MMP does not run."""
+    return next(_verdicts(inst, fields))
 
 
 def verify_mmp(inst, fields=DEFAULT_FIELDS):
     """Run the divisor-directed program and check step invariance of the full
-    dimension vectors, certificate ranges, and the end-model vanishing."""
-    hyp = check_hypothesis(inst)
-    if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
-        return _cohomology_skipped(inst, hyp)
-    return _verify_instance(inst, hyp, fields)[1]
+    dimension vectors, certificate ranges, and the end-model vanishing; the
+    skipped verdict when D is not Q-Cartier."""
+    kv, mmp = verify_instance(inst, fields)
+    return mmp or kv
 
 
 def _require_fibration(fan, d_coeffs, contraction):
@@ -308,6 +312,26 @@ def _control_behaves(label, verdict):
     return False
 
 
+def report_entry(kv, mmp):
+    """The suite's report entry: the KV verdict with the MMP verdict's
+    certificates, pass flag, dimension tables and further notes merged in,
+    and the entry's verdict; a control must fail exactly as predicted."""
+    entry = kv.to_obj()
+    if mmp is not None:
+        entry["mmp"] = list(mmp.certificates)
+        entry["mmp_pass"] = bool(mmp.passed)
+        if any(mmp.dims.values()):
+            entry["dims"] = {k: v for k, v in sorted(mmp.dims.items())}
+        entry["notes"] += [n for n in mmp.notes if n not in entry["notes"]]
+        entry["pass"] = bool(kv.passed and mmp.passed)
+    if kv.label in EXPECTED_FAIL:
+        behaved = _control_behaves(kv.label, kv)
+        entry["verdict"] = "expected-fail" if behaved else "control-misbehaved"
+    else:
+        entry["verdict"] = "pass" if entry["pass"] else "fail"
+    return entry
+
+
 def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
           quiet=False):
     """Generate the corpus, run every verifier, and assemble the report.
@@ -331,27 +355,9 @@ def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
     log(f"{'verdict':18s} label")
 
     for inst in instances:
-        hyp = check_hypothesis(inst)
-        if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
-            verdict = _cohomology_skipped(inst, hyp)
-            entry = verdict.to_obj()
-        else:
-            verdict, mmp_verdict = _verify_instance(inst, hyp, fields)
-            entry = verdict.to_obj()
-            entry["mmp"] = list(mmp_verdict.certificates)
-            entry["mmp_pass"] = bool(mmp_verdict.passed)
-            if any(mmp_verdict.dims.values()):
-                entry["dims"] = {k: v for k, v in sorted(mmp_verdict.dims.items())}
-            entry["notes"] += [n for n in mmp_verdict.notes
-                               if n not in entry["notes"]]
-            entry["pass"] = bool(verdict.passed and mmp_verdict.passed)
-        if inst.label in EXPECTED_FAIL:
-            behaved = _control_behaves(inst.label, verdict)
-            entry["verdict"] = "expected-fail" if behaved else "control-misbehaved"
-            all_ok = all_ok and behaved
-        else:
-            entry["verdict"] = "pass" if entry["pass"] else "fail"
-            all_ok = all_ok and entry["pass"]
+        kv, mmp = verify_instance(inst, fields)
+        entry = report_entry(kv, mmp)
+        all_ok = all_ok and entry["verdict"] in ("pass", "expected-fail")
         log(f"{entry['verdict']:18s} {inst.label}")
         entries.append(entry)
 

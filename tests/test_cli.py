@@ -12,6 +12,31 @@ from toricvanish.cli import main
 from toricvanish.formats import fan_to_obj, fraction_to_str, save
 
 GOLDEN_SUITE_42 = "5987fc0e612ecc18466ee186965d2237b8ac882f9ff6733afb66beacca8c4a57"
+GOLDEN_SUITES = {
+    1: "53438f750cd7877799f025516f263896530373b45f90a5f5deac67f5433fa09f",
+    7: "5964fa5285c4ff04ea361bd8abf8e9ae7a09e33aba8ed248798712ed5bcad6e2",
+    13: "9de2f8941bd65cff32225aff83b90e6c1f53008e57711bc9b2979e2367da1a63",
+    101: "cf61468e5bdafef10de1fcb8e0dbe221c9f22f475f9c4ac2e45c20592d3d8e7a",
+}
+# sha256 of `verify kv|mmp` stdout on each curated instance, default fields
+GOLDEN_VERIFY = {
+    ("control-p2-canonical", "kv"):
+        "4ad52c3d9f3dbbed887f2b31c11f6901e95f4f69b90192d2c9cc816dfc376e71",
+    ("control-p2-canonical", "mmp"):
+        "c7982673c2dc066d448779388dc4b37d1622670766accf0f0d919b69bb66ceaa",
+    ("p2-minus-h", "kv"):
+        "36a052e09483c59e34993e46f1b644c91eb4018a18b5bbab731608667564c7b1",
+    ("p2-minus-h", "mmp"):
+        "bd60ff5eda728caa429b97ac582e70e6e731502d9f953eb0449193c27a0a96a5",
+    ("flip2-relative", "kv"):
+        "c7f58ce229abec7acede0b0d921dc5d8baf35ddb0fff649683d924e61b1bbc10",
+    ("flip2-relative", "mmp"):
+        "efd921f1f6b30fb9f8fe04d657bfb5d91b5c8acadd7787ff9451aeb6f3090856",
+    ("cubeq-flop", "kv"):
+        "cc8e3ddd6b81ead05c06da25d46f94ddba075148707c6390d2caf22e7a17b3fb",
+    ("cubeq-flop", "mmp"):
+        "17ddf445c60f79fd1f4e1634c787fab1622477cbb4598635d0ea0451998c3015",
+}
 
 
 @pytest.fixture
@@ -139,6 +164,51 @@ def test_suite_seed_42_report_is_golden_under_python_O(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SUITE_42
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_SUITES))
+def test_suite_report_is_golden_on_more_seeds(seed, tmp_path):
+    report = tmp_path / "r.json"
+    assert main(["--quiet", "suite", "--seed", str(seed), "--report", str(report)]) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == GOLDEN_SUITES[seed]
+
+
+def test_verify_kv_and_mmp_json_is_golden(tmp_path, capsys):
+    from toricvanish.corpus import curated_instances
+    from toricvanish.formats import instance_to_obj
+
+    for label, inst in curated_instances():
+        path = tmp_path / f"{label}.json"
+        save(path, instance_to_obj(inst))
+        for what in ("kv", "mmp"):
+            assert main(["verify", what, str(path)]) == 0
+            out = capsys.readouterr().out
+            assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY[label, what]
+
+
+@pytest.mark.parametrize("coeffs, expect", [
+    (["0", "0", "0", "0"], "higher cohomology vanishes"),
+    (["-2", "0", "0", "-1"], "nonvanishing: pattern (0, 3) in degree 1"),
+])
+def test_coh_dims_cli_on_a_relative_fan(coeffs, expect, tmp_path, capsys):
+    from toricvanish.corpus import flip_threefold
+
+    save(tmp_path / "fan.json", fan_to_obj(flip_threefold()))
+    save(tmp_path / "d.json", {"fan": "fan.json", "coeffs": coeffs})
+    for field in ("q", "f2"):
+        assert main(["coh", "dims", str(tmp_path / "d.json"), "--field", field]) == 0
+        assert capsys.readouterr().out.strip() == expect
+
+
+def test_coh_dims_cli_rejects_a_fan_without_convex_support(tmp_path, capsys):
+    from toricvanish.fans import make_fan
+
+    three_quadrants = make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1)],
+                               [(0, 1), (1, 2), (2, 3)])
+    save(tmp_path / "fan.json", fan_to_obj(three_quadrants))
+    save(tmp_path / "d.json", {"fan": "fan.json", "coeffs": ["0", "0", "0", "0"]})
+    assert main(["coh", "dims", str(tmp_path / "d.json")]) == 2
+    assert "neither complete nor support-convex" in capsys.readouterr().err
 
 
 def test_exit_code_2_on_bad_input(tmp_path, capsys):

@@ -230,17 +230,18 @@ def test_demazure_vanishing(p2, f1, p1xp1, p112):
 
 
 def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeypatch):
-    # of the 7 chambers of K on P2 only the all-negative one has homology
-    from toricvanish import cohomology
+    # of the 7 chambers of K on P2 only the all-negative one has homology,
+    # and `lattice_points` decides its boundedness once
+    from toricvanish import cohomology, regions
 
     calls = []
-    real = cohomology.recession_is_zero
+    real = regions.recession_is_zero
 
     def counting(region):
         calls.append(region)
         return real(region)
 
-    monkeypatch.setattr(cohomology, "recession_is_zero", counting)
+    monkeypatch.setattr(regions, "recession_is_zero", counting)
     cohomology._chambers_cached.cache_clear()
     cohomology._lattice_count.cache_clear()
     K = canonical(p2)

@@ -214,3 +214,30 @@ def test_suite_reports_why_the_mmp_check_failed(monkeypatch):
     assert entry["verdict"] == "fail" and entry["mmp_pass"] is False
     assert "q: dims changed at step 0" in entry["notes"]
     assert "q: dims changed at step 1" in entry["notes"]
+
+
+def test_verify_kv_never_runs_the_mmp(monkeypatch):
+    def no_mmp(*args, **kwargs):
+        raise AssertionError("verify_kv ran the MMP")
+
+    monkeypatch.setattr(verify, "run_mmp", no_mmp)
+    for label, inst in curated_instances():
+        assert verify_kv(inst).label == label
+    with pytest.raises(AssertionError, match="ran the MMP"):
+        verify_mmp(dict(curated_instances())["p2-minus-h"])
+
+
+def test_verify_instance_skips_a_d_that_is_not_q_cartier():
+    from toricvanish.corpus import cube_face_fan
+    from toricvanish.divisors import ray_divisor
+    from toricvanish.formats import Instance
+
+    cube = cube_face_fan()
+    d = ray_divisor(cube, cube.rays[0])
+    inst = Instance("cube-d1", cube, tuple(0 * x for x in d), d, 2, ())
+    kv, mmp = verify.verify_instance(inst)
+    assert mmp is None
+    assert kv.notes == ("cohomology skipped: D is not Q-Cartier",)
+    assert verify_mmp(inst) == kv == verify_kv(inst)
+    # vacuous: the hypothesis fails, so no vanishing is owed
+    assert verify.report_entry(kv, mmp)["verdict"] == "pass"

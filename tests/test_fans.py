@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 from conftest import (
@@ -28,10 +23,8 @@ from toricvanish.fans import (
     properties,
     q_factorialize,
     star_subdivide,
-    torus_factor,
     validate,
 )
-from toricvanish.linalg import adapted_basis
 from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
 
 
@@ -86,66 +79,6 @@ def test_properties_cube(cube):
     assert not p.simplicial
     assert p.complete and p.support_convex
     assert p.q_gorenstein_index_of_K == 1  # K is Cartier on the cube fan
-
-
-def test_torus_factor_trivial(p2):
-    reduced, r, _ = torus_factor(p2)
-    assert r == 0 and reduced == p2
-
-
-def test_torus_factor_plane():
-    fan = make_fan(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
-                   [(0, 1), (0, 2), (1, 2)])
-    reduced, r, _ = torus_factor(fan)
-    assert r == 1
-    assert reduced.rank == 2
-    assert properties(reduced).complete
-
-
-def test_torus_factor_trivial_fan():
-    fan = make_fan(2, [], [])
-    reduced, r, _ = torus_factor(fan)
-    assert r == 2 and reduced.rank == 0
-
-
-def test_torus_factor_idempotent():
-    fan = make_fan(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
-                   [(0, 1), (0, 2), (1, 2)])
-    reduced, r, _ = torus_factor(fan)
-    again, r2, _ = torus_factor(reduced)
-    assert r2 == 0 and again == reduced
-
-
-def _under_reported(vectors, n):
-    V, r = adapted_basis(vectors, n)
-    return V, r - 1
-
-
-_PLANE = make_fan(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)], [(0, 1), (0, 2), (1, 2)])
-
-
-def test_torus_factor_rejects_rays_outside_the_reported_span(monkeypatch):
-    monkeypatch.setattr(fans, "adapted_basis", _under_reported)
-    with pytest.raises(RuntimeError, match="is outside the adapted span of rank 1"):
-        torus_factor(_PLANE)
-
-
-def test_torus_factor_span_check_survives_python_O():
-    script = ("import test_fans\n"
-              "from toricvanish import fans\n"
-              "fans.adapted_basis = test_fans._under_reported\n"
-              "try:\n"
-              "    fans.torus_factor(test_fans._PLANE)\n"
-              "except RuntimeError as exc:\n"
-              "    print('raised:', exc)\n")
-    here = Path(__file__).resolve().parent
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(here.parent / "src"), str(here), env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-O", "-c", script],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "is outside the adapted span of rank 1" in proc.stdout
 
 
 def test_star_subdivide_p2_to_f1(p2):

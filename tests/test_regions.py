@@ -72,6 +72,17 @@ def test_lattice_points_trivial():
     assert lattice_points(s) == [(0,)]
 
 
+def test_lattice_points_is_none_only_on_nonempty_unbounded_regions():
+    half = sys_of(2, [((1, 0), 0, False)])
+    assert lattice_points(half) is None
+    # the thin slab is unbounded and has no integer points, but is nonempty
+    slab = sys_of(2, [((4, -4), 1, False), ((-3, 3), -1, False)])
+    assert lattice_points(slab) is None
+    # an empty region has no points, whatever its recession cone
+    empty = sys_of(2, [((1, 0), 1, False), ((-1, 0), 0, False)])
+    assert lattice_points(empty) == []
+
+
 def test_has_lattice_point_thin_slab():
     # 1/4 <= x <= 1/3, y >= 0: rationally feasible, no integer points
     s = sys_of(2, [((4, 0), 1, False), ((-3, 0), -1, False), ((0, 1), 0, False)])
