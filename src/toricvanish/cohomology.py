@@ -9,6 +9,14 @@ their invariant factors (Q: nonzero ones; F_p: those not divisible by p).
 A field is `parse_field`'s result: None for Q, or the prime p. A chamber is
 its sign pattern and region; `coh_dims` decides boundedness only for the
 chambers with nonzero homology, whose lattice points it counts.
+
+Chambers are built as a binary tree over the rays: each cell of the first i
+rays splits on ray i into the side where the section inequality holds and
+the side where it fails, and a child survives iff its region is nonempty.
+A cell carries the incremental elimination levels of its rows, so a split
+decides each child by extending its parent's levels by one row
+(`regions.extend_levels`): no system is eliminated from scratch and no
+witness point is built.
 """
 
 from dataclasses import dataclass
@@ -20,7 +28,8 @@ from .fans import incidence_complex, is_complete, is_simplicial
 from .linalg import dot, snf_diagonal
 from .regions import (
     IneqSystem,
-    feasible,
+    empty_levels,
+    extend_levels,
     has_lattice_point,
     lattice_points,
     make_row,
@@ -102,13 +111,6 @@ def _pattern_homology(fan, pattern):
     return neg_complex(fan, pattern)
 
 
-def reduced_homology(maximal_faces, field):
-    """Reduced homology of an abstract simplicial complex given by facets."""
-    faces = tuple(sorted(tuple(sorted(set(f))) for f in maximal_faces if f))
-    top = max((len(f) for f in faces), default=0) - 1
-    return homology_dims(faces, field, max(top, 0))
-
-
 @dataclass(frozen=True)
 class ChamberReport:
     pattern: tuple  # sorted ray indices with <m, u> < -a
@@ -120,27 +122,19 @@ def _chambers_cached(fan, coeffs):
     n = len(fan.rays)
     if n > 20:
         raise ValueError("too many rays for subset enumeration")
-    cells = [((), (), tuple(Fraction(0) for _ in range(fan.rank)))]
+    # a cell is (pattern, rows, levels); the last ray's children keep no levels
+    cells = [((), (), empty_levels(fan.rank))]
     for i, ray in enumerate(fan.rays):
-        a = Fraction(coeffs[i])
+        a = coeffs[i]
+        last = i == n - 1
         row_pos = make_row(ray, -a, False)
         row_neg = make_row([-x for x in ray], a, True)
         new_cells = []
-        for pattern, rows, witness in cells:
-            val = sum(Fraction(r) * w for r, w in zip(ray, witness)) + a
-            children = []
-            if val >= 0:
-                children.append((pattern, rows + (row_pos,), witness, True))
-                children.append((pattern + (i,), rows + (row_neg,), None, False))
-            else:
-                children.append((pattern, rows + (row_pos,), None, False))
-                children.append((pattern + (i,), rows + (row_neg,), witness, True))
-            for pat, rws, wit, have in children:
-                if not have:
-                    wit = feasible(IneqSystem(fan.rank, rws))
-                    if wit is None:
-                        continue
-                new_cells.append((pat, rws, wit))
+        for pattern, rows, levels in cells:
+            for pat, row in ((pattern, row_pos), (pattern + (i,), row_neg)):
+                child = extend_levels(levels, row)
+                if child is not None:
+                    new_cells.append((pat, rows + (row,), None if last else child))
         cells = new_cells
     return tuple(ChamberReport(pattern, IneqSystem(fan.rank, rows))
                  for pattern, rows, _ in cells)
@@ -248,7 +242,3 @@ def cech_graded(fan, coeffs, m, field=None):
         ranks[p] = _rank_over(snf_diagonal(matrix), field)
     return tuple(len(basis[p]) - ranks.get(p, 0) - ranks.get(p - 1, 0)
                  for p in range(fan.rank + 1))
-
-
-def euler_characteristic(dims):
-    return sum((-1) ** i * d for i, d in enumerate(dims))

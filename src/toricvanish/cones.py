@@ -144,12 +144,3 @@ def extreme_rays(gens):
     dim = len(nonzero[0])
     keep = extreme_ray_indices([g for g in gens], dim)
     return [gens[i] for i in keep]
-
-
-def cones_equal(gens_a, gens_b, dim):
-    """Mutual containment of two cones given by generators."""
-    ha = cone_dual(gens_a, dim)
-    hb = cone_dual(gens_b, dim)
-    return all(in_cone_hrep(hb, g) for g in gens_a) and \
-        all(in_cone_hrep(ha, g) for g in gens_b)
-

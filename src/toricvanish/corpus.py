@@ -147,7 +147,8 @@ def _mode2_divisors(rng, fan, budget=60):
             continue
         d = round_divisor(add(k, a), "up")
         b = sub(sub(d, k), a)
-        assert all(0 <= x < 1 for x in b)
+        if not all(0 <= x < 1 for x in b):
+            raise RuntimeError("rounding left a boundary coefficient outside [0, 1)")
         ok, _ = klt_check(fan, b)
         if not ok:
             continue
@@ -170,7 +171,8 @@ def _mode1_divisors(rng, fan, budget=60):
         b = sub(sub(d, k), div_s)
         if any(x == 0 for x in b):
             continue  # keep B big on complete fans (0 interior to P_B)
-        assert all(0 < x < 1 for x in b)
+        if not all(0 < x < 1 for x in b):
+            raise RuntimeError("rounding left a boundary coefficient outside (0, 1)")
         if isinstance(cartier_data(fan, d), NotQCartier):
             continue
         ok, _ = klt_check(fan, b)

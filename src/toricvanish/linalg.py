@@ -39,12 +39,6 @@ def mat_vec(M, v):
     return tuple(dot(row, v) for row in M)
 
 
-def mat_mul(A, B):
-    n = len(B[0]) if B else 0
-    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(n)]
-            for i in range(len(A))]
-
-
 def transpose(A):
     return [list(col) for col in zip(*A)] if A else []
 

@@ -21,7 +21,22 @@ is implied by the kept one and so is every combination made from it, so each
 level's rows are, up to positive scaling, a subset of the unpruned level's,
 and the largest lower and smallest upper bound on every variable, with their
 strictness, are the same. Witnesses and lattice points are therefore those
-of unpruned elimination.
+of unpruned elimination. `_tighten` is that rule, written once.
+
+Incremental elimination: `extend_levels` adds one row to the levels of a
+feasible system without eliminating it again. Its levels are dicts from
+primitive direction to the tightest row there (constant rows are judged when
+they are made and not stored). Each level is a set of consequences of the
+rows, and it implies every unpruned FM combination of the level above, so it
+is exactly the projection, and the system is infeasible iff some combination
+is a violated constant row. A new row enters the top level, and at each level
+below only the rows that were new or tightened just above are combined: each
+with every opposite-sign row there, each pair once. A row that was replaced
+by a tighter one leaves only rows below that are implied, so the invariant
+holds. Each combination is thus made once per chain of extensions, where
+batch elimination of every prefix makes it once per prefix. Whole systems
+still go through the batch `_levels`, which is faster when no prefix is
+asked about.
 """
 
 from dataclasses import dataclass
@@ -71,6 +86,31 @@ def _trivial_row_ok(c, strict):
     return c < 0 if strict else c <= 0
 
 
+def _tighten(best, a, c, s):
+    """Record the row <a, x> >= c (or >) in a level.
+
+    A level maps each primitive direction d to (c, g, strict) of its tightest
+    row g*d >= c; the zero direction is stored with g = 1. The row is stored
+    when its direction is new, when its bound c / g is larger, or when the
+    bounds tie and only the row is strict. Returns d when the row was stored,
+    None when the stored row already implies it.
+    """
+    g = gcd(*a)
+    if g > 1:
+        a = tuple([x // g for x in a])
+    else:
+        g = 1
+    old = best.get(a)
+    if old is not None:
+        oc, og, os = old
+        # compare the bounds c / g and oc / og (g, og > 0)
+        lhs, rhs = c * og, oc * g
+        if lhs < rhs or (lhs == rhs and (os or not s)):
+            return None
+    best[a] = (c, g, s)
+    return a
+
+
 def _eliminate(rows, k):
     """Project away variable k (exact Fourier-Motzkin step).
 
@@ -78,25 +118,7 @@ def _eliminate(rows, k):
     kept, then normalized by gcd(a, c); the result is sorted.
     """
     lows, ups = [], []
-    # primitive direction d -> (c, g, strict) of the tightest row g*d >= c;
-    # the zero direction is stored with g = 1
     best = {}
-
-    def keep(a, c, s):
-        g = gcd(*a)
-        if g > 1:
-            a = tuple([x // g for x in a])
-        else:
-            g = 1
-        old = best.get(a)
-        if old is not None:
-            oc, og, os = old
-            # compare the bounds c / g and oc / og (g, og > 0)
-            lhs, rhs = c * og, oc * g
-            if lhs < rhs or (lhs == rhs and (os or not s)):
-                return
-        best[a] = (c, g, s)
-
     for row in rows:
         a = row[0]
         if a[k] > 0:
@@ -104,12 +126,13 @@ def _eliminate(rows, k):
         elif a[k] < 0:
             ups.append(row)
         else:
-            keep(*row)
+            _tighten(best, *row)
     for al, cl, sl in lows:
         p = al[k]
         for au, cu, su in ups:
             q = -au[k]
-            keep(tuple([q * x + p * y for x, y in zip(al, au)]), q * cl + p * cu, sl or su)
+            _tighten(best, tuple([q * x + p * y for x, y in zip(al, au)]),
+                     q * cl + p * cu, sl or su)
     out = []
     for d, (c, g, s) in best.items():
         h = (gcd(g, c) if any(d) else abs(c)) or 1
@@ -127,6 +150,69 @@ def _levels(sys):
     for k in range(n - 1, -1, -1):
         levels[k] = _eliminate(levels[k + 1], k)
     return levels
+
+
+def empty_levels(dim):
+    """The incremental levels of the empty system in dimension dim."""
+    return ({},) * (dim + 1)
+
+
+def _stored_row(d, entry):
+    """The row g*d >= c of a nonzero level entry, divided by gcd(g, c)."""
+    c, g, s = entry
+    h = gcd(g, c)
+    m = g // h
+    return (tuple([x * m for x in d]) if m > 1 else d), c // h, s
+
+
+def extend_levels(levels, row):
+    """The incremental levels of a feasible system plus one row, or None when
+    that system is infeasible; see the module docstring. `levels` is not
+    modified: the levels that change are copied."""
+    a, c, s = row
+    if not any(a):
+        return levels if _trivial_row_ok(c, s) else None
+    n = len(levels) - 1
+    top = dict(levels[n])
+    d = _tighten(top, a, c, s)
+    if d is None:
+        return levels
+    levels = list(levels)
+    levels[n] = top
+    changed = {d}
+    for k in range(n - 1, -1, -1):
+        above = levels[k + 1]
+        best = dict(levels[k])
+        stored = set()
+        for e in changed:
+            a1, c1, s1 = _stored_row(e, above[e])
+            p = a1[k]
+            if p == 0:
+                e2 = _tighten(best, a1, c1, s1)
+                if e2 is not None:
+                    stored.add(e2)
+                continue
+            # pair a changed row with every opposite-sign row, and two
+            # changed rows only from the side of the positive one
+            for f, entry in above.items():
+                q = f[k]
+                if (q < 0) if p > 0 else (q > 0 and f not in changed):
+                    a2, c2, s2 = _stored_row(f, entry)
+                    m1, m2 = abs(a2[k]), abs(p)
+                    a3 = tuple([m1 * x + m2 * y for x, y in zip(a1, a2)])
+                    c3 = m1 * c1 + m2 * c2
+                    if not any(a3):
+                        if not _trivial_row_ok(c3, s1 or s2):
+                            return None
+                        continue
+                    e2 = _tighten(best, a3, c3, s1 or s2)
+                    if e2 is not None:
+                        stored.add(e2)
+        if not stored:
+            break
+        levels[k] = best
+        changed = stored
+    return tuple(levels)
 
 
 def _level_ok(rows):

@@ -3,6 +3,12 @@ import pytest
 from toricvanish.fans import make_fan
 
 
+def mat_mul(A, B):
+    n = len(B[0]) if B else 0
+    return [[sum(A[i][k] * B[k][j] for k in range(len(B))) for j in range(n)]
+            for i in range(len(A))]
+
+
 def p2_fan():
     return make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import f1_fan, p2_fan
+from conftest import f1_fan, mat_mul, p2_fan
 from toricvanish.cohomology import cech_graded, coh_dims, graded_piece, parse_field
 from toricvanish.corpus import (
     cube_face_fan,
@@ -37,7 +37,7 @@ from toricvanish.divisors import (
 )
 from toricvanish.fans import check_map, is_complete, is_simplicial, q_factorialize, validate
 from toricvanish.formats import canonical_json
-from toricvanish.linalg import mat_mul, smith_normal_form
+from toricvanish.linalg import smith_normal_form
 from toricvanish.mmp import run_mmp
 from toricvanish.mori import intersect, walls
 from toricvanish.verify import (

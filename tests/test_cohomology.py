@@ -3,17 +3,33 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import flip_side_a, flip_side_b, p2_fan
+from conftest import (
+    cube_fan,
+    f1_fan,
+    flip_side_a,
+    flip_side_b,
+    p1xp1_fan,
+    p2_fan,
+    p3_fan,
+    p112_fan,
+)
 from toricvanish.cohomology import (
+    ChamberReport,
     cech_graded,
     chambers,
     coh_dims,
-    euler_characteristic,
     graded_piece,
+    homology_dims,
     neg_complex,
     parse_field,
-    reduced_homology,
     vanishing_higher,
+)
+from toricvanish.corpus import (
+    curated_instances,
+    mutate,
+    product_fan,
+    projective_space,
+    seed_fans,
 )
 from toricvanish.divisors import (
     add,
@@ -24,8 +40,21 @@ from toricvanish.divisors import (
     scale,
     sub,
 )
+from toricvanish.fans import is_simplicial, q_factorialize, star_subdivide
+from toricvanish.regions import IneqSystem, feasible, make_row
 
 FIELDS = [None, 2, 3, 5, 7]
+
+
+def reduced_homology(maximal_faces, field):
+    """Reduced homology of an abstract simplicial complex given by facets."""
+    faces = tuple(sorted(tuple(sorted(set(f))) for f in maximal_faces if f))
+    top = max((len(f) for f in faces), default=0) - 1
+    return homology_dims(faces, field, max(top, 0))
+
+
+def euler_characteristic(dims):
+    return sum((-1) ** i * d for i, d in enumerate(dims))
 
 
 def test_parse_field():
@@ -89,6 +118,89 @@ def test_chambers_ray_guard():
         from toricvanish.cohomology import _chambers_cached
 
         _chambers_cached(big, tuple(Fraction(0) for _ in range(21)))
+
+
+def _reference_chambers(fan, coeffs):
+    """The witness enumerator: split each cell on each ray, hand the cell's
+    witness to the child it satisfies and solve the other child afresh."""
+    cells = [((), (), tuple(Fraction(0) for _ in range(fan.rank)))]
+    for i, ray in enumerate(fan.rays):
+        a = Fraction(coeffs[i])
+        row_pos = make_row(ray, -a, False)
+        row_neg = make_row([-x for x in ray], a, True)
+        new_cells = []
+        for pattern, rows, witness in cells:
+            pos = sum(Fraction(r) * w for r, w in zip(ray, witness)) + a >= 0
+            for pat, row, wit in ((pattern, row_pos, witness if pos else None),
+                                  (pattern + (i,), row_neg, None if pos else witness)):
+                if wit is None:
+                    wit = feasible(IneqSystem(fan.rank, rows + (row,)))
+                    if wit is None:
+                        continue
+                new_cells.append((pat, rows + (row,), wit))
+        cells = new_cells
+    return [ChamberReport(pattern, IneqSystem(fan.rank, rows))
+            for pattern, rows, _ in cells]
+
+
+def _rank4_fans():
+    """P^4, and P1^4 with four successive star subdivisions."""
+    p1 = projective_space(1)
+    fan = product_fan(product_fan(p1, p1), product_fan(p1, p1))
+    out = [projective_space(4), fan]
+    for v in ((1, 1, 0, 0), (1, 1, 1, 0), (0, -1, -1, 0), (1, 1, 1, 1)):
+        fan, _ = star_subdivide(fan, v)
+        out.append(fan)
+    return out
+
+
+def _chamber_fans():
+    fans = [p2_fan(), p1xp1_fan(), f1_fan(), p112_fan(), p3_fan(),
+            q_factorialize(cube_fan())[0], flip_side_a(), flip_side_b(),
+            flip_side_a((1, 1, -1)), flip_side_b((1, 1, -1))]
+    fans += [inst.fan for _, inst in curated_instances()]
+    seeds = [fan for rank in (2, 3) for _, fan in seed_fans(rank)]
+    fans += seeds
+    rng = random.Random(11)
+    fans += [mutate(rng, fan, 12, rng.randint(1, 3)) for fan in seeds
+             if is_simplicial(fan) for _ in range(2)]
+    fans += _rank4_fans()
+    return [fan if is_simplicial(fan) else q_factorialize(fan)[0] for fan in fans]
+
+
+def test_chambers_match_the_witness_enumerator():
+    rng = random.Random(5)
+    checked = 0
+    for fan in _chamber_fans():
+        ints = tuple(rng.randint(-3, 3) for _ in fan.rays)
+        fracs = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
+                      for _ in fan.rays)
+        for D in (canonical(fan), coeffs_of(fan, {}), ints, fracs):
+            want = _reference_chambers(fan, D)
+            assert chambers(fan, D) == want, (fan, D)
+            checked += 1
+    assert checked >= 200
+
+
+def test_chambers_solve_no_system_from_scratch(monkeypatch):
+    # every split extends its parent cell's levels: no witness and no batch
+    # elimination of a whole system
+    from toricvanish import cohomology, regions
+
+    calls = []
+
+    def counting(real):
+        def counted(*args):
+            calls.append(real.__name__)
+            return real(*args)
+        return counted
+
+    monkeypatch.setattr(regions, "feasible", counting(regions.feasible))
+    monkeypatch.setattr(regions, "_levels", counting(regions._levels))
+    cohomology._chambers_cached.cache_clear()
+    inst = dict(curated_instances())["cubeq-flop"]
+    assert len(chambers(inst.fan, inst.d_coeffs)) > 1
+    assert calls == []
 
 
 def test_coh_dims_p2(p2):

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -241,3 +245,24 @@ def test_verify_instance_skips_a_d_that_is_not_q_cartier():
     assert verify_mmp(inst) == kv == verify_kv(inst)
     # vacuous: the hypothesis fails, so no vanishing is owed
     assert verify.report_entry(kv, mmp)["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("draw", ["_mode1_divisors", "_mode2_divisors"])
+def test_boundary_range_checks_survive_python_O(draw):
+    # rounding D one step too high puts every coefficient of B in [1, 2);
+    # the range check is a raise, not an assert
+    script = ("import random\n"
+              "from toricvanish import corpus\n"
+              "real = corpus.round_divisor\n"
+              "corpus.round_divisor = lambda c, mode: tuple(x + 1 for x in real(c, mode))\n"
+              "try:\n"
+              f"    corpus.{draw}(random.Random(0), corpus.projective_space(2))\n"
+              "except RuntimeError as exc:\n"
+              "    print('raised:', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: rounding left a boundary coefficient outside")

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mat_mul
 from toricvanish.linalg import (
     adapted_basis,
     det_int,
     int_kernel,
     int_rank,
     invert_unimodular,
-    mat_mul,
     primitive,
     smith_normal_form,
     snf_diagonal,

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricvanish import regions
-from toricvanish.cones import extreme_rays
+from toricvanish.cones import cone_dual, extreme_rays, in_cone_hrep
 from toricvanish.linalg import gcd_list, primitive
 from toricvanish.regions import (
     IneqSystem,
@@ -183,9 +183,15 @@ def test_extreme_rays_doubled_classes():
     assert len(out) == 2
 
 
-def test_extreme_rays_regenerate_cone():
-    from toricvanish.cones import cones_equal
+def cones_equal(gens_a, gens_b, dim):
+    """Mutual containment of two cones given by generators."""
+    ha = cone_dual(gens_a, dim)
+    hb = cone_dual(gens_b, dim)
+    return all(in_cone_hrep(hb, g) for g in gens_a) and \
+        all(in_cone_hrep(ha, g) for g in gens_b)
 
+
+def test_extreme_rays_regenerate_cone():
     rng = random.Random(3)
     for _ in range(25):
         gens = [(rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4))
@@ -322,6 +328,17 @@ def _probe_recession_is_zero(sys):
 @settings(max_examples=400, deadline=None)
 def test_is_feasible_matches_witness(sys):
     assert is_feasible(sys) == (feasible(sys) is not None)
+
+
+@given(st.one_of(small_systems(), parallel_rich_systems()))
+@settings(max_examples=400, deadline=None)
+def test_extend_levels_decides_feasibility_of_every_prefix(sys):
+    levels = regions.empty_levels(sys.dim)
+    for i, row in enumerate(sys.rows):
+        levels = regions.extend_levels(levels, row)
+        assert (levels is not None) == is_feasible(IneqSystem(sys.dim, sys.rows[:i + 1]))
+        if levels is None:
+            break
 
 
 @given(small_systems())
