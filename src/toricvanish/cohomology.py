@@ -132,7 +132,7 @@ def _chambers_cached(fan, coeffs):
         new_cells = []
         for pattern, rows, levels in cells:
             for pat, row in ((pattern, row_pos), (pattern + (i,), row_neg)):
-                child = extend_levels(levels, row)
+                child = extend_levels(levels, (row,))
                 if child is not None:
                     new_cells.append((pat, rows + (row,), None if last else child))
         cells = new_cells

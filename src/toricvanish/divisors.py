@@ -289,10 +289,10 @@ INFINITE = "infinite"
 def h0_dim(fan, coeffs):
     """dim H^0 = #(P_D & M): a count, 'zero', or 'infinite'."""
     sys = section_system(fan, coeffs)
-    if not has_lattice_point(sys):
-        return ZERO
     pts = lattice_points(sys)
-    return INFINITE if pts is None else len(pts)
+    if pts is None:
+        return INFINITE if has_lattice_point(sys) else ZERO
+    return len(pts) if pts else ZERO
 
 
 def q_cartier_index(fan, coeffs):

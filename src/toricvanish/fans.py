@@ -35,9 +35,6 @@ class Fan:
     def ray_index(self, v):
         return self.rays.index(tuple(v))
 
-    def cone_rays(self, cone):
-        return [self.rays[i] for i in cone]
-
 
 def make_fan(rank, rays, max_cones):
     """Build a normalized Fan: rays sorted, index sets remapped and sorted."""

@@ -303,8 +303,10 @@ def step_certificate(x_fan, b_coeffs, d_coeffs, diagram):
     """Per-flip quantities a, b, c, the case tag and the shift m.
 
     a: discrepancy of (X, B) at the inserted ray; b: ceiling defect of the
-    pullback of D there; c: the flip coefficient; asserts a > -1, b in [0,1),
-    c > 0 and the case-specific bounds.
+    pullback of D there; c: the flip coefficient. Raises unless a > -1,
+    b in [0,1) and c > 0; the case split then implies its own bounds: a gap
+    -a + b >= 1 gives 0 < -a < 1 and 0 < b < 1, and a gap < 1 gives m >= 0
+    and gap + m in [0, 1).
     """
     w = diagram.e_ray
     a = discrepancy(x_fan, b_coeffs, w)
@@ -313,19 +315,20 @@ def step_certificate(x_fan, b_coeffs, d_coeffs, diagram):
     x_val = pb[e_idx]
     b = Fraction(ceil(x_val)) - x_val
     c = -diagram.gamma.pair(d_coeffs)
-    assert a > -1, f"discrepancy {a} <= -1: pair is not klt"
-    assert 0 <= b < 1
-    assert c > 0, f"flip coefficient {c} <= 0"
+    if not a > -1:
+        raise RuntimeError(f"discrepancy {a} <= -1: pair is not klt")
+    if not 0 <= b < 1:
+        raise RuntimeError(f"ceiling defect {b} is not in [0, 1)")
+    if not c > 0:
+        raise RuntimeError(f"flip coefficient {c} <= 0")
     gap = -a + b
     if gap < 1:
         case = "low"
         m_shift = -floor(gap)
-        assert m_shift >= 0 and 0 <= gap + m_shift < 1
         d_y = tuple(x + (m_shift if i == e_idx else 0)
                     for i, x in enumerate(round_divisor(pb, "up")))
     else:
         case = "high"
-        assert 0 < -a < 1 and 0 < b < 1
         m_shift = None
         d_y = round_divisor(pb, "down")
     return StepCertificate("flip", a, b, c, case, m_shift, w, d_y)

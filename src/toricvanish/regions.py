@@ -16,27 +16,28 @@ A < dim, and otherwise its witness, if it has one.
 
 Pruning invariant: each eliminated level keeps, per primitive direction
 d = a / gcd(a), only the row with the largest bound c / gcd(a), the strict one
-on a tie; constant rows (a = 0) keep the most restrictive one. A dropped row
-is implied by the kept one and so is every combination made from it, so each
-level's rows are, up to positive scaling, a subset of the unpruned level's,
-and the largest lower and smallest upper bound on every variable, with their
-strictness, are the same. Witnesses and lattice points are therefore those
-of unpruned elimination. `_tighten` is that rule, written once.
+on a tie; constant rows (a = 0) are judged when they are made and not stored.
+A dropped row is implied by the kept one and so is every combination made
+from it, so each level's rows are, up to positive scaling, a subset of the
+unpruned level's, and the largest lower and smallest upper bound on every
+variable, with their strictness, are the same. Witnesses and lattice points
+are therefore those of unpruned elimination. `_tighten` is that rule,
+written once.
 
-Incremental elimination: `extend_levels` adds one row to the levels of a
-feasible system without eliminating it again. Its levels are dicts from
-primitive direction to the tightest row there (constant rows are judged when
-they are made and not stored). Each level is a set of consequences of the
-rows, and it implies every unpruned FM combination of the level above, so it
-is exactly the projection, and the system is infeasible iff some combination
-is a violated constant row. A new row enters the top level, and at each level
-below only the rows that were new or tightened just above are combined: each
-with every opposite-sign row there, each pair once. A row that was replaced
-by a tighter one leaves only rows below that are implied, so the invariant
-holds. Each combination is thus made once per chain of extensions, where
-batch elimination of every prefix makes it once per prefix. Whole systems
-still go through the batch `_levels`, which is faster when no prefix is
-asked about.
+Elimination: `extend_levels` adds rows to the levels of a feasible system
+without eliminating it again, and a whole system is `extend_levels` from
+`empty_levels`. Levels are dicts from primitive direction to the tightest
+row there. Each level is a set of consequences of the rows, and it implies
+every unpruned FM combination of the level above, so it is exactly the
+projection, and the system is infeasible iff some combination is a violated
+constant row. New rows enter the top level, and at each level below only the
+rows that were new or tightened just above are combined: each with every
+opposite-sign row there, each pair once. A row that was replaced by a
+tighter one leaves only rows below that are implied, so the invariant
+holds. From empty levels every row is new, so every pair of a level is
+combined once: that is batch elimination. Along a chain of one-row
+extensions each combination is made once, where eliminating every prefix
+from scratch makes it once per prefix.
 """
 
 from dataclasses import dataclass
@@ -111,49 +112,8 @@ def _tighten(best, a, c, s):
     return a
 
 
-def _eliminate(rows, k):
-    """Project away variable k (exact Fourier-Motzkin step).
-
-    Of the output rows sharing a primitive direction only the tightest is
-    kept, then normalized by gcd(a, c); the result is sorted.
-    """
-    lows, ups = [], []
-    best = {}
-    for row in rows:
-        a = row[0]
-        if a[k] > 0:
-            lows.append(row)
-        elif a[k] < 0:
-            ups.append(row)
-        else:
-            _tighten(best, *row)
-    for al, cl, sl in lows:
-        p = al[k]
-        for au, cu, su in ups:
-            q = -au[k]
-            _tighten(best, tuple([q * x + p * y for x, y in zip(al, au)]),
-                     q * cl + p * cu, sl or su)
-    out = []
-    for d, (c, g, s) in best.items():
-        h = (gcd(g, c) if any(d) else abs(c)) or 1
-        m = g // h
-        out.append((tuple([x * m for x in d]) if m > 1 else d, c // h, s))
-    out.sort()
-    return out
-
-
-def _levels(sys):
-    """levels[k] involves only variables < k; levels[n] is the input rows."""
-    n = sys.dim
-    levels = [None] * (n + 1)
-    levels[n] = list(sys.rows)
-    for k in range(n - 1, -1, -1):
-        levels[k] = _eliminate(levels[k + 1], k)
-    return levels
-
-
 def empty_levels(dim):
-    """The incremental levels of the empty system in dimension dim."""
+    """The elimination levels of the empty system in dimension dim."""
     return ({},) * (dim + 1)
 
 
@@ -165,21 +125,25 @@ def _stored_row(d, entry):
     return (tuple([x * m for x in d]) if m > 1 else d), c // h, s
 
 
-def extend_levels(levels, row):
-    """The incremental levels of a feasible system plus one row, or None when
-    that system is infeasible; see the module docstring. `levels` is not
-    modified: the levels that change are copied."""
-    a, c, s = row
-    if not any(a):
-        return levels if _trivial_row_ok(c, s) else None
+def extend_levels(levels, rows):
+    """The levels of a feasible system plus `rows`, or None when that system
+    is infeasible; see the module docstring. `levels` is not modified: the
+    levels that change are copied."""
     n = len(levels) - 1
     top = dict(levels[n])
-    d = _tighten(top, a, c, s)
-    if d is None:
+    changed = set()
+    for a, c, s in rows:
+        if not any(a):
+            if not _trivial_row_ok(c, s):
+                return None
+            continue
+        d = _tighten(top, a, c, s)
+        if d is not None:
+            changed.add(d)
+    if not changed:
         return levels
     levels = list(levels)
     levels[n] = top
-    changed = {d}
     for k in range(n - 1, -1, -1):
         above = levels[k + 1]
         best = dict(levels[k])
@@ -215,17 +179,14 @@ def extend_levels(levels, row):
     return tuple(levels)
 
 
-def _level_ok(rows):
-    return all(_trivial_row_ok(c, s) for a, c, s in rows if not any(a))
-
-
 def _bounds_at(levels, k, x):
     """Bounds on variable k given chosen values x[0..k-1]."""
     lo = hi = None
     lo_s = hi_s = False
-    for a, c, s in levels[k + 1]:
-        if a[k] == 0:
+    for d, entry in levels[k + 1].items():
+        if d[k] == 0:
             continue
+        a, c, s = _stored_row(d, entry)
         residual = Fraction(c - sum(a[i] * x[i] for i in range(k)), a[k])
         if a[k] > 0:
             if lo is None or residual > lo:
@@ -261,8 +222,7 @@ def _pick(lo, lo_s, hi, hi_s):
 
 def _feasible_levels(sys):
     """The elimination levels of a feasible system, or None."""
-    levels = _levels(sys)
-    return levels if all(_level_ok(rows) for rows in levels) else None
+    return extend_levels(empty_levels(sys.dim), sys.rows)
 
 
 def is_feasible(sys):
@@ -370,17 +330,15 @@ def has_lattice_point(sys):
         return next(_points(levels, n), None) is not None
     V, _ = adapted_basis([d], n)
     W = invert_unimodular(V)
-    # x = sum_j y_j W[j] with W[0] = +-d; y integral iff x integral, and the
-    # y_0 interval over any feasible projection point is infinite
-    new_rows = []
-    for a, c, s in sys.rows:
-        a2 = tuple(sum(a[i] * W[j][i] for i in range(n)) for j in range(n))
-        new_rows.append((a2, c, s))
-    projected = _eliminate(new_rows, 0)
-    if n == 1:
-        return _level_ok(projected)
-    sub = IneqSystem(n - 1, tuple((a[1:], c, s) for a, c, s in projected))
-    return has_lattice_point(sub)
+    W = W[1:] + W[:1]
+    # x = sum_j y_j W[j] with W[n-1] = +-d; y integral iff x integral, and
+    # the y_{n-1} interval over any feasible projection point is infinite
+    new_rows = tuple((tuple(sum(a[i] * w[i] for i in range(n)) for w in W), c, s)
+                     for a, c, s in sys.rows)
+    projected = _feasible_levels(IneqSystem(n, new_rows))[n - 1]
+    sub = tuple((a[:-1], c, s) for a, c, s in
+                (_stored_row(e, entry) for e, entry in projected.items()))
+    return has_lattice_point(IneqSystem(n - 1, sub))
 
 
 def subtract_cones(dim, base_rows, cone_hreps):

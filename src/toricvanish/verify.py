@@ -173,18 +173,6 @@ def _verdicts(inst, fields):
             elif _vanishes(mode, payload[f]) != _vanishes(mode_next, payload_next[f]):
                 changes.append(f"{f}: vanishing verdict changed at step {i}")
     notes += changes
-    cert_ok = True
-    for step in run.steps:
-        cert = step.certificate
-        if step.kind == "divisorial" and not cert.a > 0:
-            cert_ok = False
-        if step.kind == "flip":
-            if not (cert.a > -1 and 0 <= cert.b < 1 and cert.c > 0):
-                cert_ok = False
-            if cert.case == "low" and not (cert.m_shift >= 0):
-                cert_ok = False
-            if cert.case == "high" and not (0 < -cert.a < 1 and 0 < cert.b < 1):
-                cert_ok = False
     end_mode, end_payload = tables[-1]
     vanishing = {f: _vanishes(end_mode, end_payload[f]) for f in fields}
     mfs_ok = True
@@ -193,8 +181,7 @@ def _verdicts(inst, fields):
         mfs = _mfs_verdict(run.models[-1], run.divisors[-1], tables[-1])
         mfs_ok = mfs.passed
         notes.extend(f"mfs: {n}" for n in mfs.notes)
-    passed = (not hyp[0]) or (not changes and cert_ok and all(vanishing.values())
-                              and mfs_ok)
+    passed = (not hyp[0]) or (not changes and all(vanishing.values()) and mfs_ok)
     certs = tuple(_certificate_obj(s) for s in run.steps)
     complete = all(mode == "complete" for mode, _ in tables)
     dims = {f: [payload[f] for _, payload in tables] if complete else []
@@ -216,9 +203,9 @@ def verify_kv(inst, fields=DEFAULT_FIELDS):
 
 
 def verify_mmp(inst, fields=DEFAULT_FIELDS):
-    """Run the divisor-directed program and check step invariance of the full
-    dimension vectors, certificate ranges, and the end-model vanishing; the
-    skipped verdict when D is not Q-Cartier."""
+    """Run the divisor-directed program (which raises on a certificate out of
+    range) and check step invariance of the full dimension vectors and the
+    end-model vanishing; the skipped verdict when D is not Q-Cartier."""
     kv, mmp = verify_instance(inst, fields)
     return mmp or kv
 

@@ -183,24 +183,27 @@ def test_chambers_match_the_witness_enumerator():
 
 
 def test_chambers_solve_no_system_from_scratch(monkeypatch):
-    # every split extends its parent cell's levels: no witness and no batch
-    # elimination of a whole system
+    # every split extends its parent cell's levels by its one row: no witness
+    # and no elimination of a whole system
     from toricvanish import cohomology, regions
 
     calls = []
+    real = regions.extend_levels
 
-    def counting(real):
-        def counted(*args):
-            calls.append(real.__name__)
-            return real(*args)
-        return counted
+    def extend(levels, rows):
+        calls.append(len(rows))
+        return real(levels, rows)
 
-    monkeypatch.setattr(regions, "feasible", counting(regions.feasible))
-    monkeypatch.setattr(regions, "_levels", counting(regions._levels))
+    def unexpected(*args):
+        raise AssertionError("a chamber system was solved from scratch")
+
+    monkeypatch.setattr(cohomology, "extend_levels", extend)
+    monkeypatch.setattr(regions, "feasible", unexpected)
+    monkeypatch.setattr(regions, "_feasible_levels", unexpected)
     cohomology._chambers_cached.cache_clear()
     inst = dict(curated_instances())["cubeq-flop"]
     assert len(chambers(inst.fan, inst.d_coeffs)) > 1
-    assert calls == []
+    assert calls and set(calls) == {1}
 
 
 def test_coh_dims_p2(p2):

@@ -263,6 +263,12 @@ def test_h0_flip_side():
     assert h0_dim(a, coeffs_of(a, {})) == INFINITE
 
 
+def test_h0_unbounded_strip_without_lattice_points():
+    # 1/3 <= m_1 <= 2/3 with m_2 free: unbounded, and no integer m_1
+    strip = make_fan(2, [(-1, 0), (1, 0)], [(0,), (1,)])
+    assert h0_dim(strip, (Fraction(2, 3), Fraction(-1, 3))) == ZERO
+
+
 def test_h0_fibration_zero(p1xp1):
     D = scale(-1, ray_divisor(p1xp1, (0, 1)))
     assert h0_dim(p1xp1, D) == ZERO

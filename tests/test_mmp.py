@@ -397,3 +397,23 @@ def test_divisorial_pullback_check_survives_python_O():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: D is not the pullback of its pushforward")
+
+
+def test_flip_certificate_range_check_survives_python_O():
+    # a discrepancy of -1 is out of the klt range; the check is a raise, not
+    # an assert
+    script = ("from toricvanish import mmp\n"
+              "from toricvanish.corpus import curated_instances\n"
+              "inst = dict(curated_instances())['flip2-relative']\n"
+              "mmp.discrepancy = lambda *args: -1\n"
+              "try:\n"
+              "    mmp.run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)\n"
+              "except RuntimeError as exc:\n"
+              "    print('raised:', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: discrepancy -1 <= -1: pair is not klt")

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from unittest.mock import patch
+from math import ceil, floor
 
 import pytest
 from hypothesis import given, settings
@@ -261,31 +261,75 @@ def parallel_rich_systems(draw):
     return IneqSystem.build(dim, rows)
 
 
-def _answers(sys):
-    w = feasible(sys)
-    bounded = _bounded(sys)
-    pts = lattice_points(sys) if bounded else None
-    return w, pts, has_lattice_point(sys)
+def _reference_answers(sys):
+    """Witness and lattice points (None when unbounded) from unpruned
+    elimination, with the same choice rule as `feasible`."""
+    levels = [list(sys.rows)]
+    for k in range(sys.dim - 1, -1, -1):
+        levels.insert(0, _reference_eliminate(levels[0], k))
+    if any(not any(a) and (c >= 0 if s else c > 0) for level in levels for a, c, s in level):
+        return None, []
+
+    def bounds(k, x):
+        lo = hi = None
+        lo_s = hi_s = False
+        for a, c, s in levels[k + 1]:
+            if a[k] == 0:
+                continue
+            r = Fraction(c - sum(a[i] * x[i] for i in range(k)), a[k])
+            if a[k] > 0:
+                if lo is None or r > lo:
+                    lo, lo_s = r, s
+                elif r == lo:
+                    lo_s = lo_s or s
+            else:
+                if hi is None or r < hi:
+                    hi, hi_s = r, s
+                elif r == hi:
+                    hi_s = hi_s or s
+        return lo, lo_s, hi, hi_s
+
+    def points(x):
+        if len(x) == sys.dim:
+            yield tuple(x)
+            return
+        lo, lo_s, hi, hi_s = bounds(len(x), x)
+        low = floor(lo) + 1 if lo_s else ceil(lo)
+        high = ceil(hi) - 1 if hi_s else floor(hi)
+        for v in range(low, high + 1):
+            yield from points(x + [v])
+
+    x = []
+    for k in range(sys.dim):
+        x.append(regions._pick(*bounds(k, x)))
+    return tuple(x), list(points([])) if _bounded(sys) else None
 
 
 @given(parallel_rich_systems())
 @settings(max_examples=300, deadline=None)
 def test_pruned_elimination_matches_unpruned(sys):
-    got = _answers(sys)
-    with patch.object(regions, "_eliminate", _reference_eliminate):
-        want = _answers(sys)
-    assert got == want
+    want_w, want_pts = _reference_answers(sys)
+    assert feasible(sys) == want_w
+    assert is_feasible(sys) == (want_w is not None)
+    assert lattice_points(sys) == want_pts
 
 
 def test_elimination_keeps_tightest_parallel_row():
+    def rows_at(levels, k):
+        return sorted(regions._stored_row(*item) for item in levels[k].items())
+
     # x + 2y >= 1 and 2x + 4y >= 3 are parallel; only the second binds
     rows = [((1, 2, 1), 1, False), ((2, 4, 1), 3, False), ((0, 0, -1), 0, False)]
-    assert regions._eliminate(rows, 2) == [((2, 4, 0), 3, False)]
-    # on a tie the strict row survives; of the constant rows 0 >= -1, 0 > -2
-    # only the more restrictive one does
-    rows = [((1,), 1, False), ((2,), 2, True), ((0,), -1, False), ((0,), -2, True)]
-    assert regions._eliminate(rows, 0) == [((0,), -1, False)]
-    assert regions._eliminate(rows[:2] + [((-1,), -1, False)], 0) == [((0,), 0, True)]
+    levels = regions.extend_levels(regions.empty_levels(3), rows)
+    assert rows_at(levels, 2) == [((2, 4, 0), 3, False)]
+    # on a tie the strict row survives; constant rows are judged, not stored
+    rows = [((1,), 1, False), ((2,), 2, True), ((0,), -1, False), ((0,), 0, False)]
+    levels = regions.extend_levels(regions.empty_levels(1), rows)
+    assert rows_at(levels, 1) == [((1,), 1, True)] and rows_at(levels, 0) == []
+    assert regions.extend_levels(regions.empty_levels(1), rows + [((0,), 0, True)]) is None
+    # x > 1 and x <= 1 combine to the violated constant row 0 > 0
+    assert regions.extend_levels(regions.empty_levels(1),
+                                 rows[:2] + [((-1,), -1, False)]) is None
 
 
 @st.composite
@@ -335,10 +379,24 @@ def test_is_feasible_matches_witness(sys):
 def test_extend_levels_decides_feasibility_of_every_prefix(sys):
     levels = regions.empty_levels(sys.dim)
     for i, row in enumerate(sys.rows):
-        levels = regions.extend_levels(levels, row)
+        levels = regions.extend_levels(levels, (row,))
         assert (levels is not None) == is_feasible(IneqSystem(sys.dim, sys.rows[:i + 1]))
         if levels is None:
             break
+
+
+@given(st.one_of(small_systems(), parallel_rich_systems()))
+@settings(max_examples=400, deadline=None)
+def test_one_extension_by_k_rows_matches_k_extensions_by_one(sys):
+    batch = regions.extend_levels(regions.empty_levels(sys.dim), sys.rows)
+    folded = regions.empty_levels(sys.dim)
+    for row in sys.rows:
+        folded = regions.extend_levels(folded, (row,))
+        if folded is None:
+            break
+    assert (batch is None) == (folded is None)
+    if folded is not None and recession_is_zero(sys):
+        assert list(regions._points(folded, sys.dim)) == lattice_points(sys)
 
 
 @given(small_systems())
@@ -367,16 +425,16 @@ def test_boundedness_in_dim_zero():
 
 
 def test_is_bounded_eliminates_twice(monkeypatch):
-    # a bounded rank-3 simplex: one elimination for the feasibility guard
-    # and one for the recession cone (2*3 probes plus the guard before)
+    # a bounded rank-3 simplex: one elimination of a whole system for the
+    # feasibility guard and one for the recession cone
     calls = []
-    real = regions._levels
+    real = regions._feasible_levels
 
     def counted(sys):
         calls.append(sys)
         return real(sys)
 
-    monkeypatch.setattr(regions, "_levels", counted)
+    monkeypatch.setattr(regions, "_feasible_levels", counted)
     s = sys_of(3, [((1, 0, 0), -1, False), ((0, 1, 0), -1, False),
                    ((0, 0, 1), -1, False), ((-1, -1, -1), -1, False)])
     assert _bounded(s)
