@@ -3,7 +3,16 @@
 Cones are given either by integer generators or by integer inequality rows
 {x : <a_i, x> >= 0}. Conversions run the double description method with a
 tight-set rank test for extremality, exact over the integers.
+
+A cone's dual is its H-representation, and pointedness, lineality, facets
+and extremality are all read from it. `cone_dual` reads the one memo of
+duals in the package, `_dual`: an `lru_cache` keyed on the generator tuple
+and `dim`, since a dual depends on the generators alone and not on the fan
+that holds them. It hands out tuples, so no caller can change what later
+readers see.
 """
+
+from functools import lru_cache
 
 from . import lp
 from .linalg import (
@@ -12,6 +21,14 @@ from .linalg import (
     int_rank,
     primitive,
 )
+
+
+def _reduce(v, t, c, pivot):
+    """c*v - t*pivot made primitive, where t = <a, v> and c = <a, pivot> > 0;
+    v itself when t = 0."""
+    if t == 0:
+        return v
+    return primitive(tuple(c * x - t * y for x, y in zip(v, pivot)))
 
 
 def dd_cone(rows, dim):
@@ -25,13 +42,11 @@ def dd_cone(rows, dim):
     processed = []
 
     def tight_rank(r):
-        tight = [a for a in processed if dot(a, r) == 0]
-        if not tight:
-            return 0
-        return int_rank(tight)
+        return int_rank([a for a in processed if dot(a, r) == 0])
 
     for a in rows:
         a = tuple(a)
+        processed.append(a)
         pidx = next((i for i, l in enumerate(lin) if dot(a, l) != 0), None)
         if pidx is not None:
             pivot = lin.pop(pidx)
@@ -39,49 +54,49 @@ def dd_cone(rows, dim):
             if c < 0:
                 pivot = tuple(-x for x in pivot)
                 c = -c
-            lin = [l if dot(a, l) == 0 else
-                   primitive(tuple(c * l[i] - dot(a, l) * pivot[i] for i in range(dim)))
-                   for l in lin]
-            rays = [r if dot(a, r) == 0 else
-                    primitive(tuple(c * r[i] - dot(a, r) * pivot[i] for i in range(dim)))
-                    for r in rays]
+            lin = [_reduce(l, dot(a, l), c, pivot) for l in lin]
+            rays = [_reduce(r, dot(a, r), c, pivot) for r in rays]
             rays.append(pivot)
-            processed.append(a)
             continue
-        pos = [r for r in rays if dot(a, r) > 0]
-        neg = [r for r in rays if dot(a, r) < 0]
-        zero = [r for r in rays if dot(a, r) == 0]
-        candidates = list(pos) + list(zero)
-        for rp in pos:
-            cp = dot(a, rp)
-            for rn in neg:
-                cn = -dot(a, rn)
-                comb = tuple(cn * rp[i] + cp * rn[i] for i in range(dim))
+        vals = [dot(a, r) for r in rays]
+        pos = [(r, t) for r, t in zip(rays, vals) if t > 0]
+        neg = [(r, -t) for r, t in zip(rays, vals) if t < 0]
+        candidates = [r for r, _ in pos] + [r for r, t in zip(rays, vals) if t == 0]
+        for rp, cp in pos:
+            for rn, cn in neg:
+                comb = tuple(cn * x + cp * y for x, y in zip(rp, rn))
                 if any(comb):
                     candidates.append(primitive(comb))
-        processed.append(a)
-        seen = set()
-        kept = []
         target = dim - len(lin) - 1
-        for r in candidates:
-            if r in seen:
-                continue
-            seen.add(r)
-            if tight_rank(r) >= target:
-                kept.append(r)
-        rays = kept
+        rays = [r for r in dict.fromkeys(candidates) if tight_rank(r) >= target]
     return rays, lin
 
 
 def cone_dual(gens, dim):
-    """Generators of the dual cone {w : <w, g> >= 0 for all g}.
+    """Generators of the dual cone {w : <w, g> >= 0 for all g}, memoized.
 
-    Returns (rays, lineality); the lineality space is the orthogonal
-    complement of span(gens). Read as an H-representation of cone(gens):
-    x is in the cone iff <w,x> >= 0 for w in rays and <e,x> = 0 for e in
-    lineality.
+    Returns (rays, lineality) as tuples; the lineality space is the
+    orthogonal complement of span(gens). Read as an H-representation of
+    cone(gens): x is in the cone iff <w,x> >= 0 for w in rays and <e,x> = 0
+    for e in lineality.
     """
-    return dd_cone([tuple(g) for g in gens], dim)
+    return _dual(tuple(map(tuple, gens)), dim)
+
+
+@lru_cache(maxsize=16384)
+def _dual(gens, dim):
+    rays, lin = dd_cone(gens, dim)
+    return tuple(rays), tuple(lin)
+
+
+def halfspaces(hrep):
+    """Covectors w with cone = {x : <w, x> >= 0 for each w}: the
+    inequalities, then each equation e as e and -e."""
+    ineqs, eqs = hrep
+    out = list(ineqs)
+    for e in eqs:
+        out += [e, tuple(-x for x in e)]
+    return out
 
 
 def in_cone_hrep(hrep, x):
@@ -90,22 +105,22 @@ def in_cone_hrep(hrep, x):
 
 
 def cone_dim(gens):
-    if not gens:
-        return 0
-    return int_rank([list(g) for g in gens])
+    return int_rank(gens)
 
 
 def cone_lineality(gens, dim):
     """Basis of the lineality space of cone(gens)."""
     ineqs, eqs = cone_dual(gens, dim)
-    rows = [list(w) for w in ineqs] + [list(e) for e in eqs]
+    rows = ineqs + eqs
     if not rows:
         return [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
     return int_kernel(rows)
 
 
 def cone_is_pointed(gens, dim):
-    return not cone_lineality(gens, dim)
+    """Whether cone(gens) holds no line, i.e. its dual is full-dimensional."""
+    ineqs, eqs = cone_dual(gens, dim)
+    return int_rank(ineqs + eqs) == dim
 
 
 def cone_facets(gens, dim):
@@ -142,5 +157,5 @@ def extreme_rays(gens):
     if not nonzero:
         return []
     dim = len(nonzero[0])
-    keep = extreme_ray_indices([g for g in gens], dim)
+    keep = extreme_ray_indices(gens, dim)
     return [gens[i] for i in keep]

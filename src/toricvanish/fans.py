@@ -5,10 +5,11 @@ Rays are kept lexicographically sorted and cone index sets sorted, so fan
 equality is structural.
 
 Fan-level predicates that run Fourier-Motzkin (`is_complete`,
-`support_is_convex`) and the per-cone H-representations and dimensions are
-memoized per process with `lru_cache`. This is safe because a `Fan` is a
-frozen dataclass compared structurally: equal fans give equal answers, and no
-fan changes after it is built.
+`support_is_convex`) and the per-cone dimensions are memoized per process
+with `lru_cache`. This is safe because a `Fan` is a frozen dataclass compared
+structurally: equal fans give equal answers, and no fan changes after it is
+built. H-representations come from the generator-keyed memo of
+`cones.cone_dual`, so a cone shared by several fans is dualized once.
 """
 
 from dataclasses import dataclass
@@ -53,7 +54,6 @@ def make_fan(rank, rays, max_cones):
     return Fan(rank, sorted_rays, tuple(new_cones))
 
 
-@lru_cache(maxsize=16384)
 def _cone_hrep(fan, cone):
     gens = [fan.rays[i] for i in cone]
     return cones.cone_dual(gens, fan.rank)
@@ -76,11 +76,8 @@ def support_contains(fan, v):
 
 def _facets(fan, cone):
     """Facets of a maximal cone as tuples of ray indices."""
-    gens = [fan.rays[i] for i in cone]
-    out = []
-    for w, idx in cones.cone_facets(gens, fan.rank):
-        out.append((w, tuple(cone[i] for i in idx)))
-    return out
+    facets = cones.cone_facets([fan.rays[i] for i in cone], fan.rank)
+    return [(w, tuple(cone[i] for i in idx)) for w, idx in facets]
 
 
 def validate(fan):
@@ -93,10 +90,11 @@ def validate(fan):
         if not c:
             defects.append("empty cone listed")
             continue
-        if not cones.cone_is_pointed(gens, fan.rank):
+        try:
+            extreme = set(cones.extreme_ray_indices(gens, fan.rank))
+        except ValueError:
             defects.append(f"cone {c} is not strongly convex")
             continue
-        extreme = set(cones.extreme_ray_indices(gens, fan.rank))
         if extreme != set(range(len(gens))):
             bad = [c[i] for i in range(len(gens)) if i not in extreme]
             defects.append(f"cone {c} lists non-extreme rays {bad}")
@@ -119,11 +117,7 @@ def validate(fan):
 def _intersection_is_common_face(fan, ca, cb):
     ha = _cone_hrep(fan, ca)
     hb = _cone_hrep(fan, cb)
-    rows = [list(w) for w in ha[0]] + [list(w) for w in hb[0]]
-    for e in list(ha[1]) + list(hb[1]):
-        rows.append(list(e))
-        rows.append([-x for x in e])
-    gens, lin = cones.dd_cone(rows, fan.rank)
+    gens, lin = cones.dd_cone(cones.halfspaces(ha) + cones.halfspaces(hb), fan.rank)
     if lin:
         return False
     for cone, hrep, other in ((ca, ha, hb), (cb, hb, ha)):
@@ -177,13 +171,9 @@ def support_is_convex(fan):
     """Whether the union of cones equals the cone generated by all rays."""
     if not fan.max_cones:
         return True
-    hull_ineqs, hull_eqs = cones.cone_dual(list(fan.rays), fan.rank)
-    base = [(tuple(w), 0, False) for w in hull_ineqs]
-    for e in hull_eqs:
-        base.append((tuple(e), 0, False))
-        base.append((tuple(-x for x in e), 0, False))
-    hreps = [_cone_hrep(fan, c) for c in fan.max_cones]
-    return subtract_cones(fan.rank, base, hreps) is None
+    hull = cones.cone_dual(fan.rays, fan.rank)
+    base = [(w, 0, False) for w in cones.halfspaces(hull)]
+    return subtract_cones(fan.rank, base, _hreps(fan)) is None
 
 
 @lru_cache(maxsize=4096)
@@ -277,18 +267,17 @@ def q_factorialize(fan):
     return out, identity_map(out, fan)
 
 
-def _target_hreps(tgt):
-    """H-representations of the target's maximal cones; the zero cone when none."""
-    if tgt.max_cones:
-        return [_cone_hrep(tgt, tc) for tc in tgt.max_cones]
-    basis = [tuple(1 if i == j else 0 for i in range(tgt.rank)) for j in range(tgt.rank)]
-    return [((), tuple(basis))]
+def _hreps(fan):
+    """H-representations of the maximal cones; the zero cone's when none."""
+    if fan.max_cones:
+        return [_cone_hrep(fan, c) for c in fan.max_cones]
+    return [cones.cone_dual([], fan.rank)]
 
 
 def check_map(m):
     """Well-definedness, properness and birationality of a toric morphism."""
     src, tgt = m.source, m.target
-    tgt_hreps = _target_hreps(tgt)
+    tgt_hreps = _hreps(tgt)
     well = True
     for c in src.max_cones:
         images = [m.apply(src.rays[i]) for i in c]
@@ -298,20 +287,11 @@ def check_map(m):
     proper = well
     if proper:
         # preimage of each target cone must be covered by the source cones
-        src_hreps = [_cone_hrep(src, c) for c in src.max_cones]
-        if not src_hreps:
-            basis = [tuple(1 if i == j else 0 for i in range(src.rank))
-                     for j in range(src.rank)]
-            src_hreps = [((), tuple(basis))]
+        src_hreps = _hreps(src)
         cols = list(zip(*m.matrix)) if m.matrix else [() for _ in range(src.rank)]
-        for ineqs, eqs in tgt_hreps:
-            rows = []
-            for w in ineqs:
-                rows.append((tuple(dot(w, col) for col in cols), 0, False))
-            for e in eqs:
-                we = tuple(dot(e, col) for col in cols)
-                rows.append((we, 0, False))
-                rows.append((tuple(-x for x in we), 0, False))
+        for h in tgt_hreps:
+            rows = [(tuple(dot(w, col) for col in cols), 0, False)
+                    for w in cones.halfspaces(h)]
             if subtract_cones(src.rank, rows, src_hreps) is not None:
                 proper = False
                 break

@@ -44,6 +44,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
+from .cones import halfspaces
 from .linalg import (
     adapted_basis,
     gcd_list,
@@ -315,49 +316,49 @@ def lattice_points(sys):
 def has_lattice_point(sys):
     """Integer feasibility of a possibly unbounded rational region.
 
-    Splits off an integer recession direction via a unimodular change of
-    coordinates and projects; the projection is handled recursively until the
-    remaining region is bounded.
+    While the region has an integer recession direction, a unimodular change
+    of coordinates makes it the last one and the region is replaced by its
+    projection. The rotated system is feasible iff the region is, so only a
+    bounded region is eliminated itself; a projection's rows are level n-1 of
+    the rotated system, and its levels are that system's levels[:n].
     """
-    levels = _feasible_levels(sys)
+    levels = None
+    while sys.dim:
+        n = sys.dim
+        d = recession_direction(sys)
+        if d is None:
+            break
+        V, _ = adapted_basis([d], n)
+        W = invert_unimodular(V)
+        W = W[1:] + W[:1]
+        # x = sum_j y_j W[j] with W[n-1] = +-d; y integral iff x integral, and
+        # the y_{n-1} interval over any feasible projection point is infinite
+        new_rows = tuple((tuple(sum(a[i] * w[i] for i in range(n)) for w in W), c, s)
+                         for a, c, s in sys.rows)
+        levels = _feasible_levels(IneqSystem(n, new_rows))
+        if levels is None:
+            return False
+        levels = levels[:n]
+        rows = (_stored_row(e, entry) for e, entry in levels[n - 1].items())
+        sys = IneqSystem(n - 1, tuple((a[:-1], c, s) for a, c, s in rows))
     if levels is None:
-        return False
-    n = sys.dim
-    if n == 0:
-        return True
-    d = recession_direction(sys)
-    if d is None:
-        return next(_points(levels, n), None) is not None
-    V, _ = adapted_basis([d], n)
-    W = invert_unimodular(V)
-    W = W[1:] + W[:1]
-    # x = sum_j y_j W[j] with W[n-1] = +-d; y integral iff x integral, and
-    # the y_{n-1} interval over any feasible projection point is infinite
-    new_rows = tuple((tuple(sum(a[i] * w[i] for i in range(n)) for w in W), c, s)
-                     for a, c, s in sys.rows)
-    projected = _feasible_levels(IneqSystem(n, new_rows))[n - 1]
-    sub = tuple((a[:-1], c, s) for a, c, s in
-                (_stored_row(e, entry) for e, entry in projected.items()))
-    return has_lattice_point(IneqSystem(n - 1, sub))
+        levels = _feasible_levels(sys)
+    return levels is not None and next(_points(levels, sys.dim), None) is not None
 
 
 def subtract_cones(dim, base_rows, cone_hreps):
     """A witness in the base region outside every listed cone, or None.
 
-    base_rows are normalized row triples; each cone is (ineqs, eqs) lists of
-    integer covectors. Decides exact covering of a region by cones via the
+    base_rows are normalized row triples; each cone is an (ineqs, eqs) pair
+    of integer covectors. Decides exact covering of a region by cones via the
     disjoint set-difference decomposition over each cone's halfspaces.
     """
     pieces = [list(base_rows)]
-    for ineqs, eqs in cone_hreps:
-        halfspaces = [tuple(w) for w in ineqs]
-        for e in eqs:
-            halfspaces.append(tuple(e))
-            halfspaces.append(tuple(-x for x in e))
+    for hs in map(halfspaces, cone_hreps):
         new_pieces = []
         for piece in pieces:
             prefix = []
-            for h in halfspaces:
+            for h in hs:
                 cand = piece + prefix + [(tuple(-x for x in h), 0, True)]
                 if is_feasible(IneqSystem(dim, tuple(cand))):
                     new_pieces.append(cand)

@@ -10,9 +10,10 @@ from toricvanish.cones import (
     cone_is_pointed,
     cone_lineality,
     dd_cone,
+    halfspaces,
     in_cone_hrep,
 )
-from toricvanish.linalg import dot
+from toricvanish.linalg import dot, int_rank, primitive
 
 
 def test_dd_quadrant():
@@ -34,7 +35,7 @@ def test_dd_infeasible_direction_is_origin():
 
 def test_hrep_of_zero_cone():
     ineqs, eqs = cone_dual([], 2)
-    assert ineqs == []
+    assert ineqs == ()
     assert len(eqs) == 2
     assert in_cone_hrep((ineqs, eqs), (0, 0))
     assert not in_cone_hrep((ineqs, eqs), (1, 0))
@@ -81,3 +82,98 @@ def test_dd_membership_round_trip(gens):
     for e in eqs:
         assert all(dot(e, g) == 0 for g in gens)
         assert not in_cone_hrep(hrep, tuple(e))
+
+
+def _reference_dd_cone(rows, dim):
+    """The double description as it was before each ray's product with the
+    new row was taken once: the reference for order as well as content."""
+    lin = [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
+    rays = []
+    processed = []
+
+    def tight_rank(r):
+        tight = [a for a in processed if dot(a, r) == 0]
+        if not tight:
+            return 0
+        return int_rank(tight)
+
+    for a in rows:
+        a = tuple(a)
+        pidx = next((i for i, l in enumerate(lin) if dot(a, l) != 0), None)
+        if pidx is not None:
+            pivot = lin.pop(pidx)
+            c = dot(a, pivot)
+            if c < 0:
+                pivot = tuple(-x for x in pivot)
+                c = -c
+            lin = [l if dot(a, l) == 0 else
+                   primitive(tuple(c * l[i] - dot(a, l) * pivot[i] for i in range(dim)))
+                   for l in lin]
+            rays = [r if dot(a, r) == 0 else
+                    primitive(tuple(c * r[i] - dot(a, r) * pivot[i] for i in range(dim)))
+                    for r in rays]
+            rays.append(pivot)
+            processed.append(a)
+            continue
+        pos = [r for r in rays if dot(a, r) > 0]
+        neg = [r for r in rays if dot(a, r) < 0]
+        zero = [r for r in rays if dot(a, r) == 0]
+        candidates = list(pos) + list(zero)
+        for rp in pos:
+            cp = dot(a, rp)
+            for rn in neg:
+                cn = -dot(a, rn)
+                comb = tuple(cn * rp[i] + cp * rn[i] for i in range(dim))
+                if any(comb):
+                    candidates.append(primitive(comb))
+        processed.append(a)
+        seen = set()
+        kept = []
+        target = dim - len(lin) - 1
+        for r in candidates:
+            if r in seen:
+                continue
+            seen.add(r)
+            if tight_rank(r) >= target:
+                kept.append(r)
+        rays = kept
+    return rays, lin
+
+
+@st.composite
+def _rows_with_repeats(draw):
+    """Rows in dimension 1..4, with duplicate, zero, parallel and opposite
+    rows made by scaling drawn rows by 1, 0, 2 and -1 or -3."""
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    rows = draw(st.lists(vec, max_size=6))
+    if rows:
+        scaled = draw(st.lists(st.tuples(st.integers(0, len(rows) - 1),
+                                         st.sampled_from([1, 0, 2, -1, -3])),
+                               max_size=4))
+        rows += [tuple(k * x for x in rows[i]) for i, k in scaled]
+    return draw(st.permutations(rows)), dim
+
+
+@given(_rows_with_repeats())
+@settings(max_examples=300, deadline=None)
+def test_dd_cone_matches_reference_in_order(case):
+    rows, dim = case
+    assert dd_cone(rows, dim) == _reference_dd_cone(rows, dim)
+
+
+@given(_rows_with_repeats())
+@settings(max_examples=150, deadline=None)
+def test_pointed_iff_no_lineality(case):
+    gens, dim = case
+    assert cone_is_pointed(gens, dim) == (not cone_lineality(gens, dim))
+
+
+_vec3 = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+
+
+@given(st.lists(_vec3, max_size=4), _vec3)
+@settings(max_examples=200, deadline=None)
+def test_halfspaces_describe_the_cone(gens, x):
+    hrep = cone_dual(gens, 3)
+    assert all(dot(w, x) >= 0 for w in halfspaces(hrep)) == in_cone_hrep(hrep, x)

@@ -13,7 +13,7 @@ from toricvanish.corpus import (
     projective_space,
     seed_fans,
 )
-from toricvanish import verify
+from toricvanish import cones, verify
 from toricvanish.divisors import (
     NotQCartier,
     canonical,
@@ -218,6 +218,24 @@ def test_suite_reports_why_the_mmp_check_failed(monkeypatch):
     assert entry["verdict"] == "fail" and entry["mmp_pass"] is False
     assert "q: dims changed at step 0" in entry["notes"]
     assert "q: dims changed at step 1" in entry["notes"]
+
+
+def test_cubeq_flop_computes_each_cone_dual_once(monkeypatch):
+    # a dual depends on its generators alone, so within one verification no
+    # generator list reaches the double description through cone_dual twice
+    seen = {}
+    real = cones.dd_cone
+
+    def counted(rows, dim):
+        if sys._getframe(1).f_globals is vars(cones):
+            key = (tuple(map(tuple, rows)), dim)
+            seen[key] = seen.get(key, 0) + 1
+        return real(rows, dim)
+
+    cones._dual.cache_clear()
+    monkeypatch.setattr(cones, "dd_cone", counted)
+    verify.verify_instance(dict(curated_instances())["cubeq-flop"])
+    assert seen and max(seen.values()) == 1
 
 
 def test_verify_kv_never_runs_the_mmp(monkeypatch):

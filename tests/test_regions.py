@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricvanish import regions
-from toricvanish.cones import cone_dual, extreme_rays, in_cone_hrep
+from toricvanish.cones import cone_dual, extreme_rays, halfspaces, in_cone_hrep
 from toricvanish.linalg import gcd_list, primitive
 from toricvanish.regions import (
     IneqSystem,
@@ -210,6 +210,16 @@ def test_subtract_cones_cover():
     assert subtract_cones(2, [], [left, right]) is None
     w = subtract_cones(2, [], [left])
     assert w is not None and w[0] < 0
+
+
+def test_subtract_cones_covers_a_line_by_two_rays():
+    # the x-axis of the plane, as the base region and as two rays' duals:
+    # each equation of a ray's H-representation is two halfspaces
+    axis = [(w, 0, False) for w in halfspaces(cone_dual([(1, 0), (-1, 0)], 2))]
+    right, left = cone_dual([(1, 0)], 2), cone_dual([(-1, 0)], 2)
+    assert subtract_cones(2, axis, [right, left]) is None
+    w = subtract_cones(2, axis, [right])
+    assert w is not None and w[0] < 0 and w[1] == 0
 
 
 def _reference_eliminate(rows, k):
@@ -441,10 +451,17 @@ def test_is_bounded_eliminates_twice(monkeypatch):
     assert len(calls) == 2
 
 
-def test_has_lattice_point_finds_a_recession_direction_once_per_level(monkeypatch):
+def _slab():
     # 1/4 <= x - y <= 1/3, 0 <= x + y <= 5, z <= 0: rank 3, recession cone
-    # the ray of -e3, no integer points. Each recursion level asks for at
-    # most the one witness of its homogenized system.
+    # the ray of -e3, no integer points
+    return sys_of(3, [((4, -4, 0), 1, False), ((-3, 3, 0), -1, False),
+                      ((1, 1, 0), 0, False), ((-1, -1, 0), -5, False),
+                      ((0, 0, -1), 0, False)])
+
+
+def test_has_lattice_point_finds_a_recession_direction_once_per_level(monkeypatch):
+    # each recursion level asks for at most the one witness of its
+    # homogenized system
     calls = []
     real = regions.feasible
 
@@ -453,8 +470,22 @@ def test_has_lattice_point_finds_a_recession_direction_once_per_level(monkeypatc
         return real(sys)
 
     monkeypatch.setattr(regions, "feasible", counted)
-    s = sys_of(3, [((4, -4, 0), 1, False), ((-3, 3, 0), -1, False),
-                   ((1, 1, 0), 0, False), ((-1, -1, 0), -5, False),
-                   ((0, 0, -1), 0, False)])
-    assert not has_lattice_point(s)
+    assert not has_lattice_point(_slab())
     assert sorted(calls) == [2, 3]
+
+
+def test_has_lattice_point_eliminates_twice_per_level(monkeypatch):
+    # the slab's homogenized and rotated systems, then the projection's
+    # homogenized system: the slab itself is never eliminated (the rotated
+    # system is feasible iff it is), and the bounded projection's levels are
+    # the rotated system's lower levels
+    calls = []
+    real = regions._feasible_levels
+
+    def counted(sys):
+        calls.append((sys.dim, len(sys.rows)))
+        return real(sys)
+
+    monkeypatch.setattr(regions, "_feasible_levels", counted)
+    assert not has_lattice_point(_slab())
+    assert calls == [(3, 6), (3, 5), (2, 5)]
