@@ -7,8 +7,10 @@ Chambers of constant sign pattern are enumerated exactly; homology is read
 off integer boundary matrices once and reduced to any coefficient field via
 their invariant factors (Q: nonzero ones; F_p: those not divisible by p).
 A field is `parse_field`'s result: None for Q, or the prime p. A chamber is
-its sign pattern and region; `coh_dims` decides boundedness only for the
-chambers with nonzero homology, whose lattice points it counts.
+its sign pattern and region. A neg complex that is Z-acyclic (invariant
+factors all 1, no Q-homology) has no homology over any field, so its
+chambers are dropped once per (fan, D) and each field walks the rest;
+`coh_dims` counts lattice points, and so decides boundedness, only there.
 
 Chambers are built as a binary tree over the rays: each cell of the first i
 rays splits on ray i into the side where the section inequality holds and
@@ -24,7 +26,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
-from .fans import incidence_complex, is_complete, is_simplicial
+from .fans import is_complete, is_simplicial
 from .linalg import dot, snf_diagonal
 from .regions import (
     IneqSystem,
@@ -50,9 +52,8 @@ def parse_field(name):
 
 def neg_complex(fan, neg):
     """Maximal faces of the full subcomplex induced on the given ray set."""
-    ic = incidence_complex(fan)
     neg = frozenset(neg)
-    faces = {tuple(sorted(set(f) & neg)) for f in ic.facets}
+    faces = {tuple(sorted(set(f) & neg)) for f in fan.max_cones}
     maximal = [f for f in faces
                if not any(f != g and set(f) <= set(g) for g in faces)]
     return tuple(sorted(f for f in maximal if f))
@@ -97,10 +98,9 @@ def _rank_over(divisors, field):
 def homology_dims(maximal_faces, field, top_degree):
     """Reduced homology dimensions in degrees -1..top_degree over the field."""
     data = _boundary_divisors(maximal_faces)
-    dims = {}
     r = {k: _rank_over(divs, field) for k, (_, divs) in data.items()}
     n = {k: nk for k, (nk, _) in data.items()}
-    dims[-1] = 1 - r.get(0, 0)
+    dims = {-1: 1 - r.get(0, 0)}
     for k in range(0, top_degree + 1):
         dims[k] = n.get(k, 0) - r.get(k, 0) - r.get(k + 1, 0)
     return dims
@@ -149,11 +149,29 @@ def _lattice_count(region):
     return None if pts is None else len(pts)
 
 
-def chambers(fan, coeffs):
-    """Feasible sign-pattern chambers of D, in binary order over the rays."""
+def _z_acyclic(maximal_faces):
+    """No reduced homology over any field: invariant factors 1, Q-dims 0."""
+    data = _boundary_divisors(maximal_faces)
+    return (all(d == 1 for _, divs in data.values() for d in divs)
+            and not any(homology_dims(maximal_faces, None, max(data)).values()))
+
+
+@lru_cache(maxsize=512)
+def _homology_chambers(fan, coeffs):
+    """(chamber, neg complex), in chamber order, where that is not Z-acyclic."""
+    pairs = ((ch, _pattern_homology(fan, ch.pattern)) for ch in chambers(fan, coeffs))
+    return tuple(p for p in pairs if not _z_acyclic(p[1]))
+
+
+def _chamber_key(fan, coeffs):
     if not is_simplicial(fan):
         raise ValueError("chamber decomposition requires a simplicial fan")
-    return list(_chambers_cached(fan, tuple(Fraction(c) for c in coeffs)))
+    return tuple(Fraction(c) for c in coeffs)
+
+
+def chambers(fan, coeffs):
+    """Feasible sign-pattern chambers of D, in binary order over the rays."""
+    return list(_chambers_cached(fan, _chamber_key(fan, coeffs)))
 
 
 def coh_dims(fan, coeffs, field=None):
@@ -166,8 +184,8 @@ def coh_dims(fan, coeffs, field=None):
     if not is_complete(fan):
         raise ValueError("coh_dims requires a complete fan; use vanishing_higher")
     dims = [0] * (fan.rank + 1)
-    for ch in chambers(fan, coeffs):
-        hom = homology_dims(_pattern_homology(fan, ch.pattern), field, fan.rank - 1)
+    for ch, cx in _homology_chambers(fan, _chamber_key(fan, coeffs)):
+        hom = homology_dims(cx, field, fan.rank - 1)
         if not any(hom.values()):
             continue
         count = _lattice_count(ch.region)
@@ -188,8 +206,8 @@ def vanishing_higher(fan, coeffs, field=None):
     is not required. Only chambers holding a lattice point can contribute a
     graded piece. Returns (True, None) or (False, (pattern, degree)).
     """
-    for ch in chambers(fan, coeffs):
-        hom = homology_dims(_pattern_homology(fan, ch.pattern), field, fan.rank - 1)
+    for ch, cx in _homology_chambers(fan, _chamber_key(fan, coeffs)):
+        hom = homology_dims(cx, field, fan.rank - 1)
         bad = next((p for p in range(1, fan.rank + 1) if hom.get(p - 1, 0)), None)
         if bad is not None and has_lattice_point(ch.region):
             return False, (ch.pattern, bad)
@@ -203,6 +221,7 @@ def pattern_of(fan, coeffs, m):
 
 def graded_piece(fan, coeffs, m, field=None):
     """Chamber-formula dimensions of the degree-m piece, h^0..h^rank."""
+    coeffs = _chamber_key(fan, coeffs)
     hom = homology_dims(_pattern_homology(fan, pattern_of(fan, coeffs, m)),
                         field, fan.rank - 1)
     return tuple(hom.get(p - 1, 0) for p in range(fan.rank + 1))

@@ -9,7 +9,7 @@ and extremality are all read from it. `cone_dual` reads the one memo of
 duals in the package, `_dual`: an `lru_cache` keyed on the generator tuple
 and `dim`, since a dual depends on the generators alone and not on the fan
 that holds them. It hands out tuples, so no caller can change what later
-readers see.
+readers see; `extreme_ray_indices` is memoized the same way.
 """
 
 from functools import lru_cache
@@ -133,8 +133,10 @@ def cone_facets(gens, dim):
     return out
 
 
+@lru_cache(maxsize=16384)
 def extreme_ray_indices(gens, dim):
-    """Indices of the generators that are extreme rays of the pointed cone(gens)."""
+    """Indices of the generators (a tuple of tuples) that are extreme rays of
+    the pointed cone(gens), as a sorted tuple; memoized like `_dual`."""
     if not cone_is_pointed(gens, dim):
         raise ValueError("not strongly convex")
     prim = {}
@@ -143,16 +145,16 @@ def extreme_ray_indices(gens, dim):
             p = primitive(g)
             prim.setdefault(p, i)
     out = []
-    for p, i in sorted(prim.items(), key=lambda kv: kv[1]):
+    for p, i in prim.items():
         others = [q for q in prim if q != p]
         if not lp.in_cone(p, others):
             out.append(i)
-    return sorted(out)
+    return tuple(out)
 
 
 def extreme_rays(gens):
     """Minimal generating subset of a strongly convex cone, in input order."""
-    gens = [tuple(g) for g in gens]
+    gens = tuple(map(tuple, gens))
     nonzero = [g for g in gens if any(g)]
     if not nonzero:
         return []

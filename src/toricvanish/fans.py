@@ -8,8 +8,9 @@ Fan-level predicates that run Fourier-Motzkin (`is_complete`,
 `support_is_convex`) and the per-cone dimensions are memoized per process
 with `lru_cache`. This is safe because a `Fan` is a frozen dataclass compared
 structurally: equal fans give equal answers, and no fan changes after it is
-built. H-representations come from the generator-keyed memo of
-`cones.cone_dual`, so a cone shared by several fans is dualized once.
+built. Each cone's H-representation (`cones.cone_dual`) and `validate`'s
+common-face test of each pair of maximal cones (`_common_face`) are memoized
+on generators, so a cone or a pair shared by several fans is decided once.
 """
 
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .linalg import (
     primitive,
     snf_diagonal,
 )
-from .regions import subtract_cones
+from .regions import IneqSystem, is_feasible, subtract_cones
 
 
 @dataclass(frozen=True)
@@ -86,7 +87,7 @@ def validate(fan):
     used = set()
     for c in fan.max_cones:
         used.update(c)
-        gens = [fan.rays[i] for i in c]
+        gens = tuple(fan.rays[i] for i in c)
         if not c:
             defects.append("empty cone listed")
             continue
@@ -109,25 +110,28 @@ def validate(fan):
             if set(ca) <= set(cb) or set(cb) <= set(ca):
                 defects.append(f"cone {ca} is a face of cone {cb}")
                 continue
-            if not _intersection_is_common_face(fan, ca, cb):
+            if not _common_face(tuple(fan.rays[i] for i in ca),
+                                tuple(fan.rays[i] for i in cb), fan.rank):
                 defects.append(f"intersection of cones {ca} and {cb} is not a face")
     return defects
 
 
-def _intersection_is_common_face(fan, ca, cb):
-    ha = _cone_hrep(fan, ca)
-    hb = _cone_hrep(fan, cb)
-    gens, lin = cones.dd_cone(cones.halfspaces(ha) + cones.halfspaces(hb), fan.rank)
-    if lin:
-        return False
-    for cone, hrep, other in ((ca, ha, hb), (cb, hb, ha)):
-        crays = [fan.rays[i] for i in cone]
-        zero_normals = [w for w in hrep[0] if all(dot(w, g) == 0 for g in gens)]
-        face = [g for g in crays if all(dot(w, g) == 0 for w in zero_normals)]
-        for g in face:
-            if not cones.in_cone_hrep(other, g):
-                return False
-    return True
+@lru_cache(maxsize=16384)
+def _common_face(ga, gb, dim):
+    """Whether cone(ga) and cone(gb) meet in a face of each (Cox, Little and
+    Schenck, Lemma 1.2.13): with S the shared generators, each cone's facets
+    through S cut out exactly cone(S), and no point of both cones lies off
+    the facets of cone(ga) through S."""
+    shared = set(ga) & set(gb)
+    for gens in (gb, ga):  # ga last: `zero` keeps its facets through S
+        zero = [w for w in cones.cone_dual(gens, dim)[0]
+                if all(dot(w, s) == 0 for s in shared)]
+        if {g for g in gens if all(dot(w, g) == 0 for w in zero)} != shared:
+            return False
+    total = tuple(map(sum, zip(*zero))) or (0,) * dim
+    rows = [(w, 0, False) for gens in (ga, gb)
+            for w in cones.halfspaces(cones.cone_dual(gens, dim))]
+    return not is_feasible(IneqSystem(dim, tuple(rows) + ((total, 0, True),)))
 
 
 @dataclass(frozen=True)

@@ -97,7 +97,7 @@ def contract(fan, extremal):
     removed = set()
     new_cones = {}
     for g, idx in zip(merged, group_rays):
-        gens = [fan.rays[i] for i in idx]
+        gens = tuple(fan.rays[i] for i in idx)
         extreme = cones.extreme_ray_indices(gens, fan.rank)
         removed.update(idx[k] for k in range(len(idx)) if k not in extreme)
         new_cones[g] = tuple(idx[k] for k in extreme)
@@ -151,7 +151,7 @@ def _fibration(fan, merged, lineal, ray_walls):
     for imgs in image_cones:
         if not imgs:
             continue
-        keep = cones.extreme_ray_indices(imgs, new_rank)
+        keep = cones.extreme_ray_indices(tuple(imgs), new_rank)
         cone_sets.append(tuple(ray_list.index(imgs[i]) for i in keep))
     maximal = []
     for c in cone_sets:

@@ -13,6 +13,7 @@ from conftest import (
     p3_fan,
     p112_fan,
 )
+from toricvanish import cohomology
 from toricvanish.cohomology import (
     ChamberReport,
     cech_graded,
@@ -40,8 +41,14 @@ from toricvanish.divisors import (
     scale,
     sub,
 )
-from toricvanish.fans import is_simplicial, q_factorialize, star_subdivide
-from toricvanish.regions import IneqSystem, feasible, make_row
+from toricvanish.fans import is_complete, is_simplicial, q_factorialize, star_subdivide
+from toricvanish.regions import (
+    IneqSystem,
+    feasible,
+    has_lattice_point,
+    lattice_points,
+    make_row,
+)
 
 FIELDS = [None, 2, 3, 5, 7]
 
@@ -363,3 +370,96 @@ def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeyp
     assert coh_dims(p2, K, None) == (0, 0, 1)
     assert len(chambers(p2, K)) == 7
     assert len(calls) == 1
+
+
+def _reference_coh_dims(fan, coeffs, field):
+    """`coh_dims` as it walked every chamber, Z-acyclic ones included."""
+    dims = [0] * (fan.rank + 1)
+    for ch in chambers(fan, coeffs):
+        hom = homology_dims(neg_complex(fan, ch.pattern), field, fan.rank - 1)
+        if not any(hom.values()):
+            continue
+        pts = lattice_points(ch.region)
+        if pts is None:
+            if has_lattice_point(ch.region):
+                raise RuntimeError("unbounded chamber with nonzero homology "
+                                   "and lattice points on a complete fan")
+            continue
+        for p in range(fan.rank + 1):
+            dims[p] += len(pts) * hom.get(p - 1, 0)
+    return tuple(dims)
+
+
+def _reference_vanishing_higher(fan, coeffs, field):
+    """`vanishing_higher` as it walked every chamber."""
+    for ch in chambers(fan, coeffs):
+        hom = homology_dims(neg_complex(fan, ch.pattern), field, fan.rank - 1)
+        bad = next((p for p in range(1, fan.rank + 1) if hom.get(p - 1, 0)), None)
+        if bad is not None and has_lattice_point(ch.region):
+            return False, (ch.pattern, bad)
+    return True, None
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+def test_homology_chambers_match_the_all_chambers_loop():
+    rng = random.Random(17)
+    checked = 0
+    for fan in _chamber_fans():
+        if fan.rank > 3:
+            continue
+        ints = tuple(rng.randint(-3, 3) for _ in fan.rays)
+        fracs = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                      for _ in fan.rays)
+        for D in (canonical(fan), ints, fracs):
+            for field in FIELDS:
+                assert vanishing_higher(fan, D, field) == \
+                    _reference_vanishing_higher(fan, D, field), (fan, D, field)
+                if is_complete(fan):
+                    assert _outcome(coh_dims, fan, D, field) == \
+                        _outcome(_reference_coh_dims, fan, D, field), (fan, D, field)
+                    checked += 1
+    assert checked >= 200
+
+
+RP2 = tuple(sorted([(0, 1, 2), (0, 2, 3), (0, 3, 4), (0, 4, 5), (0, 1, 5),
+                    (1, 2, 4), (2, 3, 5), (1, 3, 4), (2, 4, 5), (1, 3, 5)]))
+
+
+def test_z_acyclic_rejects_a_complex_with_torsion_only():
+    # the 6-vertex real projective plane: no Q-homology, but H_1 = H_2 = F_2
+    assert not any(homology_dims(RP2, None, 2).values())
+    hom2 = homology_dims(RP2, 2, 2)
+    assert hom2[1] == 1 and hom2[2] == 1
+    assert all(not any(homology_dims(RP2, p, 2).values()) for p in (3, 5, 7))
+    assert not cohomology._z_acyclic(RP2)
+    assert cohomology._z_acyclic(((0, 1, 2),))
+    assert cohomology._z_acyclic(((0, 1), (1, 2)))
+    assert not cohomology._z_acyclic(())  # the empty complex: reduced H_-1
+    assert not cohomology._z_acyclic(((0, 1), (0, 2), (1, 2)))
+    assert not cohomology._z_acyclic(((0,), (1,)))
+
+
+def test_each_field_reads_one_list_of_homology_chambers(p2):
+    # the Z-acyclic chambers are dropped once per (fan, D); every field and
+    # a second pass over the same model read the list
+    cohomology._homology_chambers.cache_clear()
+    K = canonical(p2)
+    for field in FIELDS:
+        assert coh_dims(p2, K, field) == (0, 0, 1)
+        assert vanishing_higher(p2, K, field) == (False, ((0, 1, 2), 2))
+    info = cohomology._homology_chambers.cache_info()
+    assert info.misses == 1 and info.hits == 2 * len(FIELDS) - 1
+    kept = cohomology._homology_chambers(p2, tuple(Fraction(a) for a in K))
+    assert [ch.pattern for ch, _ in kept] == [(0, 1, 2)]
+    assert len(chambers(p2, K)) == 7
+
+
+def test_graded_piece_requires_a_simplicial_fan(cube):
+    with pytest.raises(ValueError, match="simplicial"):
+        graded_piece(cube, canonical(cube), (0, 0, 0))

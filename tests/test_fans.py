@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cube_fan,
@@ -10,7 +12,7 @@ from conftest import (
     p3_fan,
     p112_fan,
 )
-from toricvanish import fans
+from toricvanish import cones, fans, verify
 from toricvanish.corpus import curated_instances, seed_fans
 from toricvanish.fans import (
     ToricMap,
@@ -25,6 +27,7 @@ from toricvanish.fans import (
     star_subdivide,
     validate,
 )
+from toricvanish.linalg import dot, primitive
 from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
 
 
@@ -228,3 +231,108 @@ def test_model_cohomology_runs_one_subtract_cones_on_a_relative_fan(monkeypatch)
     mode, _ = _model_cohomology(flip_side_a(), (0, 0, 0, 0), DEFAULT_FIELDS)
     assert mode == "relative"
     assert len(calls) == 1
+
+
+def _reference_common_face(ga, gb, dim):
+    """The double-description pair test `validate` ran before `_common_face`:
+    the intersection's generators, then each cone's smallest face holding
+    them, which must lie in the other cone."""
+    ha, hb = cones.cone_dual(ga, dim), cones.cone_dual(gb, dim)
+    gens, lin = cones.dd_cone(cones.halfspaces(ha) + cones.halfspaces(hb), dim)
+    if lin:
+        return False
+    for crays, hrep, other in ((ga, ha, hb), (gb, hb, ha)):
+        zero_normals = [w for w in hrep[0] if all(dot(w, g) == 0 for g in gens)]
+        face = [g for g in crays if all(dot(w, g) == 0 for w in zero_normals)]
+        if not all(cones.in_cone_hrep(other, g) for g in face):
+            return False
+    return True
+
+
+def _all_extreme(gens, dim):
+    try:
+        return cones.extreme_ray_indices(gens, dim) == tuple(range(len(gens)))
+    except ValueError:
+        return False
+
+
+@st.composite
+def pointed_cone_pairs(draw):
+    """Two pointed cones of dimension at most dim in 2..4, every generator
+    extreme, drawn from one small pool of primitive vectors so that they
+    often share rays; sums of two pool vectors land on faces of cones that
+    hold both, which makes meetings in part of a face."""
+    dim = draw(st.integers(2, 4))
+    vec = st.tuples(*[st.integers(-2, 2)] * dim).filter(any)
+    vs = draw(st.lists(vec, min_size=3, max_size=7))
+    index = st.integers(0, len(vs) - 1)
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        vs.append(tuple(x + y for x, y in zip(vs[i], vs[j])))
+    pool = sorted({primitive(v) for v in vs if any(v)})
+    cone = st.lists(st.sampled_from(pool), min_size=1, max_size=dim + 1, unique=True)
+    ga, gb = (tuple(sorted(draw(cone))) for _ in range(2))
+    assume(_all_extreme(ga, dim) and _all_extreme(gb, dim))
+    return ga, gb, dim
+
+
+@given(pointed_cone_pairs())
+@settings(max_examples=400, deadline=None)
+def test_common_face_matches_the_double_description_test(pair):
+    assert fans._common_face(*pair) == _reference_common_face(*pair)
+
+
+E1, E2, E3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+
+
+@pytest.mark.parametrize("ga, gb, dim, expected", [
+    # meet in a common ray, in a common facet, and only at 0
+    (((0, 1), (1, 0)), ((-1, -1), (1, 0)), 2, True),
+    ((E1, E2, E3), ((-1, -1, -1), E1, E2), 3, True),
+    (((0, 1), (1, 0)), ((-1, 0), (0, -1)), 2, True),
+    ((E1, E2), ((-1, -1, 0), (0, 0, 1)), 3, True),
+    # interiors overlap
+    (((0, 1), (1, 0)), ((-1, 1), (1, 1)), 2, False),
+    ((E1, E2, E3), ((0, 1, 1), (1, 0, 1), (1, 1, -1)), 3, False),
+    # part of a face of one cone, a whole face of the other
+    ((E1, E2, E3), ((0, 0, -1), E2, (1, 1, 0)), 3, False),
+    ((E1, E2), ((1, 1, 0), E3), 3, False),
+    # a face of one cone that cuts through the other
+    (((1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1)), ((-1, 0, 1), (1, 0, 1)), 3, False),
+])
+def test_common_face_examples(ga, gb, dim, expected):
+    ga, gb = tuple(sorted(ga)), tuple(sorted(gb))
+    assert _reference_common_face(ga, gb, dim) is expected
+    assert fans._common_face(ga, gb, dim) is expected
+    assert fans._common_face(gb, ga, dim) is expected
+
+
+def test_cubeq_flop_decides_each_cone_pair_once(monkeypatch):
+    # the models of an MMP run share cone pairs, and the pair memo decides
+    # each once; validate's first loop has dualized every cone, so its pair
+    # loop runs no double description
+    real_pair, real_dd = fans._common_face, cones.dd_cone
+    asked, inside, dd_in_pairs = [], [], []
+
+    def pair(ga, gb, dim):
+        asked.append((ga, gb, dim))
+        inside.append(True)
+        try:
+            return real_pair(ga, gb, dim)
+        finally:
+            inside.pop()
+
+    def dd(rows, dim):
+        if inside:
+            dd_in_pairs.append(rows)
+        return real_dd(rows, dim)
+
+    for memo in (cones._dual, cones.extreme_ray_indices, real_pair):
+        memo.cache_clear()
+    monkeypatch.setattr(fans, "_common_face", pair)
+    monkeypatch.setattr(cones, "dd_cone", dd)
+    verify.verify_mmp(dict(curated_instances())["cubeq-flop"])
+    info = real_pair.cache_info()
+    assert len(asked) > len(set(asked))
+    assert info.misses == len(set(asked))
+    assert info.hits == len(asked) - len(set(asked))
+    assert not dd_in_pairs
