@@ -117,8 +117,15 @@ class ChamberReport:
     region: IneqSystem
 
 
-@lru_cache(maxsize=512)
-def _chambers_cached(fan, coeffs):
+def _chamber_key(fan, coeffs):
+    if not is_simplicial(fan):
+        raise ValueError("chamber decomposition requires a simplicial fan")
+    return tuple(Fraction(c) for c in coeffs)
+
+
+def chambers(fan, coeffs):
+    """Feasible sign-pattern chambers of D, in binary order over the rays."""
+    coeffs = _chamber_key(fan, coeffs)
     n = len(fan.rays)
     if n > 20:
         raise ValueError("too many rays for subset enumeration")
@@ -136,8 +143,8 @@ def _chambers_cached(fan, coeffs):
                 if child is not None:
                     new_cells.append((pat, rows + (row,), None if last else child))
         cells = new_cells
-    return tuple(ChamberReport(pattern, IneqSystem(fan.rank, rows))
-                 for pattern, rows, _ in cells)
+    return [ChamberReport(pattern, IneqSystem(fan.rank, rows))
+            for pattern, rows, _ in cells]
 
 
 @lru_cache(maxsize=4096)
@@ -161,17 +168,6 @@ def _homology_chambers(fan, coeffs):
     """(chamber, neg complex), in chamber order, where that is not Z-acyclic."""
     pairs = ((ch, _pattern_homology(fan, ch.pattern)) for ch in chambers(fan, coeffs))
     return tuple(p for p in pairs if not _z_acyclic(p[1]))
-
-
-def _chamber_key(fan, coeffs):
-    if not is_simplicial(fan):
-        raise ValueError("chamber decomposition requires a simplicial fan")
-    return tuple(Fraction(c) for c in coeffs)
-
-
-def chambers(fan, coeffs):
-    """Feasible sign-pattern chambers of D, in binary order over the rays."""
-    return list(_chambers_cached(fan, _chamber_key(fan, coeffs)))
 
 
 def coh_dims(fan, coeffs, field=None):

@@ -27,6 +27,8 @@ from .fans import is_simplicial, make_fan, star_subdivide, support_contains
 from .formats import Instance
 from .linalg import primitive
 
+DRAW_BUDGET = 60  # divisor draws per fan before the fan is skipped
+
 
 def projective_space(n):
     rays = [tuple(1 if i == j else 0 for i in range(n)) for j in range(n)]
@@ -132,11 +134,11 @@ def _random_fraction(rng, lo_num, hi_num, dens=(2, 3, 4, 5)):
     return Fraction(num, den)
 
 
-def _mode2_divisors(rng, fan, budget=60):
+def _mode2_divisors(rng, fan):
     """(D, B, A): A ample, D = ceil(K+A), B = D-K-A in [0,1)."""
     k = canonical(fan)
     simplicial = is_simplicial(fan)
-    for _ in range(budget):
+    for _ in range(DRAW_BUDGET):
         if simplicial:
             a = tuple(_random_fraction(rng, 0, 3) for _ in fan.rays)
         else:
@@ -158,10 +160,10 @@ def _mode2_divisors(rng, fan, budget=60):
     return None
 
 
-def _mode1_divisors(rng, fan, budget=60):
+def _mode1_divisors(rng, fan):
     """(D, B, witness): D - K - B = sum q div(m) with B a big klt boundary."""
     k = canonical(fan)
-    for _ in range(budget):
+    for _ in range(DRAW_BUDGET):
         m = tuple(rng.randint(-2, 2) for _ in range(fan.rank))
         if not any(m):
             continue

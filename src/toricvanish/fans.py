@@ -4,13 +4,16 @@ A fan stores primitive ray generators plus maximal cones as ray-index sets.
 Rays are kept lexicographically sorted and cone index sets sorted, so fan
 equality is structural.
 
-Fan-level predicates that run Fourier-Motzkin (`is_complete`,
-`support_is_convex`) and the per-cone dimensions are memoized per process
-with `lru_cache`. This is safe because a `Fan` is a frozen dataclass compared
-structurally: equal fans give equal answers, and no fan changes after it is
-built. Each cone's H-representation (`cones.cone_dual`) and `validate`'s
-common-face test of each pair of maximal cones (`_common_face`) are memoized
-on generators, so a cone or a pair shared by several fans is decided once.
+Which maximal cones share a facet is decided in one place,
+`facet_incidence`: completeness and the walls of `mori` both read it, so
+`is_complete` runs no Fourier-Motzkin (FM). `support_is_convex` runs FM only
+on a fan that is not complete. These, and the per-cone dimensions, are
+memoized per process with `lru_cache`. This is safe because a `Fan` is a
+frozen dataclass compared structurally: equal fans give equal answers, and
+no fan changes after it is built. Each cone's H-representation
+(`cones.cone_dual`) and `validate`'s common-face test of each pair of
+maximal cones (`_common_face`) are memoized on generators, so a cone or a
+pair shared by several fans is decided once.
 """
 
 from dataclasses import dataclass
@@ -158,22 +161,23 @@ def is_simplicial(fan):
     return all(_is_simplicial_cone(fan, c) for c in fan.max_cones)
 
 
-def _facet_two_sided_everywhere(fan):
-    for c in fan.max_cones:
-        if _cone_dim(fan, c) != fan.rank:
-            return False
-        for _, fidx in _facets(fan, c):
-            fset = set(fidx)
-            adj = [c2 for c2 in fan.max_cones if fset <= set(c2)]
-            if len(adj) != 2:
-                return False
-    return True
+@lru_cache(maxsize=4096)
+def facet_incidence(fan):
+    """Each facet of a full-dimensional maximal cone, as its sorted ray-index
+    tuple, with the ascending indices of the full-dimensional maximal cones
+    that have it: a tuple of (facet, cone indices) pairs sorted by facet."""
+    seen = {}
+    for ci, c in enumerate(fan.max_cones):
+        if _cone_dim(fan, c) == fan.rank:
+            for _, fidx in _facets(fan, c):
+                seen.setdefault(fidx, []).append(ci)
+    return tuple((f, tuple(seen[f])) for f in sorted(seen))
 
 
 @lru_cache(maxsize=4096)
 def support_is_convex(fan):
     """Whether the union of cones equals the cone generated by all rays."""
-    if not fan.max_cones:
+    if not fan.max_cones or is_complete(fan):
         return True
     hull = cones.cone_dual(fan.rays, fan.rank)
     base = [(w, 0, False) for w in cones.halfspaces(hull)]
@@ -182,11 +186,22 @@ def support_is_convex(fan):
 
 @lru_cache(maxsize=4096)
 def is_complete(fan):
+    """Whether the support of a valid fan (`validate` finds no defect) is all
+    of R^rank: rank 0, or some maximal cone, every maximal cone
+    full-dimensional, and every facet in exactly two maximal cones.
+
+    In a valid fan two full-dimensional cones that share a facet lie on
+    opposite sides of it, so a point in the relative interior of such a
+    facet is interior to the support. The boundary of the support then lies
+    in the cones of codimension at least 2, which do not disconnect R^rank;
+    a nonempty support with interior is therefore everything (Cox, Little
+    and Schenck, Toric Varieties, section 3.1).
+    """
     if fan.rank == 0:
         return True
-    if not fan.max_cones:
-        return False
-    return _facet_two_sided_everywhere(fan) and support_is_convex(fan)
+    return (bool(fan.max_cones)
+            and all(_cone_dim(fan, c) == fan.rank for c in fan.max_cones)
+            and all(len(adj) == 2 for _, adj in facet_incidence(fan)))
 
 
 def properties(fan):
@@ -303,16 +318,3 @@ def check_map(m):
                   and abs(det_int([list(r) for r in m.matrix])) == 1)
     return {"well_defined": well, "proper": proper,
             "birational": bool(unimodular and proper)}
-
-
-@dataclass(frozen=True)
-class IncidenceComplex:
-    vertices: tuple
-    facets: tuple
-
-
-def incidence_complex(fan):
-    if not is_simplicial(fan):
-        raise ValueError("incidence complex requires a simplicial fan")
-    return IncidenceComplex(tuple(range(len(fan.rays))),
-                            tuple(tuple(sorted(c)) for c in fan.max_cones))

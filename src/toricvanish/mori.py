@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import cones
 from .divisors import NotQCartier, cartier_data
-from .fans import _cone_dim, is_simplicial
+from .fans import facet_incidence, is_simplicial
 from .linalg import dot, gcd_list, int_kernel, lcm_list
 
 
@@ -30,19 +30,8 @@ def walls(fan):
     """Interior walls (codimension-1 cones with exactly two adjacent cones)."""
     if not is_simplicial(fan):
         raise ValueError("walls require a simplicial fan")
-    seen = {}
-    for ci, cone in enumerate(fan.max_cones):
-        if _cone_dim(fan, cone) != fan.rank:
-            continue
-        for drop in cone:
-            facet = tuple(i for i in cone if i != drop)
-            seen.setdefault(facet, []).append(ci)
-    out = []
-    for facet in sorted(seen):
-        adj = seen[facet]
-        if len(adj) == 2:
-            out.append(Wall(facet, adj[0], adj[1]))
-    return out
+    return [Wall(facet, *adj) for facet, adj in facet_incidence(fan)
+            if len(adj) == 2]
 
 
 @dataclass(frozen=True)

@@ -122,9 +122,7 @@ def test_chambers_ray_guard():
     fan = p2_fan()
     big = fan.__class__(2, tuple((1, k) for k in range(21)), ())
     with pytest.raises(ValueError, match="too many rays"):
-        from toricvanish.cohomology import _chambers_cached
-
-        _chambers_cached(big, tuple(Fraction(0) for _ in range(21)))
+        chambers(big, tuple(Fraction(0) for _ in range(21)))
 
 
 def _reference_chambers(fan, coeffs):
@@ -207,7 +205,6 @@ def test_chambers_solve_no_system_from_scratch(monkeypatch):
     monkeypatch.setattr(cohomology, "extend_levels", extend)
     monkeypatch.setattr(regions, "feasible", unexpected)
     monkeypatch.setattr(regions, "_feasible_levels", unexpected)
-    cohomology._chambers_cached.cache_clear()
     inst = dict(curated_instances())["cubeq-flop"]
     assert len(chambers(inst.fan, inst.d_coeffs)) > 1
     assert calls and set(calls) == {1}
@@ -364,7 +361,7 @@ def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeyp
         return real(region)
 
     monkeypatch.setattr(regions, "recession_is_zero", counting)
-    cohomology._chambers_cached.cache_clear()
+    cohomology._homology_chambers.cache_clear()
     cohomology._lattice_count.cache_clear()
     K = canonical(p2)
     assert coh_dims(p2, K, None) == (0, 0, 1)

@@ -2,23 +2,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (
-    cube_fan,
-    f1_fan,
-    flip_side_a,
-    flip_side_b,
-    p1xp1_fan,
-    p2_fan,
-    p3_fan,
-    p112_fan,
-)
+from conftest import f1_fan, flip_side_a, flip_side_b, p2_fan, reference_fans
 from toricvanish import cones, fans, verify
-from toricvanish.corpus import curated_instances, seed_fans
+from toricvanish.corpus import curated_instances
 from toricvanish.fans import (
     ToricMap,
     check_map,
     identity_map,
-    incidence_complex,
     is_complete,
     is_simplicial,
     make_fan,
@@ -28,6 +18,8 @@ from toricvanish.fans import (
     validate,
 )
 from toricvanish.linalg import dot, primitive
+from toricvanish.mmp import run_mmp
+from toricvanish.regions import subtract_cones
 from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
 
 
@@ -157,21 +149,6 @@ def test_check_map_support_shrinks(p2):
     assert not res["proper"]
 
 
-def test_incidence_complex(p2, p3):
-    ic = incidence_complex(p2)
-    assert set(ic.facets) == {(0, 1), (0, 2), (1, 2)}
-    ic3 = incidence_complex(p3)
-    assert len(ic3.facets) == 4 and all(len(f) == 3 for f in ic3.facets)
-    f1 = f1_fan()
-    icf = incidence_complex(f1)
-    assert len(icf.facets) == 4 and all(len(f) == 2 for f in icf.facets)
-
-
-def test_incidence_complex_non_simplicial(cube):
-    with pytest.raises(ValueError):
-        incidence_complex(cube)
-
-
 def test_complete_implies_convex(p2, p1xp1, cube):
     for fan in (p2, p1xp1, cube, flip_side_a()):
         p = properties(fan)
@@ -179,21 +156,9 @@ def test_complete_implies_convex(p2, p1xp1, cube):
             assert p.support_convex
 
 
-def _fans_to_check():
-    out = [p2_fan(), p1xp1_fan(), f1_fan(), p112_fan(), p3_fan(), cube_fan(),
-           flip_side_a(), flip_side_b()]
-    out += [inst.fan for _, inst in curated_instances()]
-    out += [fan for rank in (2, 3) for _, fan in seed_fans(rank)]
-    # convex support, not complete: the first quadrant
-    out.append(make_fan(2, [(1, 0), (0, 1)], [(0, 1)]))
-    # support not convex: two cones spanning 225 degrees
-    out.append(make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2)]))
-    return out
-
-
 def test_memoized_predicates_agree_with_originals():
     seen = set()
-    for fan in _fans_to_check():
+    for fan in reference_fans():
         complete = fans.is_complete.__wrapped__(fan)
         convex = fans.support_is_convex.__wrapped__(fan)
         assert fans.is_complete(fan) is complete
@@ -219,11 +184,29 @@ def _count_subtract_cones(monkeypatch):
     return calls
 
 
-def test_model_cohomology_runs_one_subtract_cones_on_a_complete_fan(monkeypatch):
+def test_is_complete_matches_the_covering_test():
+    # the facet incidence decides completeness as Fourier-Motzkin covering does
+    seen = set()
+    for fan in reference_fans():
+        assert validate(fan) == []
+        covered = subtract_cones(fan.rank, [], fans._hreps(fan)) is None
+        assert is_complete(fan) is covered, fan
+        seen.add(covered)
+    assert seen == {True, False}
+
+
+def test_model_cohomology_runs_no_subtract_cones_on_a_complete_fan(monkeypatch):
     calls = _count_subtract_cones(monkeypatch)
     mode, payload = _model_cohomology(p2_fan(), (1, 0, 0), DEFAULT_FIELDS)
     assert mode == "complete" and payload["q"] == [3, 0, 0]
-    assert len(calls) == 1
+    assert calls == []
+
+
+def test_run_mmp_runs_no_subtract_cones_on_a_complete_fan(monkeypatch):
+    calls = _count_subtract_cones(monkeypatch)
+    inst = dict(curated_instances())["cubeq-flop"]
+    run = run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)
+    assert run.steps and calls == []
 
 
 def test_model_cohomology_runs_one_subtract_cones_on_a_relative_fan(monkeypatch):

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from conftest import flip_side_a
-from toricvanish import mori
+from conftest import flip_side_a, reference_fans
+from toricvanish import fans, mori
 from toricvanish.corpus import curated_instances
 from toricvanish.divisors import cartier_data, positivity, principal, ray_divisor
+from toricvanish.fans import is_simplicial, q_factorialize
 from toricvanish.mmp import run_mmp
 from toricvanish.mori import (
     Wall,
@@ -33,6 +34,28 @@ def test_wall_counts(p2, f1, p1xp1):
 def test_walls_non_simplicial(cube):
     with pytest.raises(ValueError):
         walls(cube)
+
+
+def _reference_walls(fan):
+    """The walls as found by dropping each index of each full-dimensional
+    simplicial cone: the facets in exactly two such cones, sorted."""
+    seen = {}
+    for ci, cone in enumerate(fan.max_cones):
+        if fans._cone_dim(fan, cone) != fan.rank:
+            continue
+        for drop in cone:
+            facet = tuple(i for i in cone if i != drop)
+            seen.setdefault(facet, []).append(ci)
+    return [Wall(f, *seen[f]) for f in sorted(seen) if len(seen[f]) == 2]
+
+
+def test_walls_match_the_index_dropping_walls():
+    for fan in reference_fans():
+        if not is_simplicial(fan):
+            with pytest.raises(ValueError):
+                walls(fan)
+            fan = q_factorialize(fan)[0]
+        assert walls(fan) == _reference_walls(fan), fan
 
 
 def test_wall_relation_f1(f1):
