@@ -12,6 +12,20 @@ factors all 1, no Q-homology) has no homology over any field, so its
 chambers are dropped once per (fan, D) and each field walks the rest;
 `coh_dims` counts lattice points, and so decides boundedness, only there.
 
+Most neg complexes are shown Z-acyclic from their maximal faces alone, before
+any boundary matrix is built (`_acyclic_witness`):
+- apex: some vertex lies in every maximal face, so the complex is a cone.
+  This holds on any fan.
+- dual apex: only on a complete fan (simplicial, as every chamber fan is).
+  Its incidence complex is then a triangulated (r-1)-sphere on the rays
+  that lie in a maximal cone. For a set I of them whose complex K_I and
+  complement complex K_{I^c} are both nonempty, Alexander duality gives
+  H~_j(K_I) = H~^{r-2-j}(K_{I^c}), which vanishes when K_{I^c} is a cone.
+  The empty complex (H~_-1 = Z) and the whole sphere (H~_{r-1} = Z) are
+  never decided. On a fan that is not complete there is no sphere, and the
+  dual test would be wrong.
+Only the rest go through integer boundary matrices and their SNF.
+
 Chambers are built as a binary tree over the rays: each cell of the first i
 rays splits on ray i into the side where the section inequality holds and
 the side where it fails, and a child survives iff its region is nonempty.
@@ -53,10 +67,14 @@ def parse_field(name):
 def neg_complex(fan, neg):
     """Maximal faces of the full subcomplex induced on the given ray set."""
     neg = frozenset(neg)
-    faces = {tuple(sorted(set(f) & neg)) for f in fan.max_cones}
-    maximal = [f for f in faces
-               if not any(f != g and set(f) <= set(g) for g in faces)]
-    return tuple(sorted(f for f in maximal if f))
+    faces = sorted({neg.intersection(c) for c in fan.max_cones} - {frozenset()},
+                   key=len, reverse=True)
+    # largest first, so a face inside another lies inside a kept one
+    maximal = []
+    for f in faces:
+        if not any(f <= g for g in maximal):
+            maximal.append(f)
+    return tuple(sorted(tuple(sorted(f)) for f in maximal))
 
 
 def _faces_by_dim(maximal_faces):
@@ -163,10 +181,38 @@ def _z_acyclic(maximal_faces):
             and not any(homology_dims(maximal_faces, None, max(data)).values()))
 
 
+def _apex(maximal_faces):
+    """The least vertex lying in every maximal face, or None."""
+    if not maximal_faces:
+        return None
+    return min(set(maximal_faces[0]).intersection(*maximal_faces[1:]), default=None)
+
+
+def _acyclic_witness(fan, pattern, complete):
+    """Why the neg complex of the pattern is Z-acyclic, read off maximal faces
+    only: ("apex", v), ("dual apex", v), or None when neither test decides.
+
+    The dual test needs `complete`, i.e. `is_complete(fan)` on this simplicial
+    fan, whose incidence complex is then a triangulated sphere.
+    """
+    cx = _pattern_homology(fan, pattern)
+    v = _apex(cx)
+    if v is not None:
+        return "apex", v
+    if not complete or not cx:
+        return None
+    vertices = set().union(*fan.max_cones)
+    v = _apex(_pattern_homology(fan, tuple(sorted(vertices.difference(pattern)))))
+    return None if v is None else ("dual apex", v)
+
+
 @lru_cache(maxsize=512)
 def _homology_chambers(fan, coeffs):
-    """(chamber, neg complex), in chamber order, where that is not Z-acyclic."""
-    pairs = ((ch, _pattern_homology(fan, ch.pattern)) for ch in chambers(fan, coeffs))
+    """(chamber, neg complex), in chamber order, where that is not Z-acyclic;
+    SNF runs only where `_acyclic_witness` does not decide."""
+    complete = is_complete(fan)
+    pairs = ((ch, _pattern_homology(fan, ch.pattern)) for ch in chambers(fan, coeffs)
+             if _acyclic_witness(fan, ch.pattern, complete) is None)
     return tuple(p for p in pairs if not _z_acyclic(p[1]))
 
 

@@ -25,7 +25,6 @@ from .divisors import (
 from .fans import (
     Fan,
     ToricMap,
-    _cone_dim,
     identity_map,
     is_simplicial,
     make_fan,
@@ -109,7 +108,7 @@ def contract(fan, extremal):
         if len(removed) != 1:
             raise ValueError("not an extremal contraction (several interior rays)")
         for mc in merged_cone_list:
-            if len(mc) != _cone_dim(fan, tuple(mc)):
+            if len(mc) != cones.cone_dim([fan.rays[i] for i in mc]):
                 raise ValueError("not an extremal contraction (merged cone stays "
                                  "non-simplicial after removing the interior ray)")
         kind = "divisorial"
@@ -117,7 +116,7 @@ def contract(fan, extremal):
     else:
         kind = "flipping"
         for mc in merged_cone_list:
-            if len(mc) == _cone_dim(fan, tuple(mc)):
+            if len(mc) == cones.cone_dim([fan.rays[i] for i in mc]):
                 raise ValueError("merged cone is simplicial; nothing to flip")
         removed_ray = None
 
@@ -252,7 +251,7 @@ def flip_diagram(x_fan, x_plus, z_fan):
     and returns the diagram data.
     """
     non_simplicial = [c for c in z_fan.max_cones
-                      if len(c) != _cone_dim(z_fan, tuple(c))]
+                      if len(c) != cones.cone_dim([z_fan.rays[i] for i in c])]
     if len(non_simplicial) != 1:
         raise ValueError("flip diagram needs a single-circuit flip")
     idx = non_simplicial[0]

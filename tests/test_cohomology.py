@@ -12,6 +12,7 @@ from conftest import (
     p2_fan,
     p3_fan,
     p112_fan,
+    reference_fans,
 )
 from toricvanish import cohomology
 from toricvanish.cohomology import (
@@ -41,7 +42,14 @@ from toricvanish.divisors import (
     scale,
     sub,
 )
-from toricvanish.fans import is_complete, is_simplicial, q_factorialize, star_subdivide
+from toricvanish.fans import (
+    is_complete,
+    is_simplicial,
+    make_fan,
+    q_factorialize,
+    star_subdivide,
+    support_is_convex,
+)
 from toricvanish.regions import (
     IneqSystem,
     feasible,
@@ -460,3 +468,98 @@ def test_each_field_reads_one_list_of_homology_chambers(p2):
 def test_graded_piece_requires_a_simplicial_fan(cube):
     with pytest.raises(ValueError, match="simplicial"):
         graded_piece(cube, canonical(cube), (0, 0, 0))
+
+
+def _upper_half_plane():
+    return make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1), (1, 2)])
+
+
+def _reference_homology_chambers(fan, coeffs):
+    """`_homology_chambers` as it filtered every chamber by SNF alone."""
+    pairs = ((ch, neg_complex(fan, ch.pattern)) for ch in chambers(fan, coeffs))
+    return tuple(p for p in pairs if not cohomology._z_acyclic(p[1]))
+
+
+def test_acyclic_witnesses_hold_and_drop_only_z_acyclic_chambers():
+    rng = random.Random(29)
+    decided = {"apex": 0, "dual apex": 0}
+    for fan in reference_fans() + [_upper_half_plane()]:
+        if not is_simplicial(fan):
+            fan = q_factorialize(fan)[0]
+        complete = is_complete(fan)
+        vertices = set().union(*fan.max_cones)
+        ints = tuple(rng.randint(-3, 3) for _ in fan.rays)
+        fracs = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                      for _ in fan.rays)
+        for D in (canonical(fan), coeffs_of(fan, {}), ints, fracs):
+            for ch in chambers(fan, D):
+                witness = cohomology._acyclic_witness(fan, ch.pattern, complete)
+                if witness is None:
+                    continue
+                kind, v = witness
+                cx = neg_complex(fan, ch.pattern)
+                if kind == "apex":
+                    faces = cx
+                else:
+                    assert kind == "dual apex" and complete and cx, (fan, ch.pattern)
+                    faces = neg_complex(fan, vertices.difference(ch.pattern))
+                assert faces and all(v in f for f in faces), (fan, ch.pattern, witness)
+                assert cohomology._z_acyclic(cx), (fan, ch.pattern, witness)
+                decided[kind] += 1
+            key = tuple(Fraction(a) for a in D)
+            assert cohomology._homology_chambers(fan, key) == \
+                _reference_homology_chambers(fan, D), (fan, D)
+    assert decided["apex"] >= 1000 and decided["dual apex"] >= 100, decided
+
+
+def test_dual_apex_test_waits_for_a_complete_fan(monkeypatch):
+    # on the upper half-plane the chamber where both horizontal rays fail is
+    # two points, and its complement is the one ray (0, 1): a cone, but no
+    # sphere surrounds them, so the dual test would wrongly call it acyclic
+    fan = _upper_half_plane()
+    assert support_is_convex(fan) and not is_complete(fan)
+    D = coeffs_of(fan, {(1, 0): -1, (-1, 0): -1})
+    pattern = (fan.ray_index((-1, 0)), fan.ray_index((1, 0)))
+    assert pattern == (0, 2)
+    assert neg_complex(fan, pattern) == ((0,), (2,))
+    assert homology_dims(neg_complex(fan, pattern), None, 1)[0] == 1
+    assert cohomology._acyclic_witness(fan, pattern, False) is None
+    assert cohomology._acyclic_witness(fan, pattern, True) == ("dual apex", 1)
+    cohomology._homology_chambers.cache_clear()
+    assert vanishing_higher(fan, D) == (False, ((0, 2), 1))
+    monkeypatch.setattr(cohomology, "is_complete", lambda fan: True)
+    cohomology._homology_chambers.cache_clear()
+    assert vanishing_higher(fan, D) == (True, None)
+    cohomology._homology_chambers.cache_clear()
+
+
+def test_boundary_matrices_only_for_chambers_no_cone_test_decides(monkeypatch):
+    # verify_instance on cubeq-flop: every complex that reaches
+    # `_boundary_divisors` is one that neither the apex nor the dual test
+    # decided, and each undecided one reaches it
+    from toricvanish import verify
+
+    undecided, decided, boundary = set(), 0, set()
+    real_witness = cohomology._acyclic_witness
+    real_boundary = cohomology._boundary_divisors
+
+    def recording_witness(fan, pattern, complete):
+        nonlocal decided
+        witness = real_witness(fan, pattern, complete)
+        if witness is None:
+            undecided.add(neg_complex(fan, pattern))
+        else:
+            decided += 1
+        return witness
+
+    def recording_boundary(maximal_faces):
+        boundary.add(maximal_faces)
+        return real_boundary(maximal_faces)
+
+    monkeypatch.setattr(cohomology, "_acyclic_witness", recording_witness)
+    monkeypatch.setattr(cohomology, "_boundary_divisors", recording_boundary)
+    cohomology._homology_chambers.cache_clear()
+    verify.verify_instance(dict(curated_instances())["cubeq-flop"])
+    cohomology._homology_chambers.cache_clear()
+    assert decided > 4 * len(undecided) > 0
+    assert boundary == undecided

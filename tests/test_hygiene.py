@@ -2,7 +2,9 @@
 `src/toricvanish/`, no module-level function or class there and no method of
 such a class that nothing in `src/`, `tests/` or `perfbench/` refers to, and
 no module with more `assert` statements than its ceiling (`python -O` strips
-them, so checks move to explicit raises and the ceilings only go down)."""
+them, so checks move to explicit raises and the ceilings only go down), and no
+module that imports another module's underscore name beyond an allow-list
+that only shrinks."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,14 @@ SCANNED = ("src", "tests", "perfbench")
 # assert statements allowed per module of src/toricvanish/; any module not
 # listed is allowed none. Lower a ceiling when its asserts become raises.
 ASSERT_CEILING = {"corpus": 0, "fans": 0, "mori": 0}
+# (importing module, defining module, name) for each underscore name one
+# module of src/toricvanish/ takes from another; remove an entry when its
+# import goes, and add none.
+PRIVATE_IMPORTS = {
+    ("cli", "verify", "_model_cohomology"),
+    ("lp", "linalg", "_eliminate"),
+    ("lp", "linalg", "_int_row"),
+}
 
 
 def _tree(path):
@@ -94,3 +104,76 @@ def test_assert_count_does_not_grow():
         if count > ceiling:
             over.append(f"{path.name}: {count} > {ceiling}")
     assert not over, "asserts over their ceiling: " + ", ".join(over)
+
+
+def _dotted(node):
+    """The dotted name, such as `a.b.c`, of a chain of attributes on a name,
+    else None."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        head = _dotted(node.value)
+        return head and f"{head}.{node.attr}"
+    return None
+
+
+def _private_imports(tree):
+    """(module, name) for each underscore name a module's syntax tree imports
+    from a sibling module: by `from .mod import _name`, or as `mod._name`
+    after `from . import mod` or `import toricvanish.mod as mod`, or as
+    `toricvanish.mod._name` after `import toricvanish[.mod]` (each `from`
+    import in its relative or absolute form)."""
+    siblings, packages, found = {}, set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] != "toricvanish":
+                    continue
+                if a.asname is None or a.name == "toricvanish":
+                    packages.add(a.asname or "toricvanish")
+                else:
+                    siblings[a.asname] = a.name.split(".")[-1]
+        elif not isinstance(node, ast.ImportFrom):
+            continue
+        elif (node.level, node.module) in ((1, None), (0, "toricvanish")):
+            siblings.update((a.asname or a.name, a.name) for a in node.names)
+        elif node.level == 1 or (node.module or "").startswith("toricvanish."):
+            module = node.module.split(".")[-1]
+            found |= {(module, a.name) for a in node.names if a.name.startswith("_")}
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Attribute) and node.attr.startswith("_")):
+            continue
+        owner = _dotted(node.value) or ""
+        head, _, module = owner.partition(".")
+        if owner in siblings:
+            found.add((siblings[owner], node.attr))
+        elif head in packages and module and "." not in module:
+            found.add((module, node.attr))
+    return found
+
+
+def test_private_import_scan_sees_every_import_form():
+    source = """
+from .a import _one
+from toricvanish.b import _two
+from . import c
+from toricvanish import d as dd
+import toricvanish.e as ee
+import toricvanish.f
+import toricvanish as tv
+c._three, dd._four, ee._five, toricvanish.f._six, tv.g._seven
+c.public, ee.public, tv.h.public, other._eight
+"""
+    assert _private_imports(ast.parse(source)) == {
+        ("a", "_one"), ("b", "_two"), ("c", "_three"), ("d", "_four"),
+        ("e", "_five"), ("f", "_six"), ("g", "_seven")}
+
+
+def test_no_private_name_crosses_modules_beyond_the_allow_list():
+    used = {(path.stem, module, name)
+            for path in sorted(PACKAGE.glob("*.py"))
+            for module, name in _private_imports(_tree(path))}
+    assert not used - PRIVATE_IMPORTS, \
+        f"private imports: {sorted(used - PRIVATE_IMPORTS)}"
+    assert not PRIVATE_IMPORTS - used, \
+        f"stale allow-list entries: {sorted(PRIVATE_IMPORTS - used)}"

@@ -1,7 +1,9 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mat_mul
@@ -86,6 +88,45 @@ def rank_matrices(draw):
 @settings(max_examples=300, deadline=None)
 def test_int_rank_matches_snf(rows):
     assert int_rank(rows) == len(snf_diagonal(rows))
+
+
+def _determinantal_divisors(A):
+    """d_k, the gcd of the k x k minors of A, for k = 1.. while d_k != 0."""
+    m, n = len(A), len(A[0]) if A else 0
+    out = []
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rows in itertools.combinations(range(m), k):
+            for cols in itertools.combinations(range(n), k):
+                g = math.gcd(g, det_int([[A[i][j] for j in cols] for i in rows]))
+        if not g:
+            break
+        out.append(g)
+    return out
+
+
+@st.composite
+def factor_matrices(draw):
+    """Matrices up to 5x5, zero and empty ones included, whose entries share
+    small factors, so that a pivot often fails to divide what is left."""
+    m = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 5))
+    entry = st.sampled_from((0, 0, 1, -1, 2, -2, 3, 4, -6, 9, 12, -18))
+    return [[draw(entry) for _ in range(n)] for _ in range(m)]
+
+
+@given(factor_matrices())
+@example([])
+@example([[]])
+@example([[0]])
+@example([[-4]])
+@example([[0, 0, 0], [0, 0, 0]])
+@example([[2, 0], [0, 3]])
+@settings(max_examples=200, deadline=None)
+def test_snf_diagonal_products_are_the_determinantal_divisors(rows):
+    # the k-th invariant factor is d_k / d_(k-1) (Newman, Integral Matrices, II.15)
+    d = _determinantal_divisors(rows)
+    assert snf_diagonal(rows) == [b // a for a, b in zip([1] + d, d)]
 
 
 def test_primitive():
