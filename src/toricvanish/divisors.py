@@ -4,6 +4,19 @@ A divisor on a fan is a tuple of exact rational coefficients, one per ray in
 the fan's ray order. Transfers between fans always match rays by value, never
 by index.
 
+Cartier data is kept in integers. With m_sigma the covector of a maximal
+cone sigma (<m_sigma, u_rho> = -a_rho on the rays of sigma), L is the lcm of
+the denominators of every m_sigma entry and every a_rho, so L*D is Cartier
+and L is the Q-Cartier index. `CartierData` holds L, the numerators
+N_sigma = L*m_sigma and the scaled coefficients A_rho = L*a_rho, all ints.
+There is one nef/ample loop, `_nef_test`: it compares <N_sigma, u_rho> with
+-A_rho in ints for every (maximal cone, ray) pair, and `positivity` and
+`semiample_witness` both read it; the same loop checks that each N_sigma
+meets equality on the rays of sigma, so the semiample certificate
+(multiple L, sections N_sigma) is checked wherever it is read.
+`support_value` and `mori.intersect` read the integers and return exact
+`Fraction`s.
+
 `cartier_data` is memoized on (fan, coefficients), safe for the same reason
 as the `fans` predicates: a `Fan` is frozen and compared structurally.
 Callers ask for it by value. The memo is a small LRU because the repeats come
@@ -78,9 +91,18 @@ def round_divisor(coeffs, direction):
 
 @dataclass(frozen=True)
 class CartierData:
-    """One rational covector per maximal cone: <m_sigma, u_rho> = -a_rho on sigma."""
+    """One covector per maximal cone, <m_sigma, u_rho> = -a_rho on sigma, in
+    integers: m_sigma = N_sigma / L and a_rho = A_rho / L."""
 
-    covectors: tuple
+    denominator: int  # L, the Q-Cartier index
+    numerators: tuple  # N_sigma = L*m_sigma, one int tuple per maximal cone
+    scaled: tuple  # A_rho = L*a_rho, one int per ray
+
+    @property
+    def covectors(self):
+        """The rational covectors m_sigma."""
+        return tuple(tuple(Fraction(x, self.denominator) for x in n)
+                     for n in self.numerators)
 
 
 @dataclass(frozen=True)
@@ -123,14 +145,20 @@ def _cartier_data(fan, coeffs):
         m = tuple(sum(z[j] * V[i][j] for j in range(r_span))
                   for i in range(fan.rank))
         covectors.append(m)
-    return CartierData(tuple(covectors))
+    ell = lcm_list([x.denominator for m in covectors for x in m]
+                   + [a.denominator for a in coeffs])
+
+    def scaled(values):
+        return tuple(x.numerator * (ell // x.denominator) for x in values)
+
+    return CartierData(ell, tuple(scaled(m) for m in covectors), scaled(coeffs))
 
 
 def support_value(fan, cd, v):
     """Value of the divisor's support function at v: phi_D(v) = -<m_sigma, v>."""
-    for cone, m in zip(fan.max_cones, cd.covectors):
+    for cone, n in zip(fan.max_cones, cd.numerators):
         if cone_contains(fan, cone, v):
-            return -Fraction(dot(m, v))
+            return -Fraction(dot(n, v), cd.denominator)
     raise ValueError("point outside the support")
 
 
@@ -166,6 +194,32 @@ def polytope_dim(fan, coeffs):
     return fan.rank - int_rank(implicit)
 
 
+def _nef_test(fan, cd):
+    """The nef/ample loop, in ints, over every (maximal cone, ray) pair:
+    cones in order, and rays in order within each cone.
+
+    Returns (failure, tight). failure is the first pair (cone index, ray
+    index) with <N_sigma, u_rho> < -A_rho, where D is not nef, or None; tight
+    says whether some ray off a cone met <N_sigma, u_rho> = -A_rho before it,
+    where D is not ample. Raises RuntimeError when N_sigma misses equality
+    on a ray of sigma: then the Cartier data is no certificate.
+    """
+    bounds = [-a for a in cd.scaled]
+    tight = False
+    for ci, (cone, n) in enumerate(zip(fan.max_cones, cd.numerators)):
+        for i, (ray, bound) in enumerate(zip(fan.rays, bounds)):
+            val = dot(n, ray)
+            if i in cone:
+                if val != bound:
+                    raise RuntimeError(f"section {n} of {cd.denominator}D "
+                                       f"fails ray {ray} of cone {ci}")
+            elif val < bound:
+                return (ci, i), tight
+            elif val == bound:
+                tight = True
+    return None, tight
+
+
 def positivity(fan, coeffs):
     """Nef/ample/big verdicts for a Q-Cartier divisor.
 
@@ -176,28 +230,21 @@ def positivity(fan, coeffs):
     cd = cartier_data(fan, coeffs)
     if isinstance(cd, NotQCartier):
         raise ValueError(f"not Q-Cartier (cone {cd.cone_index})")
-    nef = True
+    failure, tight = _nef_test(fan, cd)
+    nef = failure is None
     # fans with a torus factor admit no strictly convex support function
     full_span = bool(fan.rays) and int_rank([list(r) for r in fan.rays]) == fan.rank
-    ample = (len(set(cd.covectors)) == len(cd.covectors)
-             and bool(fan.max_cones) and full_span)
-    for cone, m in zip(fan.max_cones, cd.covectors):
-        for i, ray in enumerate(fan.rays):
-            val = Fraction(dot(m, ray))
-            if val < -coeffs[i]:
-                nef = False
-                ample = False
-            elif i not in cone and val == -coeffs[i]:
-                ample = False
+    ample = (nef and not tight and bool(fan.max_cones) and full_span
+             and len(set(cd.numerators)) == len(cd.numerators))
     interior = tuple((a, c, True) for a, c, _ in _section_rows(fan, coeffs))
     big = is_feasible(IneqSystem(fan.rank, interior))
-    return Positivity(nef=nef, ample=ample and nef, big=big)
+    return Positivity(nef=nef, ample=ample, big=big)
 
 
 @dataclass(frozen=True)
 class SemiampleWitness:
     multiple: int
-    sections: tuple  # one lattice covector per maximal cone, in l*P_{lD}
+    sections: tuple  # one lattice covector per maximal cone, in P_{lD}
 
 
 @dataclass(frozen=True)
@@ -207,23 +254,16 @@ class NotNef:
 
 
 def semiample_witness(fan, coeffs):
-    """Base-point-freeness certificate for a nef divisor (a multiple of it)."""
+    """Base-point-freeness certificate for a nef divisor: the multiple L of the
+    Cartier data, and its numerators N_sigma as the sections of L*D, each
+    checked by `_nef_test` (equality on sigma's rays, >= on the others)."""
     cd = cartier_data(fan, coeffs)
     if isinstance(cd, NotQCartier):
         raise ValueError(f"not Q-Cartier (cone {cd.cone_index})")
-    for ci, (cone, m) in enumerate(zip(fan.max_cones, cd.covectors)):
-        for i, ray in enumerate(fan.rays):
-            if Fraction(dot(m, ray)) < -coeffs[i]:
-                return NotNef(ci, i)
-    ell = q_cartier_index(fan, coeffs)
-    sections = []
-    for m in cd.covectors:
-        lm = tuple(int(x * ell) for x in m)
-        for i, ray in enumerate(fan.rays):
-            if dot(lm, ray) < -ell * coeffs[i]:
-                raise RuntimeError(f"section {lm} of {ell}D fails ray {ray}")
-        sections.append(lm)
-    return SemiampleWitness(ell, tuple(sections))
+    failure, _ = _nef_test(fan, cd)
+    if failure is not None:
+        return NotNef(*failure)
+    return SemiampleWitness(cd.denominator, cd.numerators)
 
 
 def klt_check(fan, b_coeffs):
@@ -298,8 +338,4 @@ def h0_dim(fan, coeffs):
 def q_cartier_index(fan, coeffs):
     """Smallest l >= 1 with l*D Cartier, or None if not Q-Cartier."""
     cd = cartier_data(fan, coeffs)
-    if isinstance(cd, NotQCartier):
-        return None
-    dens = [x.denominator for m in cd.covectors for x in m]
-    dens += [c.denominator for c in coeffs]
-    return lcm_list(dens) if dens else 1
+    return None if isinstance(cd, NotQCartier) else cd.denominator

@@ -81,12 +81,12 @@ def intersect(fan, coeffs, wall):
     b = wall_relation(fan, wall).as_dict()
     u = _off_ray(fan, wall, wall.cone_a)
     v = _off_ray(fan, wall, wall.cone_b)
-    m_a = cd.covectors[wall.cone_a]
-    m_b = cd.covectors[wall.cone_b]
-    delta = tuple(x - y for x, y in zip(m_a, m_b))
-    via_b = Fraction(dot(delta, fan.rays[v]), b[u])
-    via_a = Fraction(-dot(delta, fan.rays[u]), b[v])
-    total = Fraction(sum(b[i] * Fraction(coeffs[i]) for i in b), b[u] * b[v])
+    ell = cd.denominator
+    delta = tuple(x - y for x, y in zip(cd.numerators[wall.cone_a],
+                                        cd.numerators[wall.cone_b]))
+    via_b = Fraction(dot(delta, fan.rays[v]), b[u] * ell)
+    via_a = Fraction(-dot(delta, fan.rays[u]), b[v] * ell)
+    total = Fraction(sum(b[i] * cd.scaled[i] for i in b), b[u] * b[v] * ell)
     if not via_a == via_b == total:
         raise RuntimeError(f"wall {wall.rays}: D.C is {via_a}, {via_b} and {total}")
     return total

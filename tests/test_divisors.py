@@ -1,7 +1,14 @@
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     cube_fan,
@@ -12,6 +19,7 @@ from conftest import (
     p2_fan,
     p3_fan,
     p112_fan,
+    reference_fans,
 )
 from toricvanish import divisors
 from toricvanish.corpus import curated_instances, seed_fans
@@ -21,6 +29,8 @@ from toricvanish.divisors import (
     CartierData,
     NotNef,
     NotQCartier,
+    Positivity,
+    SemiampleWitness,
     canonical,
     cartier_data,
     coeffs_of,
@@ -37,9 +47,19 @@ from toricvanish.divisors import (
     round_divisor,
     scale,
     semiample_witness,
+    support_value,
 )
-from toricvanish.fans import identity_map, make_fan, properties, star_subdivide
-from toricvanish.linalg import dot
+from toricvanish.fans import (
+    cone_contains,
+    identity_map,
+    is_simplicial,
+    make_fan,
+    properties,
+    star_subdivide,
+)
+from toricvanish.linalg import adapted_basis, dot, int_rank, lcm_list, solve_rational
+from toricvanish.mori import _off_ray, intersect, wall_relation, walls
+from toricvanish.regions import IneqSystem, is_feasible, make_row
 
 
 def test_canonical(p2, f1, p112):
@@ -140,13 +160,44 @@ def test_semiample_p112_index2(p112):
 
 
 def test_semiample_section_check_raises(p112, monkeypatch):
-    # D has a half-integral covector; with the multiple forced to 1 its
-    # truncated section leaves 1*P_D, and the check must say so even under -O
+    # D has a half-integral covector, so its multiple is 2; with the first
+    # numerator of its memoized Cartier data moved by one, that section
+    # misses equality on a ray of its cone, and the check must say so in
+    # semiample_witness and in positivity
     D = (Fraction(0), Fraction(1), Fraction(-1))
     assert semiample_witness(p112, D).multiple == 2
-    monkeypatch.setattr(divisors, "lcm_list", lambda values: 1)
+    cd = cartier_data(p112, D)
+    first = (cd.numerators[0][0] + 1,) + cd.numerators[0][1:]
+    bad = replace(cd, numerators=(first,) + cd.numerators[1:])
+    monkeypatch.setattr(divisors, "_cartier_data", lambda fan, coeffs: bad)
     with pytest.raises(RuntimeError, match="fails ray"):
         semiample_witness(p112, D)
+    with pytest.raises(RuntimeError, match="fails ray"):
+        positivity(p112, D)
+
+
+def test_semiample_section_check_raises_under_optimize():
+    script = ("from dataclasses import replace\n"
+              "from fractions import Fraction\n"
+              "from toricvanish import divisors\n"
+              "from toricvanish.fans import make_fan\n"
+              "p112 = make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (0, 2), (1, 2)])\n"
+              "D = (Fraction(0), Fraction(1), Fraction(-1))\n"
+              "cd = divisors.cartier_data(p112, D)\n"
+              "first = (cd.numerators[0][0] + 1,) + cd.numerators[0][1:]\n"
+              "bad = replace(cd, numerators=(first,) + cd.numerators[1:])\n"
+              "divisors._cartier_data = lambda fan, coeffs: bad\n"
+              "try:\n"
+              "    divisors.semiample_witness(p112, D)\n"
+              "except RuntimeError as exc:\n"
+              "    print('raised:', exc)\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-O", "-c", script],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: section") and "fails ray" in proc.stdout
 
 
 def test_q_cartier_index_of_k_on_p113():
@@ -343,3 +394,119 @@ def test_cartier_data_solves_once_per_fan_and_divisor():
     info = divisors._cartier_data.cache_info()
     assert info.hits > info.misses
     assert info.misses == info.currsize == 22
+
+
+# A Fraction copy of the Cartier data, nef/ample loop, semiample certificate,
+# Q-Cartier index, support function and intersection numbers as they were
+# before Cartier data moved to integers: the integer code must agree with it.
+def _reference_covectors(fan, coeffs):
+    covectors = []
+    for cone in fan.max_cones:
+        rays = [fan.rays[i] for i in cone]
+        rhs = [-coeffs[i] for i in cone]
+        sol = solve_rational([list(r) for r in rays], rhs)
+        if sol is None:
+            return None
+        particular, kernel = sol
+        if not kernel:
+            covectors.append(tuple(particular))
+            continue
+        V, r_span = adapted_basis(rays, fan.rank)
+        coords = [[sum(ray[i] * V[i][j] for i in range(fan.rank))
+                   for j in range(r_span)] for ray in rays]
+        z = solve_rational(coords, rhs)[0]
+        covectors.append(tuple(sum(z[j] * V[i][j] for j in range(r_span))
+                               for i in range(fan.rank)))
+    return tuple(covectors)
+
+
+def _reference_positivity(fan, coeffs, covectors):
+    nef = True
+    full_span = bool(fan.rays) and int_rank([list(r) for r in fan.rays]) == fan.rank
+    ample = (len(set(covectors)) == len(covectors) and bool(fan.max_cones) and full_span)
+    for cone, m in zip(fan.max_cones, covectors):
+        for i, ray in enumerate(fan.rays):
+            val = Fraction(dot(m, ray))
+            if val < -coeffs[i]:
+                nef = ample = False
+            elif i not in cone and val == -coeffs[i]:
+                ample = False
+    rows = tuple((a, c, True) for a, c, _ in
+                 (make_row(r, -coeffs[i]) for i, r in enumerate(fan.rays)))
+    big = is_feasible(IneqSystem(fan.rank, rows))
+    return Positivity(nef=nef, ample=ample and nef, big=big)
+
+
+def _reference_index(coeffs, covectors):
+    dens = [x.denominator for m in covectors for x in m] + [c.denominator for c in coeffs]
+    return lcm_list(dens) if dens else 1
+
+
+def _reference_semiample(fan, coeffs, covectors):
+    for ci, m in enumerate(covectors):
+        for i, ray in enumerate(fan.rays):
+            if Fraction(dot(m, ray)) < -coeffs[i]:
+                return NotNef(ci, i)
+    ell = _reference_index(coeffs, covectors)
+    return SemiampleWitness(ell, tuple(tuple(int(x * ell) for x in m) for m in covectors))
+
+
+def _reference_support_value(fan, covectors, v):
+    for cone, m in zip(fan.max_cones, covectors):
+        if cone_contains(fan, cone, v):
+            return -Fraction(dot(m, v))
+    raise ValueError("point outside the support")
+
+
+def _reference_intersect(fan, coeffs, covectors, wall):
+    b = wall_relation(fan, wall).as_dict()
+    u = _off_ray(fan, wall, wall.cone_a)
+    v = _off_ray(fan, wall, wall.cone_b)
+    delta = tuple(x - y for x, y in zip(covectors[wall.cone_a], covectors[wall.cone_b]))
+    via_b = Fraction(dot(delta, fan.rays[v]), b[u])
+    via_a = Fraction(-dot(delta, fan.rays[u]), b[v])
+    total = Fraction(sum(b[i] * Fraction(coeffs[i]) for i in b), b[u] * b[v])
+    assert via_a == via_b == total
+    return total
+
+
+REFERENCE_FANS = reference_fans()
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+# zero entries often: a nef divisor with distinct covectors can still be tight
+# on a ray off a cone when the fan is not complete (D_(1,0) on the quadrant
+# plus the ray (-1,0))
+_coefficients = st.one_of(st.just(Fraction(0)), _fractions)
+
+
+@pytest.mark.parametrize("fan", REFERENCE_FANS,
+                         ids=[f"fan{i}" for i in range(len(REFERENCE_FANS))])
+@given(st.data())
+@settings(max_examples=8, deadline=None, derandomize=True)
+def test_integer_cartier_data_matches_the_fraction_reference(fan, data):
+    # on every reference fan (non-simplicial, not complete, non-convex
+    # support, torus factor): a drawn divisor with denominators 1-6, and a
+    # rational multiple of K, which is what makes the non-simplicial cube
+    # Q-Cartier
+    n = len(fan.rays)
+    drawn = tuple(data.draw(st.lists(_coefficients, min_size=n, max_size=n)))
+    for D in (drawn, scale(data.draw(_fractions), canonical(fan))):
+        covectors = _reference_covectors(fan, D)
+        cd = cartier_data(fan, D)
+        if covectors is None:
+            assert isinstance(cd, NotQCartier) and q_cartier_index(fan, D) is None
+            continue
+        assert cd.covectors == covectors, D
+        assert q_cartier_index(fan, D) == _reference_index(D, covectors), D
+        assert positivity(fan, D) == _reference_positivity(fan, D, covectors), D
+        assert semiample_witness(fan, D) == _reference_semiample(fan, D, covectors), D
+        for cone in fan.max_cones:
+            weights = data.draw(st.lists(st.integers(0, 3), min_size=len(cone),
+                                         max_size=len(cone)))
+            v = tuple(sum(w * fan.rays[i][k] for w, i in zip(weights, cone))
+                      for k in range(fan.rank))
+            assert support_value(fan, cd, v) == _reference_support_value(
+                fan, covectors, v), (D, v)
+        if is_simplicial(fan):
+            for wall in walls(fan):
+                assert intersect(fan, D, wall) == _reference_intersect(
+                    fan, D, covectors, wall), (D, wall)

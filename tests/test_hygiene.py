@@ -4,7 +4,8 @@ such a class that nothing in `src/`, `tests/` or `perfbench/` refers to, and
 no module with more `assert` statements than its ceiling (`python -O` strips
 them, so checks move to explicit raises and the ceilings only go down), and no
 module that imports another module's underscore name beyond an allow-list
-that only shrinks."""
+that only shrinks. The one nef/ample loop, `divisors._nef_test`, names no
+`Fraction`, so it stays in integers."""
 
 import ast
 from pathlib import Path
@@ -177,3 +178,10 @@ def test_no_private_name_crosses_modules_beyond_the_allow_list():
         f"private imports: {sorted(used - PRIVATE_IMPORTS)}"
     assert not PRIVATE_IMPORTS - used, \
         f"stale allow-list entries: {sorted(PRIVATE_IMPORTS - used)}"
+
+
+def test_nef_loop_names_no_fraction():
+    tree = _tree(PACKAGE / "divisors.py")
+    loop = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_nef_test")
+    assert "Fraction" not in _references([loop])

@@ -63,7 +63,8 @@ def test_snf_zero_matrix():
 @settings(max_examples=200, deadline=None)
 def test_snf_random(rows):
     diag = check_snf(rows)
-    assert len(diag) >= 1 or all(all(x == 0 for x in r) for r in rows) or True
+    # no nonzero diagonal entry exactly when every entry of the matrix is 0
+    assert (not any(diag)) == all(x == 0 for r in rows for x in r)
     assert len([d for d in diag if d]) == int_rank(rows)
 
 
