@@ -174,6 +174,14 @@ def _lattice_count(region):
     return None if pts is None else len(pts)
 
 
+@lru_cache(maxsize=4096)
+def _has_lattice_point(region):
+    """Whether a chamber region holds a lattice point, bounded or not; decided
+    once per process, as `vanishing_higher` asks about the same chamber once
+    per coefficient field."""
+    return has_lattice_point(region)
+
+
 def _z_acyclic(maximal_faces):
     """No reduced homology over any field: invariant factors 1, Q-dims 0."""
     data = _boundary_divisors(maximal_faces)
@@ -232,7 +240,7 @@ def coh_dims(fan, coeffs, field=None):
             continue
         count = _lattice_count(ch.region)
         if count is None:
-            if has_lattice_point(ch.region):
+            if _has_lattice_point(ch.region):
                 raise RuntimeError("unbounded chamber with nonzero homology "
                                    "and lattice points on a complete fan")
             continue
@@ -251,7 +259,7 @@ def vanishing_higher(fan, coeffs, field=None):
     for ch, cx in _homology_chambers(fan, _chamber_key(fan, coeffs)):
         hom = homology_dims(cx, field, fan.rank - 1)
         bad = next((p for p in range(1, fan.rank + 1) if hom.get(p - 1, 0)), None)
-        if bad is not None and has_lattice_point(ch.region):
+        if bad is not None and _has_lattice_point(ch.region):
             return False, (ch.pattern, bad)
     return True, None
 

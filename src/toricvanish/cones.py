@@ -4,12 +4,13 @@ Cones are given either by integer generators or by integer inequality rows
 {x : <a_i, x> >= 0}. Conversions run the double description method with a
 tight-set rank test for extremality, exact over the integers.
 
-A cone's dual is its H-representation, and pointedness, lineality, facets
-and extremality are all read from it. `cone_dual` reads the one memo of
-duals in the package, `_dual`: an `lru_cache` keyed on the generator tuple
-and `dim`, since a dual depends on the generators alone and not on the fan
-that holds them. It hands out tuples, so no caller can change what later
-readers see; `extreme_ray_indices` is memoized the same way.
+A cone's dual is its H-representation, and pointedness, lineality and
+facets are read from it. `cone_dual` reads the one memo of duals in the
+package, `_dual`: an `lru_cache` keyed on the generator tuple and `dim`,
+since a dual depends on the generators alone and not on the fan that holds
+them. It hands out tuples, so no caller can change what later readers see.
+`extreme_ray_indices` is memoized the same way and checks pointedness on
+that dual; it asks the exact simplex of `lp` only about non-simplicial cones.
 """
 
 from functools import lru_cache
@@ -136,20 +137,23 @@ def cone_facets(gens, dim):
 @lru_cache(maxsize=16384)
 def extreme_ray_indices(gens, dim):
     """Indices of the generators (a tuple of tuples) that are extreme rays of
-    the pointed cone(gens), as a sorted tuple; memoized like `_dual`."""
+    the pointed cone(gens), as a sorted tuple; memoized like `_dual`.
+
+    Each distinct primitive generator is listed at its first index. When
+    they are linearly independent (the cone is simplicial) each is extreme,
+    since none is a combination of the others; otherwise one exact simplex
+    per generator asks whether the others generate it.
+    """
     if not cone_is_pointed(gens, dim):
         raise ValueError("not strongly convex")
     prim = {}
     for i, g in enumerate(gens):
         if any(g):
-            p = primitive(g)
-            prim.setdefault(p, i)
-    out = []
-    for p, i in prim.items():
-        others = [q for q in prim if q != p]
-        if not lp.in_cone(p, others):
-            out.append(i)
-    return tuple(out)
+            prim.setdefault(primitive(g), i)
+    if int_rank(list(prim)) == len(prim):
+        return tuple(prim.values())
+    return tuple(i for p, i in prim.items()
+                 if not lp.in_cone(p, [q for q in prim if q != p]))
 
 
 def extreme_rays(gens):

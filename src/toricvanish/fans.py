@@ -13,7 +13,8 @@ frozen dataclass compared structurally: equal fans give equal answers, and
 no fan changes after it is built. Each cone's H-representation
 (`cones.cone_dual`) and `validate`'s common-face test of each pair of
 maximal cones (`_common_face`) are memoized on generators, so a cone or a
-pair shared by several fans is decided once.
+pair shared by several fans is decided once. That pair test runs FM only on
+the pairs that no sum of facet normals separates.
 """
 
 from dataclasses import dataclass
@@ -122,19 +123,30 @@ def validate(fan):
 @lru_cache(maxsize=16384)
 def _common_face(ga, gb, dim):
     """Whether cone(ga) and cone(gb) meet in a face of each (Cox, Little and
-    Schenck, Lemma 1.2.13): with S the shared generators, each cone's facets
-    through S cut out exactly cone(S), and no point of both cones lies off
-    the facets of cone(ga) through S."""
+    Schenck, Lemma 1.2.13), with S the shared generators.
+
+    Each cone's facets through S must cut out exactly cone(S). The sum t of
+    one cone's facet normals through S is then >= 0 on that cone and zero
+    on it exactly on cone(S), so the cones meet in cone(S) iff no common
+    point has t > 0. The certificate comes first: if t <= 0 on every
+    generator of the other cone, for either cone's t, no common point has
+    t > 0. Only when neither sum separates the cones does one
+    Fourier-Motzkin feasibility system look for such a point.
+    """
     shared = set(ga) & set(gb)
-    for gens in (gb, ga):  # ga last: `zero` keeps its facets through S
+    sums = []
+    for gens in (ga, gb):
         zero = [w for w in cones.cone_dual(gens, dim)[0]
                 if all(dot(w, s) == 0 for s in shared)]
         if {g for g in gens if all(dot(w, g) == 0 for w in zero)} != shared:
             return False
-    total = tuple(map(sum, zip(*zero))) or (0,) * dim
+        sums.append(tuple(map(sum, zip(*zero))) or (0,) * dim)
+    ta, tb = sums
+    if all(dot(ta, g) <= 0 for g in gb) or all(dot(tb, g) <= 0 for g in ga):
+        return True
     rows = [(w, 0, False) for gens in (ga, gb)
             for w in cones.halfspaces(cones.cone_dual(gens, dim))]
-    return not is_feasible(IneqSystem(dim, tuple(rows) + ((total, 0, True),)))
+    return not is_feasible(IneqSystem(dim, tuple(rows) + ((ta, 0, True),)))
 
 
 @dataclass(frozen=True)

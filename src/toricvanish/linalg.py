@@ -44,20 +44,19 @@ def transpose(A):
 
 
 def smith_normal_form(A):
-    """Smith normal form with transformations.
+    """Smith normal form with its column transformation.
 
-    Returns (S, U, V) with U*A*V = S, S diagonal with d_i | d_{i+1} and
-    d_i >= 0, and U, V unimodular.
+    Returns (S, V) with U*A*V = S for some unimodular U, which is not built
+    (every caller reads S and V only), S diagonal with d_i | d_{i+1} and
+    d_i >= 0, and V unimodular.
     """
     m = len(A)
     n = len(A[0]) if m else 0
     S = [list(row) for row in A]
-    U = identity_matrix(m)
     V = identity_matrix(n)
 
     def swap_rows(i, j):
         S[i], S[j] = S[j], S[i]
-        U[i], U[j] = U[j], U[i]
 
     def swap_cols(i, j):
         for r in S:
@@ -68,7 +67,6 @@ def smith_normal_form(A):
     def add_row(dst, src, q):
         # row dst += q * row src
         S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
-        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
 
     def add_col(dst, src, q):
         for r in S:
@@ -78,7 +76,6 @@ def smith_normal_form(A):
 
     def negate_row(i):
         S[i] = [-a for a in S[i]]
-        U[i] = [-a for a in U[i]]
 
     t = 0
     while t < min(m, n):
@@ -131,12 +128,12 @@ def smith_normal_form(A):
             if not merged:
                 break
         t += 1
-    return S, U, V
+    return S, V
 
 
 def snf_diagonal(A):
     """The invariant factors of an integer matrix (nonzero diagonal of its SNF)."""
-    S, _, _ = smith_normal_form(A)
+    S, _ = smith_normal_form(A)
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i]]
 
 
@@ -172,7 +169,7 @@ def int_kernel(A):
         return []
     if m == 0:
         return [tuple(row) for row in identity_matrix(n)]
-    S, _, V = smith_normal_form(A)
+    S, V = smith_normal_form(A)
     r = len([i for i in range(min(m, n)) if S[i][i]])
     cols = transpose(V)
     return [tuple(cols[j]) for j in range(r, n)]
@@ -300,7 +297,7 @@ def adapted_basis(vectors, n):
     rows = [list(v) for v in vectors]
     if not rows:
         return identity_matrix(n), 0
-    S, _, V = smith_normal_form(rows)
+    S, V = smith_normal_form(rows)
     return V, len([i for i in range(min(len(rows), n)) if S[i][i]])
 
 

@@ -18,6 +18,93 @@ def mat_mul(A, B):
             for i in range(len(A))]
 
 
+def reference_smith_normal_form(A):
+    """`linalg.smith_normal_form` as it was when it also built U: returns
+    (S, U, V) with U*A*V = S, by the same row and column operations, so its
+    S and V are the reference for the package's (S, V)."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    S = [list(row) for row in A]
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def swap_rows(i, j):
+        S[i], S[j] = S[j], S[i]
+        U[i], U[j] = U[j], U[i]
+
+    def swap_cols(i, j):
+        for r in S:
+            r[i], r[j] = r[j], r[i]
+        for r in V:
+            r[i], r[j] = r[j], r[i]
+
+    def add_row(dst, src, q):
+        S[dst] = [a + q * b for a, b in zip(S[dst], S[src])]
+        U[dst] = [a + q * b for a, b in zip(U[dst], U[src])]
+
+    def add_col(dst, src, q):
+        for r in S:
+            r[dst] += q * r[src]
+        for r in V:
+            r[dst] += q * r[src]
+
+    def negate_row(i):
+        S[i] = [-a for a in S[i]]
+        U[i] = [-a for a in U[i]]
+
+    t = 0
+    while t < min(m, n):
+        pi = pj = -1
+        pv = 0
+        for i in range(t, m):
+            for j in range(t, n):
+                a = abs(S[i][j])
+                if a and (pv == 0 or a < pv):
+                    pi, pj, pv = i, j, a
+        if pv == 0:
+            break
+        swap_rows(t, pi)
+        swap_cols(t, pj)
+        if S[t][t] < 0:
+            negate_row(t)
+        while True:
+            restart = False
+            for i in range(t + 1, m):
+                if S[i][t]:
+                    q = S[i][t] // S[t][t]
+                    add_row(i, t, -q)
+                    if S[i][t]:
+                        swap_rows(t, i)
+                        if S[t][t] < 0:
+                            negate_row(t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            for j in range(t + 1, n):
+                if S[t][j]:
+                    q = S[t][j] // S[t][t]
+                    add_col(j, t, -q)
+                    if S[t][j]:
+                        swap_cols(t, j)
+                        if S[t][t] < 0:
+                            negate_row(t)
+                        restart = True
+                        break
+            if restart:
+                continue
+            merged = False
+            for i in range(t + 1, m):
+                if any(S[i][j] % S[t][t] for j in range(t + 1, n)):
+                    add_row(t, i, 1)
+                    merged = True
+                    break
+            if not merged:
+                break
+        t += 1
+    return S, U, V
+
+
 def p2_fan():
     return make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])
 

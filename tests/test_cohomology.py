@@ -377,6 +377,34 @@ def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeyp
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("fan, coeffs, asked", [
+    (flip_side_a(), (0, 0, 0, -1), 1),
+    # the first quadrant cut by the rays (1,1), (1,2) and (3,2)
+    (make_fan(2, [(0, 1), (1, 0), (1, 1), (1, 2), (3, 2)],
+              [(0, 3), (1, 4), (2, 3), (2, 4)]), (0, 0, 0, 0, -1), 2),
+])
+def test_relative_cohomology_asks_for_lattice_points_once_per_chamber(
+        fan, coeffs, asked, monkeypatch):
+    # every field walks the same chambers with higher homology; the memo
+    # decides each one's lattice point once
+    from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
+
+    calls = []
+    real = cohomology.has_lattice_point
+
+    def counting(region):
+        calls.append(region)
+        return real(region)
+
+    monkeypatch.setattr(cohomology, "has_lattice_point", counting)
+    cohomology._has_lattice_point.cache_clear()
+    mode, payload = _model_cohomology(fan, coeffs, DEFAULT_FIELDS)
+    assert mode == "relative"
+    assert all(payload[f] == (True, None) for f in DEFAULT_FIELDS)
+    assert len(calls) == len(set(calls)) == asked
+    assert set(calls) <= {ch.region for ch in chambers(fan, coeffs)}
+
+
 def _reference_coh_dims(fan, coeffs, field):
     """`coh_dims` as it walked every chamber, Z-acyclic ones included."""
     dims = [0] * (fan.rank + 1)

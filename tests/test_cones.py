@@ -1,8 +1,9 @@
 import random
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from toricvanish import lp
 from toricvanish.cones import (
     cone_dim,
     cone_dual,
@@ -10,6 +11,7 @@ from toricvanish.cones import (
     cone_is_pointed,
     cone_lineality,
     dd_cone,
+    extreme_ray_indices,
     halfspaces,
     in_cone_hrep,
 )
@@ -177,3 +179,46 @@ _vec3 = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
 def test_halfspaces_describe_the_cone(gens, x):
     hrep = cone_dual(gens, 3)
     assert all(dot(w, x) >= 0 for w in halfspaces(hrep)) == in_cone_hrep(hrep, x)
+
+
+def _reference_extreme_ray_indices(gens, dim):
+    """`extreme_ray_indices` as it ran one exact simplex per distinct
+    primitive generator, simplicial cone or not."""
+    if not cone_is_pointed(gens, dim):
+        raise ValueError("not strongly convex")
+    prim = {}
+    for i, g in enumerate(gens):
+        if any(g):
+            prim.setdefault(primitive(g), i)
+    out = []
+    for p, i in prim.items():
+        others = [q for q in prim if q != p]
+        if not lp.in_cone(p, others):
+            out.append(i)
+    return tuple(out)
+
+
+def _extreme_or_error(fn, gens, dim):
+    try:
+        return fn(gens, dim)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(_rows_with_repeats())
+# simplicial: a 1-D cone, one with a repeated and a parallel generator and a
+# zero; not simplicial: the square cone; not pointed: a line, a half-plane
+@example(([(0, 2, 0), (0, 1, 0)], 3))
+@example(([(1, 0), (0, 0), (2, 0), (0, 1), (1, 0)], 2))
+@example(([(1, 0, 1), (0, 1, 1), (-1, 0, 1), (0, -1, 1), (1, 1, 2)], 3))
+@example(([(3,), (-1,)], 1))
+@example(([(1, 0), (-1, 0), (0, 1)], 2))
+@example(([(0, 0), (0, 0)], 2))
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_extreme_ray_indices_matches_the_simplex_reference(case):
+    gens, dim = case
+    gens = tuple(gens)
+    extreme_ray_indices.cache_clear()
+    assert (_extreme_or_error(extreme_ray_indices, gens, dim)
+            == _extreme_or_error(_reference_extreme_ray_indices, gens, dim))
+

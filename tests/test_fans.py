@@ -2,8 +2,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import f1_fan, flip_side_a, flip_side_b, p2_fan, reference_fans
-from toricvanish import cones, fans, verify
+from conftest import (
+    cube_fan,
+    f1_fan,
+    flip_side_a,
+    flip_side_b,
+    p2_fan,
+    reference_fans,
+)
+from toricvanish import cones, fans, lp, verify
 from toricvanish.corpus import curated_instances
 from toricvanish.fans import (
     ToricMap,
@@ -289,6 +296,34 @@ def test_common_face_examples(ga, gb, dim, expected):
     assert fans._common_face(gb, ga, dim) is expected
 
 
+@pytest.mark.parametrize("ga, gb, expected, fourier_motzkin", [
+    # one shared ray: both facet-normal sums separate, only the first, only
+    # the second, or neither (the cones are planar and meet in that ray)
+    (((1, -1, -1),), ((1, -1, -1),), True, False),
+    (((-1, 0, 0), (0, 1, -1)), ((-1, 0, 0), (1, 0, -1)), True, False),
+    (((1, -1, 0), (1, -1, 1)), ((-1, -1, 1), (1, -1, 0)), True, False),
+    (((-1, -1, 0), (0, -1, 0)), ((-1, 0, 1), (0, -1, 0)), True, True),
+    # neither separates, and (0,-1,-1) lies inside the first cone
+    (((-1, -1, 0), (1, 0, -1)), ((-1, -1, 0), (0, -1, -1)), False, True),
+])
+def test_common_face_runs_fourier_motzkin_only_when_no_sum_separates(
+        ga, gb, expected, fourier_motzkin, monkeypatch):
+    calls = []
+    real = fans.is_feasible
+
+    def feasible(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(fans, "is_feasible", feasible)
+    for pair in ((ga, gb), (gb, ga)):
+        fans._common_face.cache_clear()
+        calls.clear()
+        assert fans._common_face(*pair, 3) is expected
+        assert _reference_common_face(*pair, 3) is expected
+        assert bool(calls) is fourier_motzkin
+
+
 def test_cubeq_flop_decides_each_cone_pair_once(monkeypatch):
     # the models of an MMP run share cone pairs, and the pair memo decides
     # each once; validate's first loop has dualized every cone, so its pair
@@ -319,3 +354,66 @@ def test_cubeq_flop_decides_each_cone_pair_once(monkeypatch):
     assert info.misses == len(set(asked))
     assert info.hits == len(asked) - len(set(asked))
     assert not dd_in_pairs
+
+
+def test_validate_runs_no_simplex_on_simplicial_fans(monkeypatch):
+    # every cone of a simplicial fan has linearly independent rays, so all
+    # are extreme without an `lp.in_cone` call; `cube`'s cones need them
+    calls = []
+    real = lp.in_cone
+
+    def counted(v, others):
+        calls.append(v)
+        return real(v, others)
+
+    monkeypatch.setattr(lp, "in_cone", counted)
+    cones.extreme_ray_indices.cache_clear()
+    simplicial = [fan for fan in reference_fans() if is_simplicial(fan)]
+    assert len(simplicial) > 30
+    for fan in simplicial:
+        assert validate(fan) == []
+    assert calls == []
+    assert validate(cube_fan()) == []
+    assert len(calls) == 6 * 4
+
+
+def _separated(ga, gb, dim):
+    """Whether the facet-normal sum through the shared generators of either
+    cone is <= 0 on every generator of the other, each cone's facets through
+    them cutting out exactly their cone; None when such a facet check fails."""
+    shared = set(ga) & set(gb)
+    sums = []
+    for gens in (ga, gb):
+        through = [w for w in cones.cone_dual(gens, dim)[0]
+                   if all(dot(w, s) == 0 for s in shared)]
+        if {g for g in gens if all(dot(w, g) == 0 for w in through)} != shared:
+            return None
+        sums.append([sum(col) for col in zip(*through)] or [0] * dim)
+    return (all(dot(sums[0], g) <= 0 for g in gb)
+            or all(dot(sums[1], g) <= 0 for g in ga))
+
+
+def test_cubeq_flop_runs_fourier_motzkin_only_on_unseparated_pairs(monkeypatch):
+    real_pair, real_feasible = fans._common_face, fans.is_feasible
+    inside, asked, fm = [], [], []
+
+    def pair(ga, gb, dim):
+        asked.append((ga, gb, dim))
+        inside.append((ga, gb, dim))
+        try:
+            return real_pair(ga, gb, dim)
+        finally:
+            inside.pop()
+
+    def feasible(system):
+        fm.append(inside[-1])
+        return real_feasible(system)
+
+    real_pair.cache_clear()
+    monkeypatch.setattr(fans, "_common_face", pair)
+    monkeypatch.setattr(fans, "is_feasible", feasible)
+    verify.verify_mmp(dict(curated_instances())["cubeq-flop"])
+    verdicts = {p: _separated(*p) for p in set(asked)}
+    assert len(fm) == len(set(fm))
+    assert set(fm) == {p for p, sep in verdicts.items() if sep is False}
+    assert 0 < len(fm) < sum(sep is True for sep in verdicts.values())

@@ -5,7 +5,9 @@ no module with more `assert` statements than its ceiling (`python -O` strips
 them, so checks move to explicit raises and the ceilings only go down), and no
 module that imports another module's underscore name beyond an allow-list
 that only shrinks. The one nef/ample loop, `divisors._nef_test`, names no
-`Fraction`, so it stays in integers."""
+`Fraction`, so it stays in integers. The exact simplex `lp.in_cone` is called
+only from the functions on an allow-list that only shrinks, so it does not
+spread back into a hot path."""
 
 import ast
 from pathlib import Path
@@ -24,6 +26,9 @@ PRIVATE_IMPORTS = {
     ("lp", "linalg", "_eliminate"),
     ("lp", "linalg", "_int_row"),
 }
+# (module, function) for each function or method of src/toricvanish/ that
+# calls `lp.in_cone`; remove an entry when its call goes, and add none.
+IN_CONE_CALLERS = {("cones", "extreme_ray_indices")}
 
 
 def _tree(path):
@@ -185,3 +190,54 @@ def test_nef_loop_names_no_fraction():
     loop = next(node for node in tree.body
                 if isinstance(node, ast.FunctionDef) and node.name == "_nef_test")
     assert "Fraction" not in _references([loop])
+
+
+def _in_cone_callers(tree):
+    """Names of the functions and methods of a module's syntax tree that call
+    `lp.in_cone`: as `lp.in_cone` after `from . import lp [as x]` or
+    `import toricvanish.lp as x`, as `toricvanish.lp.in_cone`, or by the name
+    `from .lp import in_cone [as y]` binds."""
+    modules, names = {"toricvanish.lp"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names
+                        if a.name == "toricvanish.lp" and a.asname}
+        elif isinstance(node, ast.ImportFrom):
+            source = (node.level, node.module)
+            if source in ((1, None), (0, "toricvanish")):
+                modules |= {a.asname or a.name for a in node.names if a.name == "lp"}
+            elif source in ((1, "lp"), (0, "toricvanish.lp")):
+                names |= {a.asname or a.name for a in node.names if a.name == "in_cone"}
+    targets = names | {f"{m}.in_cone" for m in modules}
+    return {node.name for node, _ in _definitions(tree.body)
+            if isinstance(node, ast.FunctionDef)
+            and any(isinstance(n, ast.Call) and _dotted(n.func) in targets
+                    for n in ast.walk(node))}
+
+
+def test_in_cone_scan_sees_every_import_form():
+    source = """
+from . import lp
+from toricvanish import lp as simplex
+import toricvanish.lp as tl
+import toricvanish.lp
+from .lp import in_cone as member
+def a(): return lp.in_cone(v, g)
+def b(): return simplex.in_cone(v, g)
+def c(): return tl.in_cone(v, g)
+def d(): return toricvanish.lp.in_cone(v, g)
+def e(): return [member(v, g) for g in gens]
+class F:
+    def g(self): return lp.in_cone(v, g)
+def h(): return lp.in_cone, in_cone(v, g), other.in_cone(v, g)
+"""
+    assert _in_cone_callers(ast.parse(source)) == {"a", "b", "c", "d", "e", "g"}
+
+
+def test_simplex_callers_only_shrink():
+    used = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+            for name in _in_cone_callers(_tree(path))}
+    assert not used - IN_CONE_CALLERS, \
+        f"new lp.in_cone callers: {sorted(used - IN_CONE_CALLERS)}"
+    assert not IN_CONE_CALLERS - used, \
+        f"stale lp.in_cone callers: {sorted(IN_CONE_CALLERS - used)}"
