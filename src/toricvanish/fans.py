@@ -6,17 +6,21 @@ equality is structural.
 
 Which maximal cones share a facet is decided in one place,
 `facet_incidence`: completeness and the walls of `mori` both read it, so
-`is_complete` runs no Fourier-Motzkin (FM). `support_is_convex` runs FM only
-on a fan that is not complete. These, and the per-cone dimensions, are
-memoized per process with `lru_cache`. This is safe because a `Fan` is a
-frozen dataclass compared structurally: equal fans give equal answers, and
-no fan changes after it is built. Each cone's H-representation
-(`cones.cone_dual`) and `validate`'s common-face test of each pair of
-maximal cones (`_common_face`) are memoized on generators, so a cone or a
-pair shared by several fans is decided once. That pair test runs FM only on
-the pairs that no sum of facet normals separates.
+`is_complete` runs no Fourier-Motzkin (FM). `support_is_convex` reads the
+same facet normals: a support is convex iff every ray lies on the inner side
+of every boundary facet, so it runs no FM either, and `star_subdivide` finds
+the facets through a new ray by <w, v> = 0. No fan predicate takes a set
+difference of cones; only `check_map`'s properness test does. These, and
+the per-cone dimensions, are memoized per process with `lru_cache`. This is
+safe because a `Fan` is a frozen dataclass compared structurally: equal fans
+give equal answers, and no fan changes after it is built. Each cone's
+H-representation (`cones.cone_dual`) and `validate`'s common-face test of
+each pair of maximal cones (`_common_face`) are memoized on generators, so a
+cone or a pair shared by several fans is decided once. That pair test runs
+FM only on the pairs that no sum of facet normals separates.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -188,12 +192,28 @@ def facet_incidence(fan):
 
 @lru_cache(maxsize=4096)
 def support_is_convex(fan):
-    """Whether the union of cones equals the cone generated by all rays."""
+    """Whether the union of cones equals the cone generated by all rays.
+
+    A convex support of dimension d is a union of its d-dimensional cones,
+    so a maximal cone of another dimension rules it out. Otherwise, with a
+    boundary facet one that lies in a single maximal cone, the support is
+    convex iff every ray lies on the inner side of every boundary facet
+    (Tietze-Nakajima; Cox, Little and Schenck, Toric Varieties, section
+    6.1). (=>) A convex support lies on the inner side of each boundary
+    facet's hyperplane. (<=) A generic segment from an interior point to a
+    point of the rays' cone outside the support leaves it through the
+    relative interior of a boundary facet, so that point, and hence some
+    ray, lies on the outer side. When every cone is lower-dimensional, the
+    normals `_facets` reads are exact on the span, and the same test holds.
+    """
     if not fan.max_cones or is_complete(fan):
         return True
-    hull = cones.cone_dual(fan.rays, fan.rank)
-    base = [(w, 0, False) for w in cones.halfspaces(hull)]
-    return subtract_cones(fan.rank, base, _hreps(fan)) is None
+    span = cones.cone_dim(fan.rays)
+    if any(_cone_dim(fan, c) != span for c in fan.max_cones):
+        return False
+    facets = [wf for c in fan.max_cones for wf in _facets(fan, c)]
+    seen = Counter(f for _, f in facets)
+    return all(dot(w, r) >= 0 for w, f in facets if seen[f] == 1 for r in fan.rays)
 
 
 @lru_cache(maxsize=4096)
@@ -256,20 +276,14 @@ def star_subdivide(fan, v):
         raise ValueError("subdivision point must be primitive")
     if v in fan.rays:
         raise ValueError("already a ray")
-    if not support_contains(fan, v):
+    holding = [c for c in fan.max_cones if cone_contains(fan, c, v)]
+    if not holding:
         raise ValueError("point outside the support")
-    new_rays = list(fan.rays) + [v]
-    vidx = len(fan.rays)
-    new_cones = []
-    for c in fan.max_cones:
-        if not cone_contains(fan, c, v):
-            new_cones.append(tuple(c))
-            continue
-        for _, fidx in _facets(fan, c):
-            if cones.in_cone_hrep(_cone_hrep(fan, fidx), v):
-                continue
-            new_cones.append(tuple(sorted(fidx + (vidx,))))
-    out = make_fan(fan.rank, new_rays, new_cones)
+    # v lies on the facet of a cone that holds it iff <w, v> = 0
+    new_cones = [c for c in fan.max_cones if c not in holding]
+    new_cones += [f + (len(fan.rays),) for c in holding
+                  for w, f in _facets(fan, c) if dot(w, v)]
+    out = make_fan(fan.rank, list(fan.rays) + [v], new_cones)
     return out, identity_map(out, fan)
 
 

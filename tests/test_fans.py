@@ -1,5 +1,8 @@
+import random
+from functools import lru_cache
+
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -10,8 +13,8 @@ from conftest import (
     p2_fan,
     reference_fans,
 )
-from toricvanish import cones, fans, lp, verify
-from toricvanish.corpus import curated_instances
+from toricvanish import cones, fans, lp, regions, verify
+from toricvanish.corpus import _random_interior_point, curated_instances
 from toricvanish.fans import (
     ToricMap,
     check_map,
@@ -24,7 +27,7 @@ from toricvanish.fans import (
     star_subdivide,
     validate,
 )
-from toricvanish.linalg import dot, primitive
+from toricvanish.linalg import dot, mat_vec, primitive
 from toricvanish.mmp import run_mmp
 from toricvanish.regions import subtract_cones
 from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
@@ -216,11 +219,129 @@ def test_run_mmp_runs_no_subtract_cones_on_a_complete_fan(monkeypatch):
     assert run.steps and calls == []
 
 
-def test_model_cohomology_runs_one_subtract_cones_on_a_relative_fan(monkeypatch):
+def test_model_cohomology_runs_no_subtract_cones_on_a_relative_fan(monkeypatch):
     calls = _count_subtract_cones(monkeypatch)
     mode, _ = _model_cohomology(flip_side_a(), (0, 0, 0, 0), DEFAULT_FIELDS)
     assert mode == "relative"
-    assert len(calls) == 1
+    assert calls == []
+
+
+def _reference_support_is_convex(fan):
+    """The covering test `support_is_convex` ran before it read boundary
+    facets: Fourier-Motzkin set difference of the maximal cones from the
+    cone of all rays."""
+    if not fan.max_cones or is_complete(fan):
+        return True
+    hull = cones.cone_dual(fan.rays, fan.rank)
+    base = [(w, 0, False) for w in cones.halfspaces(hull)]
+    return subtract_cones(fan.rank, base, fans._hreps(fan)) is None
+
+
+def _subfan(rng, fan):
+    """A random nonempty set of maximal cones of a valid fan, on their rays."""
+    chosen = rng.sample(fan.max_cones, rng.randint(1, len(fan.max_cones)))
+    used = sorted({i for c in chosen for i in c})
+    return make_fan(fan.rank, [fan.rays[i] for i in used],
+                    [[used.index(i) for i in c] for c in chosen])
+
+
+def _embed(rng, fan):
+    """The fan pushed into rank + 1 by a random unimodular map, so that every
+    maximal cone is lower-dimensional."""
+    n = fan.rank + 1
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        q = rng.choice((-1, 1))
+        m[i] = [a + q * b for a, b in zip(m[i], m[j])]
+    return make_fan(n, [mat_vec(m, r + (0,)) for r in fan.rays], fan.max_cones)
+
+
+@lru_cache(maxsize=1)
+def _convexity_fans():
+    """The reference fans, seeded random subfans of the complete ones at
+    ranks 2 to 4, and unimodular embeddings of some subfans into rank + 1."""
+    rng, reference = random.Random(21), reference_fans()
+    subfans = [_subfan(rng, fan) for fan in reference if is_complete(fan)
+               for _ in range(7)]
+    embedded = [_embed(rng, fan) for fan in subfans[::2]]
+    return tuple(reference + subfans + embedded)
+
+
+def test_support_is_convex_matches_the_covering_test():
+    fans_ = _convexity_fans()
+    assert len(fans_) < 400
+    assert {fan.rank for fan in fans_} == {2, 3, 4, 5}
+    seen = set()
+    for fan in fans_:
+        assert validate(fan) == [], fan
+        convex = fans.support_is_convex(fan)
+        assert convex is _reference_support_is_convex(fan), fan
+        seen.add((convex, is_complete(fan),
+                  all(fans._cone_dim(fan, c) < fan.rank for c in fan.max_cones)))
+    # convex and not, complete or not, and with every cone lower-dimensional
+    assert {(True, True, False), (True, False, False), (False, False, False),
+            (True, False, True), (False, False, True)} <= seen
+
+
+def test_support_is_convex_runs_no_fourier_motzkin(monkeypatch):
+    fans_ = _convexity_fans()
+    calls = _count_subtract_cones(monkeypatch)
+    real = regions.is_feasible
+
+    def feasible(system):
+        calls.append(system)
+        return real(system)
+
+    monkeypatch.setattr(regions, "is_feasible", feasible)
+    monkeypatch.setattr(fans, "is_feasible", feasible)
+    fans.facet_incidence.cache_clear()
+    for fan in fans_:
+        fans.support_is_convex(fan)
+    assert calls == []
+
+
+def _reference_star_subdivide(fan, v):
+    """`star_subdivide` as it was when it dualized every facet of a cone that
+    holds v to ask whether v lies on it."""
+    new_cones = []
+    for c in fan.max_cones:
+        if not fans.cone_contains(fan, c, v):
+            new_cones.append(tuple(c))
+            continue
+        for _, fidx in fans._facets(fan, c):
+            if cones.in_cone_hrep(fans._cone_hrep(fan, fidx), v):
+                continue
+            new_cones.append(tuple(sorted(fidx + (len(fan.rays),))))
+    return make_fan(fan.rank, list(fan.rays) + [v], new_cones)
+
+
+def _face_point(rng, fan):
+    """A primitive point of some maximal cone's face, or of the cone spanned
+    by a few of its rays, that is not a ray; None if the draw is one."""
+    cone = rng.choice(fan.max_cones)
+    weights = {i: rng.randint(1, 2) for i in rng.sample(cone, rng.randint(1, len(cone)))}
+    v = primitive(tuple(sum(w * fan.rays[i][k] for i, w in weights.items())
+                        for k in range(fan.rank)))
+    return None if v in fan.rays else v
+
+
+def test_star_subdivide_matches_the_facet_dual_version():
+    rng = random.Random(5)
+    drawn, on_faces, kinds = 0, 0, set()
+    for fan in reference_fans():
+        for draw in (_random_interior_point, _face_point) * 4:
+            v = draw(rng, fan)
+            if v is None:
+                continue
+            out, m = star_subdivide(fan, v)
+            assert out == _reference_star_subdivide(fan, v), (fan, v)
+            assert m.source == out and m.target == fan
+            drawn += 1
+            on_faces += sum(fans.cone_contains(fan, c, v) for c in fan.max_cones) > 1
+            kinds.add(is_simplicial(fan))
+    assert drawn > 200 and on_faces > 20
+    assert kinds == {True, False}
 
 
 def _reference_common_face(ga, gb, dim):
@@ -265,8 +386,24 @@ def pointed_cone_pairs(draw):
     return ga, gb, dim
 
 
+# the six pairs of cones of `cubeq-flop` that no facet-normal sum separates,
+# so `_common_face` decides them by Fourier-Motzkin, and one such pair whose
+# cones overlap
 @given(pointed_cone_pairs())
-@settings(max_examples=400, deadline=None)
+@example(((((-1, -1, -1), (-1, -1, 1), (-1, 1, 1)),
+          ((-1, 1, -1), (1, 1, -1), (1, 1, 1)), 3)))
+@example(((((-1, -1, -1), (-1, 1, -1), (-1, 1, 1)),
+          ((-1, -1, 1), (1, -1, 1), (1, 1, 1)), 3)))
+@example(((((-1, -1, -1), (1, -1, -1), (1, -1, 1)),
+          ((-1, -1, 1), (-1, 1, 1), (1, 1, 1)), 3)))
+@example(((((-1, -1, -1), (1, -1, -1), (1, 1, -1)),
+          ((-1, 1, -1), (-1, 1, 1), (1, 1, 1)), 3)))
+@example(((((-1, -1, 1), (-1, 1, 1), (1, 1, 1)),
+          ((1, -1, -1), (1, -1, 1), (1, 1, -1)), 3)))
+@example(((((-1, 1, -1), (-1, 1, 1), (1, 1, 1)),
+          ((1, -1, -1), (1, -1, 1), (1, 1, -1)), 3)))
+@example(((((-1, -1, 0), (1, 0, -1)), ((-1, -1, 0), (0, -1, -1)), 3)))
+@settings(max_examples=400, deadline=None, derandomize=True)
 def test_common_face_matches_the_double_description_test(pair):
     assert fans._common_face(*pair) == _reference_common_face(*pair)
 

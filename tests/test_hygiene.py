@@ -5,9 +5,10 @@ no module with more `assert` statements than its ceiling (`python -O` strips
 them, so checks move to explicit raises and the ceilings only go down), and no
 module that imports another module's underscore name beyond an allow-list
 that only shrinks. The one nef/ample loop, `divisors._nef_test`, names no
-`Fraction`, so it stays in integers. The exact simplex `lp.in_cone` is called
-only from the functions on an allow-list that only shrinks, so it does not
-spread back into a hot path."""
+`Fraction`, so it stays in integers. The exact simplex `lp.in_cone` and the
+set difference `regions.subtract_cones` are each called only from the
+functions on an allow-list that only shrinks, so they do not spread back
+into a hot path or into the fan predicates."""
 
 import ast
 from pathlib import Path
@@ -29,6 +30,9 @@ PRIVATE_IMPORTS = {
 # (module, function) for each function or method of src/toricvanish/ that
 # calls `lp.in_cone`; remove an entry when its call goes, and add none.
 IN_CONE_CALLERS = {("cones", "extreme_ray_indices")}
+# the same for `regions.subtract_cones`, a set difference with one FM call per
+# piece: no fan predicate (convexity, completeness, subdivision) takes one.
+SUBTRACT_CONES_CALLERS = {("fans", "check_map")}
 
 
 def _tree(path):
@@ -192,23 +196,24 @@ def test_nef_loop_names_no_fraction():
     assert "Fraction" not in _references([loop])
 
 
-def _in_cone_callers(tree):
+def _callers(tree, module, name):
     """Names of the functions and methods of a module's syntax tree that call
-    `lp.in_cone`: as `lp.in_cone` after `from . import lp [as x]` or
-    `import toricvanish.lp as x`, as `toricvanish.lp.in_cone`, or by the name
-    `from .lp import in_cone [as y]` binds."""
-    modules, names = {"toricvanish.lp"}, set()
+    `name` of the sibling `module`: as `module.name` after `from . import
+    module [as x]` or `import toricvanish.module as x`, as
+    `toricvanish.module.name`, or by the name `from .module import name [as
+    y]` binds."""
+    full = f"toricvanish.{module}"
+    modules, names = {full}, set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            modules |= {a.asname for a in node.names
-                        if a.name == "toricvanish.lp" and a.asname}
+            modules |= {a.asname for a in node.names if a.name == full and a.asname}
         elif isinstance(node, ast.ImportFrom):
             source = (node.level, node.module)
             if source in ((1, None), (0, "toricvanish")):
-                modules |= {a.asname or a.name for a in node.names if a.name == "lp"}
-            elif source in ((1, "lp"), (0, "toricvanish.lp")):
-                names |= {a.asname or a.name for a in node.names if a.name == "in_cone"}
-    targets = names | {f"{m}.in_cone" for m in modules}
+                modules |= {a.asname or a.name for a in node.names if a.name == module}
+            elif source in ((1, module), (0, full)):
+                names |= {a.asname or a.name for a in node.names if a.name == name}
+    targets = names | {f"{m}.{name}" for m in modules}
     return {node.name for node, _ in _definitions(tree.body)
             if isinstance(node, ast.FunctionDef)
             and any(isinstance(n, ast.Call) and _dotted(n.func) in targets
@@ -231,13 +236,22 @@ class F:
     def g(self): return lp.in_cone(v, g)
 def h(): return lp.in_cone, in_cone(v, g), other.in_cone(v, g)
 """
-    assert _in_cone_callers(ast.parse(source)) == {"a", "b", "c", "d", "e", "g"}
+    assert _callers(ast.parse(source), "lp", "in_cone") == {"a", "b", "c", "d", "e", "g"}
+    assert _callers(ast.parse(source), "regions", "in_cone") == set()
+
+
+def _ratchet(module, name, allowed):
+    used = {(path.stem, caller) for path in sorted(PACKAGE.glob("*.py"))
+            for caller in _callers(_tree(path), module, name)}
+    assert not used - allowed, \
+        f"new {module}.{name} callers: {sorted(used - allowed)}"
+    assert not allowed - used, \
+        f"stale {module}.{name} callers: {sorted(allowed - used)}"
 
 
 def test_simplex_callers_only_shrink():
-    used = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
-            for name in _in_cone_callers(_tree(path))}
-    assert not used - IN_CONE_CALLERS, \
-        f"new lp.in_cone callers: {sorted(used - IN_CONE_CALLERS)}"
-    assert not IN_CONE_CALLERS - used, \
-        f"stale lp.in_cone callers: {sorted(IN_CONE_CALLERS - used)}"
+    _ratchet("lp", "in_cone", IN_CONE_CALLERS)
+
+
+def test_set_difference_callers_only_shrink():
+    _ratchet("regions", "subtract_cones", SUBTRACT_CONES_CALLERS)
