@@ -200,7 +200,7 @@ def build_parser():
     dims = coh_sub.add_parser("dims")
     dims.add_argument("divisor")
     dims.add_argument("--field", default="q",
-                      choices=["q", "f2", "f3", "f5", "f7"])
+                      choices=DEFAULT_FIELDS)
     dims.set_defaults(func=_coh_dims)
 
     mmp_p = sub.add_parser("mmp")
@@ -214,7 +214,7 @@ def build_parser():
     ver.add_argument("what", choices=["kv", "mmp", "mfs", "flip"])
     ver.add_argument("path")
     ver.add_argument("--field", action="append",
-                     choices=["q", "f2", "f3", "f5", "f7"])
+                     choices=DEFAULT_FIELDS)
     ver.add_argument("--quiet", action="store_true", dest="quiet_sub")
     ver.set_defaults(func=_verify)
 
@@ -225,7 +225,7 @@ def build_parser():
     sui.add_argument("--max-rays", type=int, default=12)
     sui.add_argument("--report")
     sui.add_argument("--field", action="append",
-                     choices=["q", "f2", "f3", "f5", "f7"])
+                     choices=DEFAULT_FIELDS)
     sui.add_argument("--quiet", action="store_true", dest="quiet_sub")
     sui.set_defaults(func=_suite)
 
@@ -237,9 +237,6 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         code = args.func(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -39,6 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import isqrt
 
 from .fans import is_complete, is_simplicial
 from .linalg import dot, snf_diagonal
@@ -53,13 +54,14 @@ from .regions import (
 
 
 def parse_field(name):
-    """'q' -> None (rationals), 'f<p>' -> the prime p."""
+    """'q' -> None (rationals), 'f<p>' -> the prime p. A composite p names
+    no field: ranks mod p would not be homology over any field."""
     if name in (None, "q", "Q"):
         return None
     s = str(name).lower()
     if s.startswith("f") and s[1:].isdigit():
         p = int(s[1:])
-        if p >= 2:
+        if p >= 2 and all(p % d for d in range(2, isqrt(p) + 1)):
             return p
     raise ValueError(f"unknown field {name!r}")
 

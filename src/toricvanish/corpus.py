@@ -23,7 +23,7 @@ from .divisors import (
     round_divisor,
     sub,
 )
-from .fans import is_simplicial, make_fan, star_subdivide, support_contains
+from .fans import is_simplicial, make_fan, star_subdivide
 from .formats import Instance
 from .linalg import primitive
 
@@ -111,7 +111,7 @@ def _random_interior_point(rng, fan):
         if not any(v):
             continue
         v = primitive(v)
-        if v in fan.rays or not support_contains(fan, v):
+        if v in fan.rays:
             continue
         return v
     return None

@@ -30,7 +30,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
 
-from .fans import cone_contains
+from .fans import cone_contains, full_span
 from .linalg import (
     adapted_basis,
     dot,
@@ -233,8 +233,7 @@ def positivity(fan, coeffs):
     failure, tight = _nef_test(fan, cd)
     nef = failure is None
     # fans with a torus factor admit no strictly convex support function
-    full_span = bool(fan.rays) and int_rank([list(r) for r in fan.rays]) == fan.rank
-    ample = (nef and not tight and bool(fan.max_cones) and full_span
+    ample = (nef and not tight and bool(fan.max_cones) and full_span(fan)
              and len(set(cd.numerators)) == len(cd.numerators))
     interior = tuple((a, c, True) for a, c, _ in _section_rows(fan, coeffs))
     big = is_feasible(IneqSystem(fan.rank, interior))

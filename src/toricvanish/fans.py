@@ -10,8 +10,9 @@ Which maximal cones share a facet is decided in one place,
 same facet normals: a support is convex iff every ray lies on the inner side
 of every boundary facet, so it runs no FM either, and `star_subdivide` finds
 the facets through a new ray by <w, v> = 0. No fan predicate takes a set
-difference of cones; only `check_map`'s properness test does. These, and
-the per-cone dimensions, are memoized per process with `lru_cache`. This is
+difference of cones; only `check_map`'s properness test does. These, the
+torus-factor test `full_span` and the per-cone dimensions, are memoized
+per process with `lru_cache`. This is
 safe because a `Fan` is a frozen dataclass compared structurally: equal fans
 give equal answers, and no fan changes after it is built. Each cone's
 H-representation (`cones.cone_dual`) and `validate`'s common-face test of
@@ -75,12 +76,6 @@ def _cone_dim(fan, cone):
 
 def cone_contains(fan, cone, v):
     return cones.in_cone_hrep(_cone_hrep(fan, cone), v)
-
-
-def support_contains(fan, v):
-    if not fan.max_cones:
-        return not any(v)
-    return any(cone_contains(fan, c, v) for c in fan.max_cones)
 
 
 def _facets(fan, cone):
@@ -214,6 +209,13 @@ def support_is_convex(fan):
     facets = [wf for c in fan.max_cones for wf in _facets(fan, c)]
     seen = Counter(f for _, f in facets)
     return all(dot(w, r) >= 0 for w, f in facets if seen[f] == 1 for r in fan.rays)
+
+
+@lru_cache(maxsize=4096)
+def full_span(fan):
+    """Whether the fan has rays and they span R^rank, so that it has no torus
+    factor."""
+    return bool(fan.rays) and cones.cone_dim(fan.rays) == fan.rank
 
 
 @lru_cache(maxsize=4096)

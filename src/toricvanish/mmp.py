@@ -16,15 +16,18 @@ from math import ceil, floor
 from . import cones
 from .divisors import (
     NotQCartier,
+    SemiampleWitness,
     cartier_data,
     discrepancy,
     pullback,
     pushforward,
     round_divisor,
+    semiample_witness,
 )
 from .fans import (
     Fan,
     ToricMap,
+    full_span,
     identity_map,
     is_simplicial,
     make_fan,
@@ -34,12 +37,12 @@ from .fans import (
 )
 from .linalg import (
     adapted_basis,
+    dot,
     int_kernel,
-    int_rank,
     mat_vec,
     primitive,
 )
-from .mori import CurveClass, extremal_rays, intersect, walls
+from .mori import extremal_rays, intersect, walls_within
 
 STEP_CAP = 10000
 
@@ -223,15 +226,10 @@ def flip(fan, contraction, coeffs):
         raise ValueError("flipped structure is not a fan: " + "; ".join(defects))
     # strict transform must be ample over the contraction: positive on the
     # new wall curves inside each flipped family
-    flipped_walls = walls(flipped)
-    for family in flip_families:
-        fam = {frozenset(c) for c in family}
-        for w in flipped_walls:
-            ca = frozenset(flipped.max_cones[w.cone_a])
-            cb = frozenset(flipped.max_cones[w.cone_b])
-            if ca in fam and cb in fam:
-                if intersect(flipped, coeffs, w) <= 0:
-                    raise ValueError("strict transform is not relatively ample")
+    groups = [[flipped.max_cones.index(c) for c in family] for family in flip_families]
+    for w in walls_within(flipped, groups):
+        if intersect(flipped, coeffs, w) <= 0:
+            raise ValueError("strict transform is not relatively ample")
     return flipped
 
 
@@ -239,7 +237,7 @@ def flip(fan, contraction, coeffs):
 class FlipDiagram:
     theta: Fan
     e_ray: tuple
-    gamma: object  # CurveClass on the source: F.Gamma = kappa(F)
+    gamma: tuple  # one Fraction per source ray: F.Gamma = dot(gamma, F)
     psi: ToricMap
     psi_prime: ToricMap
 
@@ -280,10 +278,9 @@ def flip_diagram(x_fan, x_plus, z_fan):
             if j != e_idx and pb[j] != pb_plus[j]:
                 raise ValueError("pullbacks differ away from the exceptional ray")
         kappa.append(pb_plus[e_idx] - pb[e_idx])
-    gamma = CurveClass(tuple(Fraction(x) for x in kappa))
     if not any(kappa):
         raise ValueError("flip diagram produced a zero 1-cycle")
-    return FlipDiagram(theta, e_ray, gamma, psi, psi_prime)
+    return FlipDiagram(theta, e_ray, tuple(kappa), psi, psi_prime)
 
 
 @dataclass(frozen=True)
@@ -313,7 +310,7 @@ def step_certificate(x_fan, b_coeffs, d_coeffs, diagram):
     e_idx = diagram.theta.ray_index(w)
     x_val = pb[e_idx]
     b = Fraction(ceil(x_val)) - x_val
-    c = -diagram.gamma.pair(d_coeffs)
+    c = -dot(diagram.gamma, d_coeffs)
     if not a > -1:
         raise RuntimeError(f"discrepancy {a} <= -1: pair is not klt")
     if not 0 <= b < 1:
@@ -357,7 +354,7 @@ def _check_mmp_input(fan, coeffs):
         raise ValueError("the divisor-directed program needs a simplicial fan")
     if not support_is_convex(fan):
         raise ValueError("the program needs convex support")
-    if fan.rays and int_rank([list(r) for r in fan.rays]) != fan.rank:
+    if fan.rays and not full_span(fan):
         raise ValueError("split off the torus factor first")
     if isinstance(cartier_data(fan, coeffs), NotQCartier):
         raise ValueError("divisor is not Q-Cartier")
@@ -365,7 +362,14 @@ def _check_mmp_input(fan, coeffs):
 
 def run_mmp(fan, d_coeffs, b_coeffs):
     """Run the D-directed program: contract D-negative extremal rays until
-    D is nef or a Mori fibre space appears."""
+    D is nef or a Mori fibre space appears.
+
+    D is nef where `semiample_witness` returns its checked certificate. On
+    a simplicial fan with convex, full-dimensional support, which
+    `_check_mmp_input` asks for and every step keeps, that is D.C >= 0 on
+    every wall curve (Cox, Little and Schenck, Toric Varieties, section
+    6.1).
+    """
     _check_mmp_input(fan, d_coeffs)
     models = [fan]
     divisors = [tuple(Fraction(x) for x in d_coeffs)]
@@ -375,8 +379,7 @@ def run_mmp(fan, d_coeffs, b_coeffs):
         x_n, d_n, b_n = models[-1], divisors[-1], boundaries[-1]
         if isinstance(cartier_data(x_n, d_n), NotQCartier):
             raise RuntimeError(f"divisor on model {len(models) - 1} is not Q-Cartier")
-        ws = walls(x_n)
-        if all(intersect(x_n, d_n, w) >= 0 for w in ws):
+        if isinstance(semiample_witness(x_n, d_n), SemiampleWitness):
             return MMPRun(tuple(models), tuple(divisors), tuple(boundaries),
                           tuple(steps), "nef")
         res = next(negative_contractions(x_n, d_n), None)

@@ -1,8 +1,10 @@
-"""Walls, wall relations, curve classes and the relative Mori cone.
+"""Walls, wall relations and the relative Mori cone.
 
 On a simplicial fan with convex support the torus-invariant wall curves
-generate the cone of relative curve classes; classes are represented as
-pairing functionals on divisor coefficients, D.C = sum_rho a_rho c_rho.
+generate the cone of relative curve classes. A wall curve is kept one way,
+as its primitive integer wall relation b (one int per ray): b is its class,
+since D.C = sum_rho b_rho a_rho / (b_u b_v) with u and v the off-wall rays,
+and b is the direction of its ray in the Mori cone.
 
 `wall_relation` is memoized per process with `lru_cache`, as the fan-level
 predicates of `fans` are: a `Fan` and a `Wall` are frozen dataclasses
@@ -16,7 +18,7 @@ from functools import lru_cache
 from . import cones
 from .divisors import NotQCartier, cartier_data
 from .fans import facet_incidence, is_simplicial
-from .linalg import dot, gcd_list, int_kernel, lcm_list
+from .linalg import dot, int_kernel
 
 
 @dataclass(frozen=True)
@@ -34,17 +36,11 @@ def walls(fan):
             if len(adj) == 2]
 
 
-@dataclass(frozen=True)
-class WallRelation:
-    """Primitive integer relation sum b_i u_i = 0 over the rays of both cones.
-
-    Keys are ray indices; the two off-wall rays carry positive coefficients.
-    """
-
-    coeffs: tuple  # tuple of (ray_index, int)
-
-    def as_dict(self):
-        return dict(self.coeffs)
+def walls_within(fan, groups):
+    """The walls whose two cones lie in one group of maximal-cone indices."""
+    group_of = {ci: gi for gi, g in enumerate(groups) for ci in g}
+    return [w for w in walls(fan) if w.cone_a in group_of
+            and group_of[w.cone_a] == group_of.get(w.cone_b)]
 
 
 def _off_ray(fan, wall, cone_index):
@@ -57,6 +53,13 @@ def _off_ray(fan, wall, cone_index):
 
 @lru_cache(maxsize=4096)
 def wall_relation(fan, wall):
+    """(b, u, v): the primitive integer relation sum_rho b_rho u_rho = 0 over
+    the rays of the wall's two cones, one int per fan ray and zero off them,
+    and the off-wall rays u of cone_a and v of cone_b, with b[u], b[v] > 0.
+
+    b is primitive because it is a column of the unimodular V of a Smith
+    normal form (`linalg.int_kernel`).
+    """
     u = _off_ray(fan, wall, wall.cone_a)
     v = _off_ray(fan, wall, wall.cone_b)
     support = list(wall.rays) + [u, v]
@@ -64,13 +67,15 @@ def wall_relation(fan, wall):
     kernel = int_kernel(matrix)
     if len(kernel) != 1:
         raise ValueError(f"relation of wall {wall.rays} is not one-dimensional")
-    rel = list(kernel[0])
-    upos = support.index(u)
-    if rel[upos] < 0:
+    rel = kernel[0]
+    if rel[-2] < 0:
         rel = [-x for x in rel]
-    if not (rel[upos] > 0 and rel[support.index(v)] > 0):
+    if not (rel[-2] > 0 and rel[-1] > 0):
         raise ValueError(f"cones of wall {wall.rays} lie on one side of it")
-    return WallRelation(tuple(zip(support, rel)))
+    b = [0] * len(fan.rays)
+    for i, x in zip(support, rel):
+        b[i] = x
+    return tuple(b), u, v
 
 
 def intersect(fan, coeffs, wall):
@@ -78,65 +83,32 @@ def intersect(fan, coeffs, wall):
     cd = cartier_data(fan, coeffs)
     if isinstance(cd, NotQCartier):
         raise ValueError("intersection numbers need a Q-Cartier divisor")
-    b = wall_relation(fan, wall).as_dict()
-    u = _off_ray(fan, wall, wall.cone_a)
-    v = _off_ray(fan, wall, wall.cone_b)
+    b, u, v = wall_relation(fan, wall)
     ell = cd.denominator
     delta = tuple(x - y for x, y in zip(cd.numerators[wall.cone_a],
                                         cd.numerators[wall.cone_b]))
     via_b = Fraction(dot(delta, fan.rays[v]), b[u] * ell)
     via_a = Fraction(-dot(delta, fan.rays[u]), b[v] * ell)
-    total = Fraction(sum(b[i] * cd.scaled[i] for i in b), b[u] * b[v] * ell)
+    total = Fraction(dot(b, cd.scaled), b[u] * b[v] * ell)
     if not via_a == via_b == total:
         raise RuntimeError(f"wall {wall.rays}: D.C is {via_a}, {via_b} and {total}")
     return total
-
-
-@dataclass(frozen=True)
-class CurveClass:
-    """Pairing functional: D.C = sum over rays of a_rho * c_rho."""
-
-    pairing: tuple  # one Fraction per fan ray
-
-    def pair(self, coeffs):
-        return sum(c * Fraction(a) for c, a in zip(self.pairing, coeffs))
-
-
-def curve_class(fan, wall):
-    b = wall_relation(fan, wall).as_dict()
-    u = _off_ray(fan, wall, wall.cone_a)
-    v = _off_ray(fan, wall, wall.cone_b)
-    denom = b[u] * b[v]
-    pairing = [Fraction(0)] * len(fan.rays)
-    for i, bi in b.items():
-        pairing[i] = Fraction(bi, denom)
-    return CurveClass(tuple(pairing))
-
-
-def _primitive_direction(pairing):
-    den = lcm_list([x.denominator for x in pairing])
-    ints = [int(x * den) for x in pairing]
-    g = gcd_list(ints)
-    return tuple(x // g for x in ints)
 
 
 def extremal_rays(fan):
     """Extremal rays of the cone spanned by all wall classes.
 
     Returns a list of (primitive direction, [walls whose class lies on it]),
-    ordered by each ray's smallest representative wall.
+    ordered by each ray's smallest representative wall; a wall's direction
+    is its relation b.
     """
     ws = walls(fan)
     if not ws:
         return []
     directions = {}
     for w in ws:
-        d = _primitive_direction(curve_class(fan, w).pairing)
-        directions.setdefault(d, []).append(w)
-    gens = sorted(directions)
-    extremal = cones.extreme_rays(gens)
-    out = []
-    for d in extremal:
-        out.append((d, directions[d]))
+        directions.setdefault(wall_relation(fan, w)[0], []).append(w)
+    extremal = cones.extreme_rays(sorted(directions))
+    out = [(d, directions[d]) for d in extremal]
     out.sort(key=lambda item: item[1][0].rays)
     return out

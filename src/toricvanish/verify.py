@@ -32,8 +32,9 @@ from .divisors import (
 )
 from .fans import is_complete, is_simplicial, q_factorialize, support_is_convex
 from .formats import fraction_to_str
+from .linalg import dot
 from .mmp import flip, flip_diagram, negative_contractions, run_mmp
-from .mori import intersect, walls
+from .mori import intersect, walls_within
 
 DEFAULT_FIELDS = ("q", "f2", "f3", "f5", "f7")
 
@@ -213,15 +214,9 @@ def verify_mmp(inst, fields=DEFAULT_FIELDS):
 def _require_fibration(fan, d_coeffs, contraction):
     if contraction.kind != "fibration":
         raise ValueError("contraction is not a fibration")
-    group_of = {}
-    for gi, g in enumerate(contraction.merged_groups):
-        for ci in g:
-            group_of[ci] = gi
-    for w in walls(fan):
-        ga, gb = group_of.get(w.cone_a), group_of.get(w.cone_b)
-        if ga is not None and ga == gb:
-            if intersect(fan, d_coeffs, w) >= 0:
-                raise ValueError("-D is not relatively ample on the fibration")
+    for w in walls_within(fan, contraction.merged_groups):
+        if intersect(fan, d_coeffs, w) >= 0:
+            raise ValueError("-D is not relatively ample on the fibration")
 
 
 def _mfs_verdict(fan, d_coeffs, table):
@@ -276,13 +271,13 @@ def verify_flip_diagram_for(fan, d_coeffs):
         f_plus = tuple(by_ray[r] for r in flipped.rays)
         lhs = pullback(dia.psi, f_coeffs)
         rhs = pullback(dia.psi_prime, f_plus)
-        kappa = dia.gamma.pair(f_coeffs)
+        kappa = dot(dia.gamma, f_coeffs)
         expect = tuple(r - (kappa if j == e_idx else 0) for j, r in enumerate(rhs))
         if lhs != expect:
             ok = False
             notes.append(f"pullback equation fails for {f_coeffs}")
             break
-    c = -dia.gamma.pair(d_coeffs)
+    c = -dot(dia.gamma, d_coeffs)
     if not c > 0:
         ok = False
         notes.append(f"flip coefficient {c} is not positive")

@@ -1,15 +1,22 @@
 import random
+from fractions import Fraction
+from functools import cache
 
 import pytest
 
 from toricvanish.corpus import (
     curated_instances,
+    gen_corpus,
     mutate,
     product_fan,
     projective_space,
     seed_fans,
 )
+from toricvanish.divisors import NotQCartier, cartier_data
 from toricvanish.fans import is_simplicial, make_fan
+from toricvanish.linalg import gcd_list, int_kernel, lcm_list
+from toricvanish.mmp import run_mmp
+from toricvanish.verify import _q_factorial_model
 
 
 def mat_mul(A, B):
@@ -171,6 +178,55 @@ def reference_fans():
     out.append(make_fan(3, [(1, 0, 0), (0, 1, 0), (-1, -1, 0)],
                         [(0, 1), (0, 2), (1, 2)]))
     return out
+
+
+@cache
+def mmp_models():
+    """(fan, divisor) for every model of the MMP run of each curated instance
+    and of gen_corpus(42, 2) and gen_corpus(42, 3), on the small
+    Q-factorialization the verifier runs it on. Instances whose D is not
+    Q-Cartier run no MMP and are left out."""
+    insts = [inst for _, inst in curated_instances()]
+    insts += [inst for rank in (2, 3) for inst in gen_corpus(42, rank)[0]]
+    out = []
+    for inst in insts:
+        if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
+            continue
+        fan, b, d, _ = _q_factorial_model(inst)
+        run = run_mmp(fan, d, b)
+        out += zip(run.models, run.divisors)
+    return tuple(out)
+
+
+def reference_curve_class(fan, wall):
+    """The wall curve's class as a pairing functional, in Fractions, as
+    `mori.curve_class` kept it beside the integer wall relation: c_rho =
+    b_rho / (b_u b_v), so that D.C = sum_rho c_rho a_rho. The relation b is
+    solved here afresh, with b_u > 0 for the off-wall ray u of cone_a."""
+    u, v = (next(i for i in fan.max_cones[ci] if i not in wall.rays)
+            for ci in (wall.cone_a, wall.cone_b))
+    support = list(wall.rays) + [u, v]
+    (rel,) = int_kernel([[fan.rays[i][k] for i in support] for k in range(fan.rank)])
+    if rel[-2] < 0:
+        rel = [-x for x in rel]
+    pairing = [Fraction(0)] * len(fan.rays)
+    for i, bi in zip(support, rel):
+        pairing[i] = Fraction(bi, rel[-2] * rel[-1])
+    return tuple(pairing)
+
+
+def reference_pair(pairing, coeffs):
+    """D.C for a pairing functional C, as `mori.CurveClass.pair` computed it."""
+    return sum(c * Fraction(a) for c, a in zip(pairing, coeffs))
+
+
+def reference_primitive_direction(pairing):
+    """The primitive integer direction of a Fraction pairing, as
+    `mori._primitive_direction` computed it."""
+    den = lcm_list([x.denominator for x in pairing])
+    ints = [int(x * den) for x in pairing]
+    g = gcd_list(ints)
+    return tuple(x // g for x in ints)
 
 
 @pytest.fixture

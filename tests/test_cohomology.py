@@ -76,10 +76,10 @@ def test_parse_field():
     assert parse_field("q") is None
     assert parse_field("f2") == 2
     assert parse_field("f7") == 7
-    with pytest.raises(ValueError):
-        parse_field("f1")
-    with pytest.raises(ValueError):
-        parse_field("r")
+    assert parse_field("f13") == 13
+    for name in ("f1", "f4", "f6", "f9", "r"):
+        with pytest.raises(ValueError):
+            parse_field(name)
 
 
 def test_neg_complex(p2, f1):

@@ -58,7 +58,7 @@ from toricvanish.fans import (
     star_subdivide,
 )
 from toricvanish.linalg import adapted_basis, dot, int_rank, lcm_list, solve_rational
-from toricvanish.mori import _off_ray, intersect, wall_relation, walls
+from toricvanish.mori import intersect, wall_relation, walls
 from toricvanish.regions import IneqSystem, is_feasible, make_row
 
 
@@ -255,11 +255,10 @@ def test_discrepancy_klt_positive(p2, f1, p112):
             v = None
             while v is None:
                 cand = (rng.randint(-3, 3), rng.randint(-3, 3))
-                from toricvanish.fans import support_contains
                 from toricvanish.linalg import gcd_list
 
                 if cand != (0, 0) and gcd_list(cand) == 1 and cand not in fan.rays \
-                        and support_contains(fan, cand):
+                        and any(cone_contains(fan, c, cand) for c in fan.max_cones):
                     v = cand
             assert discrepancy(fan, b, v) > -1
 
@@ -385,14 +384,16 @@ def test_memoized_cartier_data_matches_the_uncached_solve():
 
 def test_cartier_data_solves_once_per_fan_and_divisor():
     # verify_mmp asks for Cartier data at every hypothesis check, positivity,
-    # intersection number and pullback; each distinct (fan, divisor) is solved once
+    # nef stop, intersection number and pullback; each distinct (fan, divisor)
+    # is solved once. The hits are pinned, not compared with the misses: they
+    # count repeated questions, which fewer intersect calls make fewer of.
     from toricvanish.verify import verify_mmp
 
     inst = dict(curated_instances())["cubeq-flop"]
     divisors._cartier_data.cache_clear()
     verify_mmp(inst)
     info = divisors._cartier_data.cache_info()
-    assert info.hits > info.misses
+    assert info.hits == 20
     assert info.misses == info.currsize == 22
 
 
@@ -459,13 +460,11 @@ def _reference_support_value(fan, covectors, v):
 
 
 def _reference_intersect(fan, coeffs, covectors, wall):
-    b = wall_relation(fan, wall).as_dict()
-    u = _off_ray(fan, wall, wall.cone_a)
-    v = _off_ray(fan, wall, wall.cone_b)
+    b, u, v = wall_relation(fan, wall)
     delta = tuple(x - y for x, y in zip(covectors[wall.cone_a], covectors[wall.cone_b]))
     via_b = Fraction(dot(delta, fan.rays[v]), b[u])
     via_a = Fraction(-dot(delta, fan.rays[u]), b[v])
-    total = Fraction(sum(b[i] * Fraction(coeffs[i]) for i in b), b[u] * b[v])
+    total = Fraction(sum(bi * Fraction(a) for bi, a in zip(b, coeffs)), b[u] * b[v])
     assert via_a == via_b == total
     return total
 

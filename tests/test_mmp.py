@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import flip_side_a, flip_side_b, p2_fan
+from conftest import (
+    flip_side_a,
+    flip_side_b,
+    p2_fan,
+    reference_curve_class,
+    reference_pair,
+    reference_primitive_direction,
+)
 from toricvanish import mmp
 from toricvanish.corpus import curated_instances, seed_fans
 from toricvanish.divisors import (
@@ -19,7 +26,8 @@ from toricvanish.divisors import (
 )
 from toricvanish.fans import check_map, is_simplicial, make_fan, validate
 from toricvanish.mmp import flip, flip_diagram, negative_contractions, run_mmp
-from toricvanish.mori import _primitive_direction, curve_class, extremal_rays, intersect, walls
+from toricvanish.linalg import dot
+from toricvanish.mori import extremal_rays, intersect, walls
 from toricvanish.verify import verify_flip_diagram_for
 
 
@@ -103,13 +111,11 @@ def test_flip_diagram_flop():
         assert cm["proper"] and cm["birational"]
     # kappa agrees with the wall pairing up to a positive multiple
     (w,) = walls(fan)
-    from toricvanish.mori import curve_class
-
-    cc = curve_class(fan, w)
+    cc = reference_curve_class(fan, w)
     for i in range(len(fan.rays)):
         probe = tuple(Fraction(1) if j == i else Fraction(0) for j in range(len(fan.rays)))
-        k_val = dia.gamma.pair(probe)
-        w_val = cc.pair(probe)
+        k_val = dot(dia.gamma, probe)
+        w_val = reference_pair(cc, probe)
         assert (k_val == 0) == (w_val == 0)
         if w_val:
             ratio = k_val / w_val
@@ -130,7 +136,7 @@ def test_flip_diagram_equation_exact():
             Fp = pushforward_strict(fan, flipped, F)
             lhs = pullback(dia.psi, F)
             rhs = pullback(dia.psi_prime, Fp)
-            kappa = dia.gamma.pair(F)
+            kappa = dot(dia.gamma, F)
             assert lhs == tuple(r - (kappa if j == e_idx else 0)
                                 for j, r in enumerate(rhs))
 
@@ -262,7 +268,7 @@ def test_flip_diagram_kills_principal_divisors():
     dia = flip_diagram(fan, flipped, res.target)
     for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3)):
         F = principal(fan, m)
-        assert dia.gamma.pair(F) == 0
+        assert dot(dia.gamma, F) == 0
         Fp = pushforward_strict(fan, flipped, F)
         assert pullback(dia.psi, F) == pullback(dia.psi_prime, Fp)
 
@@ -310,6 +316,23 @@ def test_run_mmp_contracts_once_per_step(monkeypatch):
     assert len(calls) == len(run.steps) == 2
 
 
+def test_run_mmp_intersects_only_to_pick_and_check_rays(monkeypatch):
+    # the nef stop is semiample_witness's integer loop, not one intersection
+    # number per wall: on cubeq-flop, 34 intersect calls became 11
+    inst = _curated("cubeq-flop")
+    calls = []
+    real = mmp.intersect
+
+    def counting(fan, coeffs, wall):
+        calls.append(wall)
+        return real(fan, coeffs, wall)
+
+    monkeypatch.setattr(mmp, "intersect", counting)
+    run = run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)
+    assert run.end == "nef"
+    assert len(calls) == 11
+
+
 def test_flip_diagram_verifier_contracts_once(monkeypatch):
     inst = _curated("flip2-relative")
     calls = _count_contract(monkeypatch)
@@ -330,7 +353,7 @@ def _merge_groups_rescan(fan, direction):
 
     on_ray = []
     for w in walls(fan):
-        if _primitive_direction(curve_class(fan, w).pairing) == direction:
+        if reference_primitive_direction(reference_curve_class(fan, w)) == direction:
             on_ray.append(w)
             a, b = find(w.cone_a), find(w.cone_b)
             if a != b:

@@ -7,20 +7,36 @@ from pathlib import Path
 
 import pytest
 
-from conftest import flip_side_a, reference_fans
+from conftest import (
+    flip_side_a,
+    mmp_models,
+    reference_curve_class,
+    reference_fans,
+    reference_pair,
+    reference_primitive_direction,
+)
 from toricvanish import fans, mori
 from toricvanish.corpus import curated_instances
-from toricvanish.divisors import cartier_data, positivity, principal, ray_divisor
+from toricvanish.divisors import (
+    NotQCartier,
+    SemiampleWitness,
+    cartier_data,
+    positivity,
+    principal,
+    ray_divisor,
+    semiample_witness,
+)
 from toricvanish.fans import is_simplicial, q_factorialize
+from toricvanish.linalg import dot
 from toricvanish.mmp import run_mmp
 from toricvanish.mori import (
     Wall,
     _off_ray,
-    curve_class,
     extremal_rays,
     intersect,
     wall_relation,
     walls,
+    walls_within,
 )
 
 
@@ -60,28 +76,32 @@ def test_walls_match_the_index_dropping_walls():
 
 def test_wall_relation_f1(f1):
     w = next(w for w in walls(f1) if w.rays == (f1.ray_index((1, 1)),))
-    rel = wall_relation(f1, w).as_dict()
-    assert rel[f1.ray_index((1, 0))] == 1
-    assert rel[f1.ray_index((0, 1))] == 1
-    assert rel[f1.ray_index((1, 1))] == -1
+    b, u, v = wall_relation(f1, w)
+    assert {u, v} == {f1.ray_index((1, 0)), f1.ray_index((0, 1))}
+    assert b[f1.ray_index((1, 0))] == 1
+    assert b[f1.ray_index((0, 1))] == 1
+    assert b[f1.ray_index((1, 1))] == -1
+    assert b[f1.ray_index((-1, -1))] == 0
 
 
 def test_wall_relation_p2(p2):
     w = next(w for w in walls(p2) if w.rays == (p2.ray_index((1, 0)),))
-    rel = wall_relation(p2, w).as_dict()
-    assert rel == {p2.ray_index((1, 0)): 1, p2.ray_index((0, 1)): 1,
-                   p2.ray_index((-1, -1)): 1}
+    b, u, v = wall_relation(p2, w)
+    assert b == (1, 1, 1)
+    assert u in p2.max_cones[w.cone_a] and v in p2.max_cones[w.cone_b]
+    assert {u, v} == {p2.ray_index((0, 1)), p2.ray_index((-1, -1))}
 
 
 def test_wall_relation_flip_side_a():
     fan = flip_side_a()
     (w,) = walls(fan)
     assert set(w.rays) == {fan.ray_index((1, 0, 0)), fan.ray_index((0, 1, 0))}
-    rel = wall_relation(fan, w).as_dict()
-    assert rel[fan.ray_index((1, 0, 0))] == -1
-    assert rel[fan.ray_index((0, 1, 0))] == -1
-    assert rel[fan.ray_index((0, 0, 1))] == 2
-    assert rel[fan.ray_index((1, 1, -2))] == 1
+    b, u, v = wall_relation(fan, w)
+    assert b[fan.ray_index((1, 0, 0))] == -1
+    assert b[fan.ray_index((0, 1, 0))] == -1
+    assert b[fan.ray_index((0, 0, 1))] == 2
+    assert b[fan.ray_index((1, 1, -2))] == 1
+    assert {u, v} == {fan.ray_index((0, 0, 1)), fan.ray_index((1, 1, -2))}
 
 
 def test_intersect_f1_exceptional(f1):
@@ -141,20 +161,48 @@ def test_curve_class_matches_intersect(p2, f1, p112):
     rng = random.Random(29)
     for fan in (p2, f1, p112):
         for w in walls(fan):
-            cc = curve_class(fan, w)
+            cc = reference_curve_class(fan, w)
             for _ in range(5):
                 D = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 2))
                           for _ in fan.rays)
-                assert cc.pair(D) == intersect(fan, D, w)
+                assert reference_pair(cc, D) == intersect(fan, D, w)
 
 
 def test_curve_class_principal_vanishing(p2, f1, p3):
     for fan in (p2, f1, p3):
         for w in walls(fan):
-            cc = curve_class(fan, w)
+            cc = reference_curve_class(fan, w)
             for j in range(fan.rank):
                 m = tuple(1 if i == j else 0 for i in range(fan.rank))
-                assert cc.pair(principal(fan, m)) == 0
+                assert reference_pair(cc, principal(fan, m)) == 0
+
+
+def _simplicial_walls_and_divisors():
+    """(fan, wall, divisors) for every wall of the simplicial reference fans,
+    with three seeded random divisors, and of every MMP model, with its
+    divisor as well."""
+    rng = random.Random(37)
+    cases = [(fan, ()) for fan in reference_fans() if is_simplicial(fan)]
+    cases += [(fan, (d,)) for fan, d in mmp_models()]
+    for fan, own in cases:
+        drawn = tuple(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in fan.rays) for _ in range(3))
+        for w in walls(fan):
+            yield fan, w, own + drawn
+
+
+def test_wall_relation_is_the_class_direction_and_pairing():
+    checked = 0
+    for fan, w, divisors in _simplicial_walls_and_divisors():
+        b, u, v = wall_relation(fan, w)
+        assert b == reference_primitive_direction(reference_curve_class(fan, w))
+        assert b[u] > 0 and b[v] > 0
+        assert not any(b[i] for i in range(len(b))
+                       if i not in fan.max_cones[w.cone_a] + fan.max_cones[w.cone_b])
+        for D in divisors:
+            assert Fraction(dot(b, D)) / (b[u] * b[v]) == intersect(fan, D, w)
+        checked += 1
+    assert checked >= 500
 
 
 def test_extremal_rays_counts(p2, f1, p1xp1):
@@ -168,22 +216,56 @@ def test_extremal_rays_counts(p2, f1, p1xp1):
 
 
 def test_nef_via_walls_agrees_with_support_function(p2, f1, p112):
+    # run_mmp stops on semiample_witness; on its models (simplicial, convex
+    # full-dimensional support) that is D.C >= 0 on every wall curve
     rng = random.Random(31)
-    for fan in (p2, f1, p112):
+    cases = [(fan, None) for fan in (p2, f1, p112)] + list(mmp_models())
+    assert dict(curated_instances())["flip2-relative"].fan in {f for f, _ in cases}
+    for fan, own in cases:
         ws = walls(fan)
-        for _ in range(12):
-            D = tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in fan.rays)
-            from toricvanish.divisors import NotQCartier
-
-            cd = cartier_data(fan, D)
-            if isinstance(cd, NotQCartier):
+        drawn = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in fan.rays)
+                 for _ in range(12 if own is None else 3)]
+        for D in drawn + ([own] if own is not None else []):
+            if isinstance(cartier_data(fan, D), NotQCartier):
                 continue
             nef_walls = all(intersect(fan, D, w) >= 0 for w in ws)
             assert nef_walls == positivity(fan, D).nef
+            assert nef_walls == isinstance(semiample_witness(fan, D), SemiampleWitness)
+
+
+def _reference_walls_within(fan, groups):
+    """The relative walls by the group scans `mmp.flip` and
+    `verify._require_fibration` each made before `walls_within`."""
+    group_of = {}
+    for gi, g in enumerate(groups):
+        for ci in g:
+            group_of[ci] = gi
+    out = []
+    for w in walls(fan):
+        ga, gb = group_of.get(w.cone_a), group_of.get(w.cone_b)
+        if ga is not None and ga == gb:
+            out.append(w)
+    return out
+
+
+def test_walls_within_matches_the_group_scan():
+    rng = random.Random(41)
+    checked = 0
+    for fan in reference_fans():
+        if not is_simplicial(fan) or not fan.max_cones:
+            continue
+        for _ in range(4):
+            cones = list(range(len(fan.max_cones)))
+            rng.shuffle(cones)
+            cuts = sorted(rng.sample(range(len(cones) + 1), 2))
+            groups = [cones[:cuts[0]], cones[cuts[0]:cuts[1]]]
+            assert walls_within(fan, groups) == _reference_walls_within(fan, groups)
+            checked += bool(walls_within(fan, groups))
+    assert checked >= 20
 
 
 def test_wall_relation_solves_once_per_fan_and_wall(monkeypatch):
-    # run_mmp reaches wall_relation through both intersect and curve_class;
+    # run_mmp reaches wall_relation through both extremal_rays and intersect;
     # the memo makes one int_kernel solve per distinct (fan, wall) pair
     inst = dict(curated_instances())["cubeq-flop"]
     mori.wall_relation.cache_clear()
