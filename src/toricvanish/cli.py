@@ -1,14 +1,16 @@
 """Command-line interface.
 
 Subcommands: fan info, div check, coh dims, mmp run, verify kv|mmp|mfs|flip,
-suite. Exit codes: 0 success / all pass, 1 verdict failure, 2 input error.
-`coh dims` prints the table that `verify._model_cohomology` builds per model;
-`verify kv|mmp` and `suite` read the one per-instance pipeline in `verify`.
+suite. Exit codes: 0 success / all pass, 1 verdict or certificate failure,
+2 input error. `coh dims` prints the table that `verify._model_cohomology`
+builds per model; `verify kv|mmp` and `suite`, the deterministic driver over
+the generated corpus, read the one per-instance pipeline in `verify`.
 """
 
 import argparse
 import sys
 
+from .corpus import curated_instances, gen_corpus
 from .divisors import (
     NotQCartier,
     cartier_data,
@@ -34,12 +36,15 @@ from .mori import walls
 from .verify import (
     DEFAULT_FIELDS,
     _model_cohomology,
-    suite,
+    report_entry,
     verify_flip_diagram_for,
+    verify_instance,
     verify_kv,
     verify_mfs,
     verify_mmp,
 )
+
+OK_VERDICTS = ("pass", "expected-fail")
 
 
 def _require_valid(fan):
@@ -162,18 +167,42 @@ def _verify(args):
     return 0 if verdict.passed else 1
 
 
+def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
+          quiet=False):
+    """Generate the corpus, run every verifier, and assemble the report.
+
+    Returns (report_obj, exit_code): 0 when everything passes (controls must
+    fail exactly as predicted), 1 otherwise.
+    """
+    instances = [inst for _, inst in curated_instances()]
+    skipped = []
+    for rank in ranks:
+        made, missed = gen_corpus(seed, rank, max_rays=max_rays, count=count)
+        instances += made
+        skipped += missed
+    if not quiet:
+        print(f"{'verdict':18s} label")
+    entries = []
+    for inst in instances:
+        entries.append(report_entry(*verify_instance(inst, fields)))
+        if not quiet:
+            print(f"{entries[-1]['verdict']:18s} {inst.label}")
+    report = {"instances": sorted(entries, key=lambda e: e["label"])}
+    if skipped:
+        report["skipped"] = sorted(skipped)
+    return report, int(any(e["verdict"] not in OK_VERDICTS for e in entries))
+
+
 def _suite(args):
-    ranks = (args.rank,) if args.rank else (2, 3)
     quiet = _is_quiet(args)
-    report, code = suite(seed=args.seed, ranks=ranks, count=args.count,
-                         max_rays=args.max_rays, fields=_fields(args),
-                         quiet=quiet)
+    ranks = (args.rank,) if args.rank else (2, 3)
+    report, code = suite(args.seed, ranks, args.count, args.max_rays, _fields(args),
+                         quiet)
     if args.report:
         save(args.report, report)
     if not quiet:
         total = len(report["instances"])
-        bad = [e for e in report["instances"]
-               if e["verdict"] not in ("pass", "expected-fail")]
+        bad = [e for e in report["instances"] if e["verdict"] not in OK_VERDICTS]
         print(f"{total - len(bad)}/{total} instances passed")
     return code
 
@@ -240,6 +269,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"certificate error: {exc}", file=sys.stderr)
+        return 1
     return code
 
 

@@ -35,7 +35,6 @@ decides each child by extending its parent's levels by one row
 witness point is built.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -51,6 +50,7 @@ from .regions import (
     lattice_points,
     make_row,
 )
+from .record import Record
 
 
 def parse_field(name):
@@ -131,10 +131,9 @@ def _pattern_homology(fan, pattern):
     return neg_complex(fan, pattern)
 
 
-@dataclass(frozen=True)
-class ChamberReport:
-    pattern: tuple  # sorted ray indices with <m, u> < -a
-    region: IneqSystem
+class ChamberReport(Record):
+    # pattern: sorted ray indices with <m, u> < -a; region: an IneqSystem
+    __slots__ = ("pattern", "region")
 
 
 def _chamber_key(fan, coeffs):

@@ -25,7 +25,6 @@ larger one got no more hits on one instance and kept every divisor a
 generator tried.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor
@@ -45,17 +44,12 @@ from .regions import (
     lattice_points,
     make_row,
 )
+from .record import Record
 
 
 def coeffs_of(fan, mapping, default=Fraction(0)):
     """Divisor from a {ray vector: coefficient} mapping."""
     return tuple(Fraction(mapping.get(r, default)) for r in fan.rays)
-
-
-def ray_divisor(fan, ray):
-    """The prime divisor attached to one ray."""
-    idx = fan.ray_index(ray)
-    return tuple(Fraction(1) if i == idx else Fraction(0) for i in range(len(fan.rays)))
 
 
 def canonical(fan):
@@ -89,14 +83,13 @@ def round_divisor(coeffs, direction):
     raise ValueError("direction must be 'up' or 'down'")
 
 
-@dataclass(frozen=True)
-class CartierData:
+class CartierData(Record):
     """One covector per maximal cone, <m_sigma, u_rho> = -a_rho on sigma, in
-    integers: m_sigma = N_sigma / L and a_rho = A_rho / L."""
+    integers: `denominator` is the Q-Cartier index L, `numerators` holds
+    N_sigma = L*m_sigma (one int tuple per maximal cone) and `scaled` holds
+    A_rho = L*a_rho (one int per ray)."""
 
-    denominator: int  # L, the Q-Cartier index
-    numerators: tuple  # N_sigma = L*m_sigma, one int tuple per maximal cone
-    scaled: tuple  # A_rho = L*a_rho, one int per ray
+    __slots__ = ("denominator", "numerators", "scaled")
 
     @property
     def covectors(self):
@@ -105,9 +98,8 @@ class CartierData:
                      for n in self.numerators)
 
 
-@dataclass(frozen=True)
-class NotQCartier:
-    cone_index: int
+class NotQCartier(Record):
+    __slots__ = ("cone_index",)
 
 
 def cartier_data(fan, coeffs):
@@ -162,11 +154,8 @@ def support_value(fan, cd, v):
     raise ValueError("point outside the support")
 
 
-@dataclass(frozen=True)
-class Positivity:
-    nef: bool
-    ample: bool
-    big: bool
+class Positivity(Record):
+    __slots__ = ("nef", "ample", "big")
 
 
 def _section_rows(fan, coeffs):
@@ -237,19 +226,16 @@ def positivity(fan, coeffs):
              and len(set(cd.numerators)) == len(cd.numerators))
     interior = tuple((a, c, True) for a, c, _ in _section_rows(fan, coeffs))
     big = is_feasible(IneqSystem(fan.rank, interior))
-    return Positivity(nef=nef, ample=ample, big=big)
+    return Positivity(nef, ample, big)
 
 
-@dataclass(frozen=True)
-class SemiampleWitness:
-    multiple: int
-    sections: tuple  # one lattice covector per maximal cone, in P_{lD}
+class SemiampleWitness(Record):
+    # sections: one lattice covector per maximal cone, in P_{lD}
+    __slots__ = ("multiple", "sections")
 
 
-@dataclass(frozen=True)
-class NotNef:
-    cone_index: int
-    ray_index: int
+class NotNef(Record):
+    __slots__ = ("cone_index", "ray_index")
 
 
 def semiample_witness(fan, coeffs):

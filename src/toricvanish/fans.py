@@ -13,7 +13,7 @@ the facets through a new ray by <w, v> = 0. No fan predicate takes a set
 difference of cones; only `check_map`'s properness test does. These, the
 torus-factor test `full_span` and the per-cone dimensions, are memoized
 per process with `lru_cache`. This is
-safe because a `Fan` is a frozen dataclass compared structurally: equal fans
+safe because a `Fan` is a frozen record compared structurally: equal fans
 give equal answers, and no fan changes after it is built. Each cone's
 H-representation (`cones.cone_dual`) and `validate`'s common-face test of
 each pair of maximal cones (`_common_face`) are memoized on generators, so a
@@ -22,7 +22,6 @@ FM only on the pairs that no sum of facet normals separates.
 """
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import cones
@@ -34,14 +33,12 @@ from .linalg import (
     primitive,
     snf_diagonal,
 )
+from .record import Record
 from .regions import IneqSystem, is_feasible, subtract_cones
 
 
-@dataclass(frozen=True)
-class Fan:
-    rank: int
-    rays: tuple
-    max_cones: tuple
+class Fan(Record):
+    __slots__ = ("rank", "rays", "max_cones")
 
     def ray_index(self, v):
         return self.rays.index(tuple(v))
@@ -148,13 +145,9 @@ def _common_face(ga, gb, dim):
     return not is_feasible(IneqSystem(dim, tuple(rows) + ((ta, 0, True),)))
 
 
-@dataclass(frozen=True)
-class FanProperties:
-    simplicial: bool
-    smooth: bool
-    complete: bool
-    support_convex: bool
-    q_gorenstein_index_of_K: object
+class FanProperties(Record):
+    __slots__ = ("simplicial", "smooth", "complete", "support_convex",
+                 "q_gorenstein_index_of_K")
 
 
 def _is_simplicial_cone(fan, cone):
@@ -253,13 +246,10 @@ def properties(fan):
     )
 
 
-@dataclass(frozen=True)
-class ToricMap:
+class ToricMap(Record):
     """Lattice homomorphism (matrix rows act as x -> M @ x) between fans."""
 
-    matrix: tuple
-    source: Fan
-    target: Fan
+    __slots__ = ("matrix", "source", "target")
 
     def apply(self, v):
         return mat_vec(self.matrix, v)

@@ -7,11 +7,11 @@ positive denominator. Serialization is byte-stable.
 
 import json
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .fans import Fan, make_fan
+from .fans import make_fan
 from .linalg import gcd_list
+from .record import Record
 
 
 class ParseError(ValueError):
@@ -114,14 +114,9 @@ def divisor_from_obj(obj, base_dir=".", where="divisor"):
     return fan, coeffs
 
 
-@dataclass(frozen=True)
-class Instance:
-    label: str
-    fan: Fan
-    b_coeffs: tuple
-    d_coeffs: tuple
-    mode: int
-    witness: tuple  # ((q, m), ...) with D - K - B = sum q * div(m)
+class Instance(Record):
+    # witness: ((q, m), ...) with D - K - B = sum q * div(m)
+    __slots__ = ("label", "fan", "b_coeffs", "d_coeffs", "mode", "witness")
 
 
 def instance_to_obj(inst):

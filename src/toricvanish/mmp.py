@@ -9,7 +9,6 @@ pulled-back divisor, the flip coefficient c, and the case split on -a+b
 (below 1 or not), including the unique nonnegative shift m for the low case.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor
 
@@ -25,7 +24,6 @@ from .divisors import (
     semiample_witness,
 )
 from .fans import (
-    Fan,
     ToricMap,
     full_span,
     identity_map,
@@ -43,18 +41,16 @@ from .linalg import (
     primitive,
 )
 from .mori import extremal_rays, intersect, walls_within
+from .record import Record
 
 STEP_CAP = 10000
 
 
-@dataclass(frozen=True)
-class ContractionResult:
-    kind: str  # "divisorial" | "flipping" | "fibration"
-    target: Fan
-    map: ToricMap
-    removed_ray: object  # ray vector for divisorial contractions
-    merged_groups: tuple  # per group: tuple of source max-cone indices
-    walls: tuple  # the walls whose class spans the contracted ray
+class ContractionResult(Record):
+    # kind: "divisorial" | "flipping" | "fibration"; removed_ray: the ray
+    # vector of a divisorial contraction; merged_groups: per group, a tuple of
+    # source max-cone indices; walls: those whose class spans the contracted ray
+    __slots__ = ("kind", "target", "map", "removed_ray", "merged_groups", "walls")
 
 
 def _merge_groups(fan, ray_walls):
@@ -233,13 +229,9 @@ def flip(fan, contraction, coeffs):
     return flipped
 
 
-@dataclass(frozen=True)
-class FlipDiagram:
-    theta: Fan
-    e_ray: tuple
-    gamma: tuple  # one Fraction per source ray: F.Gamma = dot(gamma, F)
-    psi: ToricMap
-    psi_prime: ToricMap
+class FlipDiagram(Record):
+    # gamma: one Fraction per source ray, F.Gamma = dot(gamma, F)
+    __slots__ = ("theta", "e_ray", "gamma", "psi", "psi_prime")
 
 
 def flip_diagram(x_fan, x_plus, z_fan):
@@ -283,16 +275,10 @@ def flip_diagram(x_fan, x_plus, z_fan):
     return FlipDiagram(theta, e_ray, tuple(kappa), psi, psi_prime)
 
 
-@dataclass(frozen=True)
-class StepCertificate:
-    kind: str  # "divisorial" | "flip"
-    a: Fraction
-    b: object = None
-    c: object = None
-    case: object = None  # "low" | "high"
-    m_shift: object = None
-    exceptional: object = None
-    d_y: object = None
+class StepCertificate(Record):
+    # kind: "divisorial" | "flip"; case: "low" | "high"
+    __slots__ = ("kind", "a", "b", "c", "case", "m_shift", "exceptional", "d_y")
+    _defaults = (None,) * 6
 
 
 def step_certificate(x_fan, b_coeffs, d_coeffs, diagram):
@@ -330,23 +316,17 @@ def step_certificate(x_fan, b_coeffs, d_coeffs, diagram):
     return StepCertificate("flip", a, b, c, case, m_shift, w, d_y)
 
 
-@dataclass(frozen=True)
-class MMPStep:
-    kind: str  # "divisorial" | "flip" | "fibration"
-    source_index: int
-    contraction: ContractionResult
-    certificate: object
-    diagram: object = None
+class MMPStep(Record):
+    # kind: "divisorial" | "flip" | "fibration"
+    __slots__ = ("kind", "source_index", "contraction", "certificate", "diagram")
+    _defaults = (None,)
 
 
-@dataclass(frozen=True)
-class MMPRun:
-    models: tuple  # fans X_0 .. X_N
-    divisors: tuple
-    boundaries: tuple
-    steps: tuple
-    end: str  # "nef" | "mori_fibre_space"
-    end_data: object = None  # the fibration contraction for an MFS end
+class MMPRun(Record):
+    # models: fans X_0 .. X_N; end: "nef" | "mori_fibre_space"; end_data: the
+    # fibration contraction for an MFS end
+    __slots__ = ("models", "divisors", "boundaries", "steps", "end", "end_data")
+    _defaults = (None,)
 
 
 def _check_mmp_input(fan, coeffs):

@@ -7,11 +7,10 @@ since D.C = sum_rho b_rho a_rho / (b_u b_v) with u and v the off-wall rays,
 and b is the direction of its ray in the Mori cone.
 
 `wall_relation` is memoized per process with `lru_cache`, as the fan-level
-predicates of `fans` are: a `Fan` and a `Wall` are frozen dataclasses
+predicates of `fans` are: a `Fan` and a `Wall` are frozen records
 compared structurally, so equal arguments give equal relations.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,13 +18,13 @@ from . import cones
 from .divisors import NotQCartier, cartier_data
 from .fans import facet_incidence, is_simplicial
 from .linalg import dot, int_kernel
+from .record import Record
 
 
-@dataclass(frozen=True)
-class Wall:
-    rays: tuple  # ray indices of the codimension-1 cone
-    cone_a: int  # indices into fan.max_cones
-    cone_b: int
+class Wall(Record):
+    # rays: ray indices of the codimension-1 cone; cone_a, cone_b: indices
+    # into fan.max_cones
+    __slots__ = ("rays", "cone_a", "cone_b")
 
 
 def walls(fan):

@@ -40,7 +40,6 @@ extensions each combination is made once, where eliminating every prefix
 from scratch makes it once per prefix.
 """
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil, floor, gcd
 
@@ -54,6 +53,7 @@ from .linalg import (
     lcm_list,
     primitive,
 )
+from .record import Record
 
 
 def make_row(coeffs, const, strict=False):
@@ -67,20 +67,10 @@ def make_row(coeffs, const, strict=False):
     return tuple(ints[:-1]), ints[-1], bool(strict)
 
 
-@dataclass(frozen=True)
-class IneqSystem:
+class IneqSystem(Record):
     """Rows (a, c, strict) meaning <a, x> >= c, or > c when strict."""
 
-    dim: int
-    rows: tuple
-
-    @staticmethod
-    def build(dim, triples):
-        rows = tuple(make_row(a, c, s) for a, c, s in triples)
-        for a, _, _ in rows:
-            if len(a) != dim:
-                raise ValueError("covector length does not match ambient rank")
-        return IneqSystem(dim, rows)
+    __slots__ = ("dim", "rows")
 
 
 def _trivial_row_ok(c, strict):

@@ -1,21 +1,19 @@
 """Verification pipelines tying fans, divisors, the MMP and cohomology to the
-vanishing statements, plus the deterministic suite driver.
+vanishing statements.
 
 A verdict records the re-checked hypothesis, per-field vanishing flags,
 per-model dimension tables and the MMP step certificates. Every instance goes
 through one generator, `_verdicts`, which yields the KV verdict (first model's
 table) before it runs the MMP and yields the MMP verdict (every model's
 table); `verify_kv`, `verify_mmp`, `verify_instance` and, through
-`report_entry`, the suite all read it. Negative controls are labeled and must
+`report_entry`, the suite of `cli` all read it. Negative controls are labeled and must
 fail in exactly the predicted way.
 """
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import coh_dims, parse_field, vanishing_higher
-from .corpus import curated_instances, gen_corpus
 from .divisors import (
     ZERO,
     NotQCartier,
@@ -35,20 +33,15 @@ from .formats import fraction_to_str
 from .linalg import dot
 from .mmp import flip, flip_diagram, negative_contractions, run_mmp
 from .mori import intersect, walls_within
+from .record import Record
 
 DEFAULT_FIELDS = ("q", "f2", "f3", "f5", "f7")
 
 
-@dataclass
-class Verdict:
-    label: str
-    hypothesis_ok: bool
-    hypothesis_reason: str
-    vanishing: dict
-    dims: dict
-    certificates: tuple
-    passed: bool
-    notes: tuple = ()
+class Verdict(Record):
+    __slots__ = ("label", "hypothesis_ok", "hypothesis_reason", "vanishing", "dims",
+                 "certificates", "passed", "notes")
+    _defaults = ((),)
 
     def to_obj(self):
         return {
@@ -313,37 +306,3 @@ def report_entry(kv, mmp):
         entry["verdict"] = "pass" if entry["pass"] else "fail"
     return entry
 
-
-def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
-          quiet=False):
-    """Generate the corpus, run every verifier, and assemble the report.
-
-    Returns (report_obj, exit_code): 0 when everything passes (controls must
-    fail exactly as predicted), 1 otherwise.
-    """
-    entries = []
-    all_ok = True
-
-    def log(msg):
-        if not quiet:
-            print(msg)
-
-    instances = [inst for _, inst in curated_instances()]
-    skipped_total = []
-    for rank in ranks:
-        gen, skipped = gen_corpus(seed, rank, max_rays=max_rays, count=count)
-        instances.extend(gen)
-        skipped_total.extend(skipped)
-    log(f"{'verdict':18s} label")
-
-    for inst in instances:
-        kv, mmp = verify_instance(inst, fields)
-        entry = report_entry(kv, mmp)
-        all_ok = all_ok and entry["verdict"] in ("pass", "expected-fail")
-        log(f"{entry['verdict']:18s} {inst.label}")
-        entries.append(entry)
-
-    report = {"instances": sorted(entries, key=lambda e: e["label"])}
-    if skipped_total:
-        report["skipped"] = sorted(skipped_total)
-    return report, (0 if all_ok else 1)

@@ -112,6 +112,12 @@ def reference_smith_normal_form(A):
     return S, U, V
 
 
+def ray_divisor(fan, ray):
+    """The prime divisor attached to one ray."""
+    idx = fan.ray_index(ray)
+    return tuple(Fraction(1) if i == idx else Fraction(0) for i in range(len(fan.rays)))
+
+
 def p2_fan():
     return make_fan(2, [(1, 0), (0, 1), (-1, -1)], [(0, 1), (0, 2), (1, 2)])
 

@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import f1_fan, mat_mul, p2_fan, reference_smith_normal_form
+from conftest import f1_fan, mat_mul, p2_fan, ray_divisor, reference_smith_normal_form
+from toricvanish.cli import suite
 from toricvanish.cohomology import cech_graded, coh_dims, graded_piece, parse_field
 from toricvanish.corpus import (
     cube_face_fan,
@@ -31,7 +32,6 @@ from toricvanish.divisors import (
     h0_dim,
     positivity,
     principal,
-    ray_divisor,
     scale,
     sub,
 )
@@ -42,7 +42,6 @@ from toricvanish.mmp import run_mmp
 from toricvanish.mori import intersect, walls
 from toricvanish.verify import (
     check_hypothesis,
-    suite,
     verify_flip_diagram_for,
     verify_kv,
     verify_mfs,

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import p2_fan
+from conftest import p2_fan, ray_divisor
 from toricvanish.cli import main
 from toricvanish.formats import fan_to_obj, fraction_to_str, save
 
@@ -116,7 +117,6 @@ def test_verify_kv_cli(tmp_path, capsys):
 def test_verify_mmp_cli_skips_cohomology_when_d_is_not_q_cartier(tmp_path, capsys):
     # a well-formed instance is a verdict, not an input error, for both verifiers
     from toricvanish.corpus import cube_face_fan
-    from toricvanish.divisors import ray_divisor
     from toricvanish.formats import Instance, instance_to_obj
 
     cube = cube_face_fan()
@@ -237,3 +237,24 @@ def test_quiet_after_subcommand(tmp_path, capsys):
     assert main(["suite", "--seed", "5", "--rank", "2", "--count", "2",
                  "--field", "q", "--quiet"]) == 0
     assert capsys.readouterr().out == ""
+
+
+def test_failed_certificate_check_exits_1_with_one_line(p112, tmp_path, capsys,
+                                                        monkeypatch):
+    # the first section of D's memoized Cartier data moved by one misses
+    # equality on a ray of its cone: `div check` reports the failed check in
+    # one stderr line and exits 1 (a certificate failed), not with a traceback
+    from toricvanish import divisors
+    from toricvanish.divisors import CartierData, cartier_data
+
+    D = ("0", "1", "-1")
+    save(tmp_path / "p112.json", fan_to_obj(p112))
+    save(tmp_path / "d.json", {"fan": "p112.json", "coeffs": list(D)})
+    cd = cartier_data(p112, tuple(Fraction(x) for x in D))
+    first = (cd.numerators[0][0] + 1,) + cd.numerators[0][1:]
+    bad = CartierData(cd.denominator, (first,) + cd.numerators[1:], cd.scaled)
+    monkeypatch.setattr(divisors, "_cartier_data", lambda fan, coeffs: bad)
+    assert main(["div", "check", str(tmp_path / "d.json")]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("certificate error: section")
+    assert "fails ray" in err[0]

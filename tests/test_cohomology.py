@@ -12,6 +12,7 @@ from conftest import (
     p2_fan,
     p3_fan,
     p112_fan,
+    ray_divisor,
     reference_fans,
 )
 from toricvanish import cohomology
@@ -38,7 +39,6 @@ from toricvanish.divisors import (
     canonical,
     coeffs_of,
     principal,
-    ray_divisor,
     scale,
     sub,
 )

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ray_divisor
+from toricvanish.cli import suite
 from toricvanish.corpus import (
     curated_instances,
     gen_corpus,
@@ -27,7 +29,6 @@ from toricvanish.formats import canonical_json, instance_to_obj
 from toricvanish.mmp import run_mmp
 from toricvanish.verify import (
     check_hypothesis,
-    suite,
     verify_flip_diagram_for,
     verify_kv,
     verify_mfs,
@@ -137,7 +138,7 @@ def test_curated_complete_flop():
 
 
 def test_verify_mfs_negative_control(p2):
-    from toricvanish.divisors import ray_divisor, scale
+    from toricvanish.divisors import scale
     from toricvanish.mmp import contract
     from toricvanish.mori import extremal_rays
 
@@ -251,7 +252,6 @@ def test_verify_kv_never_runs_the_mmp(monkeypatch):
 
 def test_verify_instance_skips_a_d_that_is_not_q_cartier():
     from toricvanish.corpus import cube_face_fan
-    from toricvanish.divisors import ray_divisor
     from toricvanish.formats import Instance
 
     cube = cube_face_fan()

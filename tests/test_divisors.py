@@ -2,7 +2,6 @@ import os
 import random
 import subprocess
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +18,7 @@ from conftest import (
     p2_fan,
     p3_fan,
     p112_fan,
+    ray_divisor,
     reference_fans,
 )
 from toricvanish import divisors
@@ -43,7 +43,6 @@ from toricvanish.divisors import (
     pullback,
     pushforward,
     q_cartier_index,
-    ray_divisor,
     round_divisor,
     scale,
     semiample_witness,
@@ -168,7 +167,7 @@ def test_semiample_section_check_raises(p112, monkeypatch):
     assert semiample_witness(p112, D).multiple == 2
     cd = cartier_data(p112, D)
     first = (cd.numerators[0][0] + 1,) + cd.numerators[0][1:]
-    bad = replace(cd, numerators=(first,) + cd.numerators[1:])
+    bad = CartierData(cd.denominator, (first,) + cd.numerators[1:], cd.scaled)
     monkeypatch.setattr(divisors, "_cartier_data", lambda fan, coeffs: bad)
     with pytest.raises(RuntimeError, match="fails ray"):
         semiample_witness(p112, D)
@@ -177,15 +176,15 @@ def test_semiample_section_check_raises(p112, monkeypatch):
 
 
 def test_semiample_section_check_raises_under_optimize():
-    script = ("from dataclasses import replace\n"
-              "from fractions import Fraction\n"
+    script = ("from fractions import Fraction\n"
               "from toricvanish import divisors\n"
               "from toricvanish.fans import make_fan\n"
               "p112 = make_fan(2, [(1, 0), (0, 1), (-1, -2)], [(0, 1), (0, 2), (1, 2)])\n"
               "D = (Fraction(0), Fraction(1), Fraction(-1))\n"
               "cd = divisors.cartier_data(p112, D)\n"
               "first = (cd.numerators[0][0] + 1,) + cd.numerators[0][1:]\n"
-              "bad = replace(cd, numerators=(first,) + cd.numerators[1:])\n"
+              "bad = divisors.CartierData(cd.denominator, (first,) + cd.numerators[1:],\n"
+              "                           cd.scaled)\n"
               "divisors._cartier_data = lambda fan, coeffs: bad\n"
               "try:\n"
               "    divisors.semiample_witness(p112, D)\n"

@@ -11,6 +11,7 @@ from conftest import (
     flip_side_a,
     flip_side_b,
     p2_fan,
+    ray_divisor,
     reference_fans,
 )
 from toricvanish import cones, fans, lp, regions, verify
@@ -74,7 +75,7 @@ def test_properties_p112(p112):
     assert p.simplicial and p.complete and not p.smooth
     # the A_1 point (cone <(1,0),(-1,-2)>, lattice index 2) is Gorenstein
     assert p.q_gorenstein_index_of_K == 1
-    from toricvanish.divisors import q_cartier_index, ray_divisor
+    from toricvanish.divisors import q_cartier_index
 
     assert q_cartier_index(p112, ray_divisor(p112, (1, 0))) == 2
 

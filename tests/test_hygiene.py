@@ -6,7 +6,8 @@ them, so checks move to explicit raises and the ceilings only go down), and no
 module that imports another module's underscore name beyond an allow-list
 that only shrinks. The one nef/ample loop, `divisors._nef_test`, and the
 integer wall curve of `mori` name no `Fraction`, so they stay in integers,
-and the count of dataclasses, which each cost import time, only goes down.
+and no module imports `dataclasses`, which cost a third of the package's
+import time: frozen value types derive from `record.Record`.
 The exact simplex `lp.in_cone` and the
 set difference `regions.subtract_cones` are each called only from the
 functions on an allow-list that only shrinks, so they do not spread back
@@ -33,9 +34,6 @@ PRIVATE_IMPORTS = {
 # `Fraction`: the nef/ample loop and the wall curve stay in integers.
 INTEGER_ONLY = {("divisors", "_nef_test"), ("mori", "wall_relation"),
                 ("mori", "extremal_rays")}
-# `@dataclass` classes in src/toricvanish/, each about 1.1 ms of import
-# (ROADMAP item 11); lower it when one goes, and never raise it.
-DATACLASS_CEILING = 18
 # (module, function) for each function or method of src/toricvanish/ that
 # calls `lp.in_cone`; remove an entry when its call goes, and add none.
 IN_CONE_CALLERS = {("cones", "extreme_ray_indices")}
@@ -206,13 +204,15 @@ def test_integer_only_functions_name_no_fraction():
         assert "Fraction" not in _references([func]), f"{module}.{name}"
 
 
-def test_dataclass_count_does_not_grow():
-    count = sum(isinstance(d, ast.Name) and d.id == "dataclass"
-                or isinstance(d, ast.Call) and _dotted(d.func) == "dataclass"
-                for path in sorted(PACKAGE.glob("*.py"))
-                for node in ast.walk(_tree(path)) if isinstance(node, ast.ClassDef)
-                for d in node.decorator_list)
-    assert count <= DATACLASS_CEILING, f"{count} dataclasses > {DATACLASS_CEILING}"
+def test_no_module_imports_dataclasses():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Import)
+             and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").split(".")[0] == "dataclasses"]
+    assert not found, "dataclasses imported at " + ", ".join(found)
 
 
 def _callers(tree, module, name):

@@ -10,6 +10,7 @@ from conftest import (
     flip_side_a,
     flip_side_b,
     p2_fan,
+    ray_divisor,
     reference_curve_class,
     reference_pair,
     reference_primitive_direction,
@@ -21,7 +22,6 @@ from toricvanish.divisors import (
     coeffs_of,
     pullback,
     pushforward,
-    ray_divisor,
     scale,
 )
 from toricvanish.fans import check_map, is_simplicial, make_fan, validate
@@ -401,7 +401,7 @@ def test_divisorial_pullback_check_survives_python_O():
     # a pushforward that moves one coefficient keeps a > 0 but breaks
     # D = pullback(pushforward(D)) + a*E; the check is a raise, not an assert
     script = ("from toricvanish import mmp\n"
-              "from toricvanish.divisors import coeffs_of, pushforward, ray_divisor\n"
+              "from toricvanish.divisors import coeffs_of, pushforward\n"
               "from toricvanish.fans import make_fan\n"
               "f1 = make_fan(2, [(1, 0), (0, 1), (1, 1), (-1, -1)],\n"
               "              [(0, 2), (1, 2), (1, 3), (0, 3)])\n"
@@ -410,7 +410,7 @@ def test_divisorial_pullback_check_survives_python_O():
               "    return (out[0] + 1,) + out[1:]\n"
               "mmp.pushforward = shifted\n"
               "try:\n"
-              "    mmp.run_mmp(f1, ray_divisor(f1, (1, 1)), coeffs_of(f1, {}))\n"
+              "    mmp.run_mmp(f1, coeffs_of(f1, {(1, 1): 1}), coeffs_of(f1, {}))\n"
               "except RuntimeError as exc:\n"
               "    print('raised:', exc)\n")
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     flip_side_a,
     mmp_models,
+    ray_divisor,
     reference_curve_class,
     reference_fans,
     reference_pair,
@@ -23,7 +24,6 @@ from toricvanish.divisors import (
     cartier_data,
     positivity,
     principal,
-    ray_divisor,
     semiample_witness,
 )
 from toricvanish.fans import is_simplicial, q_factorialize

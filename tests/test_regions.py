@@ -15,6 +15,7 @@ from toricvanish.regions import (
     has_lattice_point,
     is_feasible,
     lattice_points,
+    make_row,
     recession_direction,
     recession_is_zero,
     subtract_cones,
@@ -22,7 +23,10 @@ from toricvanish.regions import (
 
 
 def sys_of(dim, triples):
-    return IneqSystem.build(dim, triples)
+    """The system of the rows (a, c, strict), each normalized by `make_row`."""
+    rows = tuple(make_row(a, c, s) for a, c, s in triples)
+    assert all(len(a) == dim for a, _, _ in rows)
+    return IneqSystem(dim, rows)
 
 
 def test_feasible_open_interval():
@@ -268,7 +272,7 @@ def parallel_rich_systems(draw):
             rows.append((tuple(lam * x for x in a), lam * c, not s))
     if draw(st.booleans()):
         rows.append(((0,) * dim, draw(st.integers(-2, 0)), draw(st.booleans())))
-    return IneqSystem.build(dim, rows)
+    return sys_of(dim, rows)
 
 
 def _reference_answers(sys):
@@ -362,7 +366,7 @@ def small_systems(draw):
         else:
             a = (0,) * dim
         rows.append((a, draw(st.integers(-4, 4)), draw(st.booleans())))
-    return IneqSystem.build(dim, rows)
+    return sys_of(dim, rows)
 
 
 def _probe_recession_is_zero(sys):
