@@ -114,7 +114,9 @@ def _mmp_run(args):
     fan, coeffs = load_divisor(args.divisor)
     _require_valid(fan)
     if args.boundary:
-        _, b = load_divisor(args.boundary)
+        b_fan, b = load_divisor(args.boundary)
+        if b_fan != fan:
+            raise ParseError(f"{args.boundary}: not on the divisor's fan")
     else:
         b = coeffs_of(fan, {})
     run = run_mmp(fan, coeffs, b)

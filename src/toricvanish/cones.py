@@ -4,8 +4,8 @@ Cones are given either by integer generators or by integer inequality rows
 {x : <a_i, x> >= 0}. Conversions run the double description method with a
 tight-set rank test for extremality, exact over the integers.
 
-A cone's dual is its H-representation, and pointedness, lineality and
-facets are read from it. `cone_dual` reads the one memo of duals in the
+A cone's dual is its H-representation, and pointedness and facets are
+read from it. `cone_dual` reads the one memo of duals in the
 package, `_dual`: an `lru_cache` keyed on the generator tuple and `dim`,
 since a dual depends on the generators alone and not on the fan that holds
 them. It hands out tuples, so no caller can change what later readers see.
@@ -18,7 +18,6 @@ from functools import lru_cache
 from . import lp
 from .linalg import (
     dot,
-    int_kernel,
     int_rank,
     primitive,
 )
@@ -107,15 +106,6 @@ def in_cone_hrep(hrep, x):
 
 def cone_dim(gens):
     return int_rank(gens)
-
-
-def cone_lineality(gens, dim):
-    """Basis of the lineality space of cone(gens)."""
-    ineqs, eqs = cone_dual(gens, dim)
-    rows = ineqs + eqs
-    if not rows:
-        return [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
-    return int_kernel(rows)
 
 
 def cone_is_pointed(gens, dim):

@@ -2,11 +2,22 @@
 divisor-directed minimal model program on simplicial fans with convex support.
 
 Each step takes the first D-negative extremal ray (`negative_contractions`)
-and contracts it once; a flip step hands that contraction to `flip` rather
-than contracting again. Each flip step carries a certificate with the
-discrepancy a of the inserted divisor, the rounding defect b of the
-pulled-back divisor, the flip coefficient c, and the case split on -a+b
-(below 1 or not), including the unique nonnegative shift m for the low case.
+and contracts it once; a flip step hands that contraction to `flip` and
+`flip_diagram` rather than contracting again. Every contraction decision is
+read off the ray's integer wall relation b (sum_rho b_rho u_rho = 0), the
+direction `mori.extremal_rays` gives the ray, by the sign pattern J+ = {b > 0},
+J- = {b < 0} (Reid, Decomposition of toric morphisms; Fujino and Sato,
+Introduction to the toric Mori theory):
+- J- empty: a fibration, whose fibre spans the rays of J+;
+- J- one ray: a divisorial contraction that removes that ray;
+- otherwise a flipping contraction. Each merged cone is a circuit, cut into
+  the cones without one ray of J+ on X and without one ray of J- after the
+  flip, and the flip diagram inserts the ray sum over J+ of b_i u_i.
+A failed certificate check raises RuntimeError; a caller's wrong input raises
+ValueError. Each flip step carries a certificate with the discrepancy a of
+the inserted divisor, the rounding defect b of the pulled-back divisor, the
+flip coefficient c, and the case split on -a+b (below 1 or not), including
+the unique nonnegative shift m for the low case.
 """
 
 from fractions import Fraction
@@ -36,7 +47,6 @@ from .fans import (
 from .linalg import (
     adapted_basis,
     dot,
-    int_kernel,
     mat_vec,
     primitive,
 )
@@ -49,8 +59,10 @@ STEP_CAP = 10000
 class ContractionResult(Record):
     # kind: "divisorial" | "flipping" | "fibration"; removed_ray: the ray
     # vector of a divisorial contraction; merged_groups: per group, a tuple of
-    # source max-cone indices; walls: those whose class spans the contracted ray
-    __slots__ = ("kind", "target", "map", "removed_ray", "merged_groups", "walls")
+    # source max-cone indices; walls: those whose class spans the contracted
+    # ray; relation: their integer wall relation b
+    __slots__ = ("kind", "target", "map", "removed_ray", "merged_groups", "walls",
+                 "relation")
 
 
 def _merge_groups(fan, ray_walls):
@@ -75,64 +87,43 @@ def _merge_groups(fan, ray_walls):
 def contract(fan, extremal):
     """Contract an extremal ray of the relative Mori cone.
 
-    `extremal` is an entry of mori.extremal_rays: (direction, walls).
+    `extremal` is an entry of mori.extremal_rays: (b, walls). The kind comes
+    from J- = {rho : b_rho < 0}, and each merged cone is its group's rays,
+    less the one ray of J- for a divisorial contraction.
     """
-    ray_walls = tuple(extremal[1])
+    b, ray_walls = extremal[0], tuple(extremal[1])
     groups = _merge_groups(fan, ray_walls)
     merged = [g for g in groups if len(g) > 1]
     if not merged:
         raise ValueError("ray contracts nothing")
-    group_rays = []
-    lineal = []
-    for g in merged:
-        idx = sorted(set().union(*(fan.max_cones[ci] for ci in g)))
-        group_rays.append(idx)
-        lineal.extend(cones.cone_lineality([fan.rays[i] for i in idx], fan.rank))
-
-    if lineal:
-        return _fibration(fan, merged, lineal, ray_walls)
-
-    removed = set()
-    new_cones = {}
-    for g, idx in zip(merged, group_rays):
-        gens = tuple(fan.rays[i] for i in idx)
-        extreme = cones.extreme_ray_indices(gens, fan.rank)
-        removed.update(idx[k] for k in range(len(idx)) if k not in extreme)
-        new_cones[g] = tuple(idx[k] for k in extreme)
+    minus = {i for i, x in enumerate(b) if x < 0}
+    if not minus:
+        return _fibration(fan, merged, ray_walls, b)
+    removed = minus if len(minus) == 1 else set()
+    kind = "divisorial" if removed else "flipping"
+    merged_cone_list = [tuple(sorted(set().union(*(fan.max_cones[ci] for ci in g))
+                                     - removed)) for g in merged]
+    for mc in merged_cone_list:
+        simplicial = len(mc) == cones.cone_dim([fan.rays[i] for i in mc])
+        if simplicial != (kind == "divisorial"):
+            raise RuntimeError(f"merged cone {mc} does not fit a {kind} contraction")
+    removed_ray = fan.rays[min(removed)] if removed else None
 
     untouched = [tuple(fan.max_cones[gi[0]]) for gi in groups if len(gi) == 1]
-    merged_cone_list = [new_cones[g] for g in merged]
-
-    if removed:
-        if len(removed) != 1:
-            raise ValueError("not an extremal contraction (several interior rays)")
-        for mc in merged_cone_list:
-            if len(mc) != cones.cone_dim([fan.rays[i] for i in mc]):
-                raise ValueError("not an extremal contraction (merged cone stays "
-                                 "non-simplicial after removing the interior ray)")
-        kind = "divisorial"
-        removed_ray = fan.rays[next(iter(removed))]
-    else:
-        kind = "flipping"
-        for mc in merged_cone_list:
-            if len(mc) == cones.cone_dim([fan.rays[i] for i in mc]):
-                raise ValueError("merged cone is simplicial; nothing to flip")
-        removed_ray = None
-
     used = sorted(set().union(*map(set, untouched + merged_cone_list)))
     reindex = {old: pos for pos, old in enumerate(used)}
     target = make_fan(fan.rank, [fan.rays[i] for i in used],
                       [tuple(reindex[i] for i in c) for c in untouched + merged_cone_list])
     defects = validate(target)
     if defects:
-        raise ValueError("contracted structure is not a fan: " + "; ".join(defects))
+        raise RuntimeError("contracted structure is not a fan: " + "; ".join(defects))
     mp = identity_map(fan, target)
-    return ContractionResult(kind, target, mp, removed_ray, tuple(merged), ray_walls)
+    return ContractionResult(kind, target, mp, removed_ray, tuple(merged), ray_walls, b)
 
 
-def _fibration(fan, merged, lineal, ray_walls):
-    V, k = adapted_basis(lineal, fan.rank)
-    # quotient by the lineality span: keep the last rank-k adapted coordinates
+def _fibration(fan, merged, ray_walls, b):
+    V, k = adapted_basis([fan.rays[i] for i, x in enumerate(b) if x > 0], fan.rank)
+    # quotient by the fibre span: keep the last rank-k adapted coordinates
     q_matrix = tuple(tuple(V[i][j] for i in range(fan.rank))
                      for j in range(k, fan.rank))
     new_rank = fan.rank - k
@@ -158,24 +149,10 @@ def _fibration(fan, merged, lineal, ray_walls):
     target = make_fan(new_rank, ray_list, maximal)
     defects = validate(target)
     if defects:
-        raise ValueError("fibration target is not a fan: " + "; ".join(defects))
+        raise RuntimeError("fibration target is not a fan: " + "; ".join(defects))
     mp = ToricMap(q_matrix, fan, target)
-    return ContractionResult("fibration", target, mp, None, tuple(merged), ray_walls)
-
-
-def _circuit(fan, ray_indices):
-    """The (unique up to sign) relation among the rays of a circuit cone."""
-    matrix = [[fan.rays[i][k] for i in ray_indices] for k in range(fan.rank)]
-    kernel = int_kernel(matrix)
-    if len(kernel) != 1:
-        raise ValueError("merged cone is not a circuit")
-    return kernel[0]
-
-
-def _sides(fan, ray_indices, rel):
-    plus = tuple(i for i, r in zip(ray_indices, rel) if r > 0)
-    minus = tuple(i for i, r in zip(ray_indices, rel) if r < 0)
-    return plus, minus
+    return ContractionResult("fibration", target, mp, None, tuple(merged), ray_walls,
+                             b)
 
 
 def negative_contractions(fan, coeffs):
@@ -192,40 +169,32 @@ def flip(fan, contraction, coeffs):
         raise ValueError(f"ray is {contraction.kind}, not flipping")
     if intersect(fan, coeffs, contraction.walls[0]) >= 0:
         raise ValueError("divisor is not negative on the flipping ray")
+    plus = [i for i, x in enumerate(contraction.relation) if x > 0]
+    minus = [j for j, x in enumerate(contraction.relation) if x < 0]
     current = {frozenset(fan.max_cones[ci]) for g in contraction.merged_groups for ci in g}
     new_cones = [tuple(c) for c in fan.max_cones
                  if frozenset(c) not in current]
     flip_families = []
     for g in contraction.merged_groups:
-        idx = sorted(set().union(*(fan.max_cones[ci] for ci in g)))
-        rel = _circuit(fan, idx)
-        plus, minus = _sides(fan, idx, rel)
-        t_plus = {frozenset(set(idx) - {i}) for i in plus}
-        t_minus = {frozenset(set(idx) - {j}) for j in minus}
+        idx = set().union(*(fan.max_cones[ci] for ci in g))
         group_cones = {frozenset(fan.max_cones[ci]) for ci in g}
-        if group_cones == t_plus:
-            other = t_minus
-        elif group_cones == t_minus:
-            other = t_plus
-        else:
-            raise ValueError("merged group is not a circuit triangulation")
-        if len(other) < 2:
-            raise ValueError("opposite side is divisorial, not a flip")
-        family = [tuple(sorted(s)) for s in sorted(other, key=sorted)]
+        if group_cones != {frozenset(idx - {i}) for i in plus}:
+            raise RuntimeError("merged group is not a circuit triangulation")
+        family = sorted(tuple(sorted(idx - {j})) for j in minus)
         new_cones.extend(family)
         flip_families.append(family)
     flipped = make_fan(fan.rank, list(fan.rays), new_cones)
     if flipped.rays != fan.rays:
-        raise ValueError("flipped fan does not keep the rays")
+        raise RuntimeError("flipped fan does not keep the rays")
     defects = validate(flipped)
     if defects:
-        raise ValueError("flipped structure is not a fan: " + "; ".join(defects))
+        raise RuntimeError("flipped structure is not a fan: " + "; ".join(defects))
     # strict transform must be ample over the contraction: positive on the
     # new wall curves inside each flipped family
     groups = [[flipped.max_cones.index(c) for c in family] for family in flip_families]
     for w in walls_within(flipped, groups):
         if intersect(flipped, coeffs, w) <= 0:
-            raise ValueError("strict transform is not relatively ample")
+            raise RuntimeError("strict transform is not relatively ample")
     return flipped
 
 
@@ -234,28 +203,21 @@ class FlipDiagram(Record):
     __slots__ = ("theta", "e_ray", "gamma", "psi", "psi_prime")
 
 
-def flip_diagram(x_fan, x_plus, z_fan):
-    """Common resolution of the two sides of a flip by one star subdivision.
+def flip_diagram(x_fan, x_plus, contraction):
+    """Common resolution of the two sides of a flip by one star subdivision,
+    at the ray through sum over J+ of b_i u_i for the contraction's relation b.
 
     Verifies psi*F = psi'*F' - (F.Gamma) E exactly on the coordinate divisors
     and returns the diagram data.
     """
-    non_simplicial = [c for c in z_fan.max_cones
-                      if len(c) != cones.cone_dim([z_fan.rays[i] for i in c])]
-    if len(non_simplicial) != 1:
+    if contraction.kind != "flipping" or len(contraction.merged_groups) != 1:
         raise ValueError("flip diagram needs a single-circuit flip")
-    idx = non_simplicial[0]
-    rel = _circuit(z_fan, idx)
-    plus = [(i, r) for i, r in zip(idx, rel) if r > 0]
-    w_raw = [0] * z_fan.rank
-    for i, r in plus:
-        for k in range(z_fan.rank):
-            w_raw[k] += r * z_fan.rays[i][k]
-    e_ray = primitive(tuple(w_raw))
+    plus = [(x, u) for x, u in zip(contraction.relation, x_fan.rays) if x > 0]
+    e_ray = primitive(tuple(sum(x * u[k] for x, u in plus) for k in range(x_fan.rank)))
     theta, psi = star_subdivide(x_fan, e_ray)
     theta2, psi_prime = star_subdivide(x_plus, e_ray)
     if theta != theta2:
-        raise ValueError("star subdivisions of the two sides disagree")
+        raise RuntimeError("star subdivisions of the two sides disagree")
     psi_prime = ToricMap(psi_prime.matrix, theta, x_plus)
     e_idx = theta.ray_index(e_ray)
     kappa = []
@@ -268,10 +230,10 @@ def flip_diagram(x_fan, x_plus, z_fan):
         pb_plus = pullback(psi_prime, f_plus)
         for j in range(len(theta.rays)):
             if j != e_idx and pb[j] != pb_plus[j]:
-                raise ValueError("pullbacks differ away from the exceptional ray")
+                raise RuntimeError("pullbacks differ away from the exceptional ray")
         kappa.append(pb_plus[e_idx] - pb[e_idx])
     if not any(kappa):
-        raise ValueError("flip diagram produced a zero 1-cycle")
+        raise RuntimeError("flip diagram produced a zero 1-cycle")
     return FlipDiagram(theta, e_ray, tuple(kappa), psi, psi_prime)
 
 
@@ -329,7 +291,9 @@ class MMPRun(Record):
     _defaults = (None,)
 
 
-def _check_mmp_input(fan, coeffs):
+def _check_mmp_input(fan, coeffs, b_coeffs):
+    if len(b_coeffs) != len(fan.rays):
+        raise ValueError(f"{len(b_coeffs)} boundary coefficients for {len(fan.rays)} rays")
     if not is_simplicial(fan):
         raise ValueError("the divisor-directed program needs a simplicial fan")
     if not support_is_convex(fan):
@@ -350,7 +314,7 @@ def run_mmp(fan, d_coeffs, b_coeffs):
     every wall curve (Cox, Little and Schenck, Toric Varieties, section
     6.1).
     """
-    _check_mmp_input(fan, d_coeffs)
+    _check_mmp_input(fan, d_coeffs, b_coeffs)
     models = [fan]
     divisors = [tuple(Fraction(x) for x in d_coeffs)]
     boundaries = [tuple(Fraction(x) for x in b_coeffs)]
@@ -386,7 +350,7 @@ def run_mmp(fan, d_coeffs, b_coeffs):
             boundaries.append(b_next)
             continue
         flipped = flip(x_n, res, d_n)
-        diagram = flip_diagram(x_n, flipped, res.target)
+        diagram = flip_diagram(x_n, flipped, res)
         cert = step_certificate(x_n, b_n, d_n, diagram)
         steps.append(MMPStep("flip", len(models) - 1, res, cert, diagram))
         models.append(flipped)

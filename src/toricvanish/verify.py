@@ -242,7 +242,7 @@ def verify_flip_diagram_for(fan, d_coeffs):
     if res is None:
         raise ValueError("no D-negative flipping ray")
     flipped = flip(fan, res, d_coeffs)
-    dia = flip_diagram(fan, flipped, res.target)
+    dia = flip_diagram(fan, flipped, res)
     notes = []
     ok = True
     if set(dia.theta.rays) != set(fan.rays) | {dia.e_ray}:

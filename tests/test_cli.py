@@ -258,3 +258,47 @@ def test_failed_certificate_check_exits_1_with_one_line(p112, tmp_path, capsys,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("certificate error: section")
     assert "fails ray" in err[0]
+
+
+@pytest.mark.parametrize("case", ["p2-on-p1xp1", "f1-on-p1"])
+def test_mmp_run_rejects_a_boundary_on_another_fan(case, tmp_path, capsys):
+    # a boundary file names its own fan, and one on another fan is malformed
+    # input whether it has more coefficients than the divisor's fan has rays
+    # (P1xP1 against P^2) or fewer (P^1 against F1, which has a divisorial step)
+    from conftest import f1_fan, p1xp1_fan
+    from toricvanish.corpus import projective_space
+
+    fan, other, d = {
+        "p2-on-p1xp1": (p2_fan(), p1xp1_fan(), ["-1", "-1", "-1"]),
+        "f1-on-p1": (f1_fan(), projective_space(1), ["0", "0", "0", "1"]),
+    }[case]
+    save(tmp_path / "fan.json", fan_to_obj(fan))
+    save(tmp_path / "other.json", fan_to_obj(other))
+    save(tmp_path / "d.json", {"fan": "fan.json", "coeffs": d})
+    save(tmp_path / "b.json", {"fan": "other.json", "coeffs": ["0"] * len(other.rays)})
+    assert main(["mmp", "run", str(tmp_path / "d.json"),
+                 "--boundary", str(tmp_path / "b.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: ")
+    assert err[0].endswith("not on the divisor's fan")
+
+
+@pytest.mark.parametrize("case, message", [
+    ("p2", "fibration target is not a fan: planted defect"),
+    ("f1", "contracted structure is not a fan: planted defect"),
+])
+def test_mmp_certificate_failure_exits_1_with_one_line(case, message, tmp_path,
+                                                       capsys, monkeypatch):
+    # a contracted fan that fails validation is a failed certificate (exit 1),
+    # not malformed input (exit 2): -K on P^2 is negative on a fibration ray,
+    # and the (1, 1) ray of F1, the last of its rays, on a divisorial one
+    from conftest import f1_fan
+    from toricvanish import mmp
+
+    fan, d = {"p2": (p2_fan(), ["-1", "-1", "-1"]),
+              "f1": (f1_fan(), ["0", "0", "0", "1"])}[case]
+    save(tmp_path / "fan.json", fan_to_obj(fan))
+    save(tmp_path / "d.json", {"fan": "fan.json", "coeffs": d})
+    monkeypatch.setattr(mmp, "validate", lambda fan: ["planted defect"])
+    assert main(["mmp", "run", str(tmp_path / "d.json")]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"certificate error: {message}"]

@@ -8,10 +8,11 @@ that only shrinks. The one nef/ample loop, `divisors._nef_test`, and the
 integer wall curve of `mori` name no `Fraction`, so they stay in integers,
 and no module imports `dataclasses`, which cost a third of the package's
 import time: frozen value types derive from `record.Record`.
-The exact simplex `lp.in_cone` and the
-set difference `regions.subtract_cones` are each called only from the
-functions on an allow-list that only shrinks, so they do not spread back
-into a hot path or into the fan predicates."""
+The exact simplex `lp.in_cone`, the
+set difference `regions.subtract_cones` and the integer kernel
+`linalg.int_kernel` are each called only from the functions on an
+allow-list that only shrinks, so they do not spread back into a hot path or
+into the fan predicates, and curve relations stay solved in one place."""
 
 import ast
 from pathlib import Path
@@ -40,6 +41,9 @@ IN_CONE_CALLERS = {("cones", "extreme_ray_indices")}
 # the same for `regions.subtract_cones`, a set difference with one FM call per
 # piece: no fan predicate (convexity, completeness, subdivision) takes one.
 SUBTRACT_CONES_CALLERS = {("fans", "check_map")}
+# the same for `linalg.int_kernel`: a curve relation is solved once, as the
+# memoized wall relation, and every contraction decision reads it.
+INT_KERNEL_CALLERS = {("mori", "wall_relation"), ("regions", "recession_direction")}
 
 
 def _tree(path):
@@ -274,3 +278,7 @@ def test_simplex_callers_only_shrink():
 
 def test_set_difference_callers_only_shrink():
     _ratchet("regions", "subtract_cones", SUBTRACT_CONES_CALLERS)
+
+
+def test_integer_kernel_callers_only_shrink():
+    _ratchet("linalg", "int_kernel", INT_KERNEL_CALLERS)

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,13 +10,16 @@ import pytest
 from conftest import (
     flip_side_a,
     flip_side_b,
+    mmp_models,
     p2_fan,
     ray_divisor,
     reference_curve_class,
+    reference_fans,
     reference_pair,
     reference_primitive_direction,
 )
-from toricvanish import mmp
+from toricvanish import cones, fans, lp, mmp
+from toricvanish.cones import cone_dual
 from toricvanish.corpus import curated_instances, seed_fans
 from toricvanish.divisors import (
     canonical,
@@ -24,10 +28,20 @@ from toricvanish.divisors import (
     pushforward,
     scale,
 )
-from toricvanish.fans import check_map, is_simplicial, make_fan, validate
+from toricvanish.fans import (
+    ToricMap,
+    check_map,
+    full_span,
+    identity_map,
+    is_simplicial,
+    make_fan,
+    star_subdivide,
+    support_is_convex,
+    validate,
+)
 from toricvanish.mmp import flip, flip_diagram, negative_contractions, run_mmp
-from toricvanish.linalg import dot
-from toricvanish.mori import extremal_rays, intersect, walls
+from toricvanish.linalg import adapted_basis, dot, int_kernel, mat_vec, primitive
+from toricvanish.mori import extremal_rays, intersect, walls, walls_within
 from toricvanish.verify import verify_flip_diagram_for
 
 
@@ -96,12 +110,30 @@ def test_flip_non_flipping_ray_errors(f1):
         flip(f1, next(negative_contractions(f1, E)), E)
 
 
+def test_run_mmp_rejects_a_boundary_of_another_length(p2):
+    with pytest.raises(ValueError, match="4 boundary coefficients for 3 rays"):
+        run_mmp(p2, canonical(p2), (Fraction(0),) * 4)
+
+
+def test_failed_flip_certificate_is_a_runtime_error(monkeypatch):
+    # a flipped fan that fails validation is a failed certificate; the
+    # caller's preconditions stay ValueErrors
+    fan = flip_side_a()
+    D = scale(-1, ray_divisor(fan, (0, 0, 1)))
+    res = next(negative_contractions(fan, D))
+    with pytest.raises(ValueError, match="not negative on the flipping ray"):
+        flip(fan, res, scale(-1, D))
+    monkeypatch.setattr(mmp, "validate", lambda fan: ["planted defect"])
+    with pytest.raises(RuntimeError, match="flipped structure is not a fan: planted"):
+        flip(fan, res, D)
+
+
 def test_flip_diagram_flop():
     fan = flip_side_a((1, 1, -1))
     D = scale(-1, ray_divisor(fan, (0, 0, 1)))
     res = next(negative_contractions(fan, D))
     flipped = flip(fan, res, D)
-    dia = flip_diagram(fan, flipped, res.target)
+    dia = flip_diagram(fan, flipped, res)
     assert dia.e_ray == (1, 1, 0)
     assert is_simplicial(dia.theta)
     assert len(dia.theta.rays) == len(fan.rays) + 1
@@ -128,7 +160,7 @@ def test_flip_diagram_equation_exact():
         D = scale(-1, ray_divisor(fan, (0, 0, 1)))
         res = next(negative_contractions(fan, D))
         flipped = flip(fan, res, D)
-        dia = flip_diagram(fan, flipped, res.target)
+        dia = flip_diagram(fan, flipped, res)
         e_idx = dia.theta.ray_index(dia.e_ray)
         for i in range(len(fan.rays)):
             F = tuple(Fraction(1) if j == i else Fraction(0)
@@ -249,7 +281,7 @@ def test_flip_strict_transform_through_resolution():
             D = scale(-1, D)
         res = next(negative_contractions(fan, D))
         flipped = flip(fan, res, D)
-        dia = flip_diagram(fan, flipped, res.target)
+        dia = flip_diagram(fan, flipped, res)
         up = pullback(dia.psi, D)
         down = pushforward(dia.psi_prime, up)
         strict = pushforward_strict(fan, flipped, D)
@@ -265,7 +297,7 @@ def test_flip_diagram_kills_principal_divisors():
     D = scale(-1, ray_divisor(fan, (0, 0, 1)))
     res = next(negative_contractions(fan, D))
     flipped = flip(fan, res, D)
-    dia = flip_diagram(fan, flipped, res.target)
+    dia = flip_diagram(fan, flipped, res)
     for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1), (2, -1, 3)):
         F = principal(fan, m)
         assert dot(dia.gamma, F) == 0
@@ -440,3 +472,196 @@ def test_flip_certificate_range_check_survives_python_O():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: discrepancy -1 <= -1: pair is not klt")
+
+
+def _reference_lineality(gens, dim):
+    """Basis of the lineality space of cone(gens), read off its dual as
+    `cones.cone_lineality` read it."""
+    ineqs, eqs = cone_dual(gens, dim)
+    rows = ineqs + eqs
+    if not rows:
+        return [tuple(1 if i == j else 0 for i in range(dim)) for j in range(dim)]
+    return int_kernel(rows)
+
+
+def _reference_circuit(fan, ray_indices):
+    kernel = int_kernel([[fan.rays[i][k] for i in ray_indices] for k in range(fan.rank)])
+    if len(kernel) != 1:
+        raise ValueError("merged cone is not a circuit")
+    return kernel[0]
+
+
+def _reference_contract(fan, extremal):
+    """`mmp.contract` as it decided the kind by each merged cone's lineality
+    and its extreme rays (one exact simplex per generator of a
+    non-simplicial cone), not by the relation's sign pattern. Returns
+    (kind, target, map, merged_groups, removed_ray)."""
+    groups = mmp._merge_groups(fan, tuple(extremal[1]))
+    merged = [g for g in groups if len(g) > 1]
+    if not merged:
+        raise ValueError("ray contracts nothing")
+    group_rays, lineal = [], []
+    for g in merged:
+        idx = sorted(set().union(*(fan.max_cones[ci] for ci in g)))
+        group_rays.append(idx)
+        lineal.extend(_reference_lineality([fan.rays[i] for i in idx], fan.rank))
+    if lineal:
+        V, k = adapted_basis(lineal, fan.rank)
+        q_matrix = tuple(tuple(V[i][j] for i in range(fan.rank))
+                         for j in range(k, fan.rank))
+        image_cones = [[primitive(v) for v in (mat_vec(q_matrix, fan.rays[i]) for i in c)
+                        if any(v)] for c in fan.max_cones]
+        ray_list = sorted({v for imgs in image_cones for v in imgs})
+        cone_sets = [tuple(ray_list.index(imgs[i])
+                           for i in cones.extreme_ray_indices(tuple(imgs), fan.rank - k))
+                     for imgs in image_cones if imgs]
+        maximal = [c for c in cone_sets if not any(set(c) < set(o) for o in cone_sets)]
+        target = make_fan(fan.rank - k, ray_list, maximal)
+        if validate(target):
+            raise ValueError("fibration target is not a fan")
+        return "fibration", target, ToricMap(q_matrix, fan, target), tuple(merged), None
+    removed, new_cones = set(), []
+    for idx in group_rays:
+        extreme = cones.extreme_ray_indices(tuple(fan.rays[i] for i in idx), fan.rank)
+        removed.update(idx[k] for k in range(len(idx)) if k not in extreme)
+        new_cones.append(tuple(idx[k] for k in extreme))
+    simplicial = [len(mc) == cones.cone_dim([fan.rays[i] for i in mc]) for mc in new_cones]
+    if removed and (len(removed) != 1 or not all(simplicial)):
+        raise ValueError("not an extremal contraction")
+    if not removed and any(simplicial):
+        raise ValueError("merged cone is simplicial; nothing to flip")
+    untouched = [tuple(fan.max_cones[g[0]]) for g in groups if len(g) == 1]
+    used = sorted(set().union(*map(set, untouched + new_cones)))
+    reindex = {old: pos for pos, old in enumerate(used)}
+    target = make_fan(fan.rank, [fan.rays[i] for i in used],
+                      [tuple(reindex[i] for i in c) for c in untouched + new_cones])
+    if validate(target):
+        raise ValueError("contracted structure is not a fan")
+    kind = "divisorial" if removed else "flipping"
+    removed_ray = fan.rays[next(iter(removed))] if removed else None
+    return kind, target, identity_map(fan, target), tuple(merged), removed_ray
+
+
+def _reference_flip(fan, merged_groups, coeffs):
+    """`mmp.flip` as it solved each merged group's circuit again and tried
+    both of its sides."""
+    current = {frozenset(fan.max_cones[ci]) for g in merged_groups for ci in g}
+    new_cones = [tuple(c) for c in fan.max_cones if frozenset(c) not in current]
+    families = []
+    for g in merged_groups:
+        idx = sorted(set().union(*(fan.max_cones[ci] for ci in g)))
+        rel = _reference_circuit(fan, idx)
+        t_plus = {frozenset(set(idx) - {i}) for i, r in zip(idx, rel) if r > 0}
+        t_minus = {frozenset(set(idx) - {j}) for j, r in zip(idx, rel) if r < 0}
+        group_cones = {frozenset(fan.max_cones[ci]) for ci in g}
+        if group_cones not in (t_plus, t_minus):
+            raise ValueError("merged group is not a circuit triangulation")
+        other = t_minus if group_cones == t_plus else t_plus
+        if len(other) < 2:
+            raise ValueError("opposite side is divisorial, not a flip")
+        families.append([tuple(sorted(s)) for s in sorted(other, key=sorted)])
+        new_cones.extend(families[-1])
+    flipped = make_fan(fan.rank, list(fan.rays), new_cones)
+    if flipped.rays != fan.rays or validate(flipped):
+        raise ValueError("flipped structure is not a fan")
+    groups = [[flipped.max_cones.index(c) for c in family] for family in families]
+    if any(intersect(flipped, coeffs, w) <= 0 for w in walls_within(flipped, groups)):
+        raise ValueError("strict transform is not relatively ample")
+    return flipped
+
+
+def _reference_flip_diagram(x_fan, x_plus, z_fan):
+    """`mmp.flip_diagram` as it rescanned the contracted fan for its one
+    non-simplicial cone and solved that circuit again: (theta, e_ray, gamma)."""
+    non_simplicial = [c for c in z_fan.max_cones
+                      if len(c) != cones.cone_dim([z_fan.rays[i] for i in c])]
+    if len(non_simplicial) != 1:
+        raise ValueError("flip diagram needs a single-circuit flip")
+    idx = non_simplicial[0]
+    rel = _reference_circuit(z_fan, idx)
+    e_ray = primitive(tuple(sum(r * z_fan.rays[i][k] for i, r in zip(idx, rel) if r > 0)
+                            for k in range(z_fan.rank)))
+    theta, psi = star_subdivide(x_fan, e_ray)
+    theta2, psi_prime = star_subdivide(x_plus, e_ray)
+    if theta != theta2:
+        raise ValueError("star subdivisions of the two sides disagree")
+    e_idx = theta.ray_index(e_ray)
+    gamma = []
+    for i, ray in enumerate(x_fan.rays):
+        pb = pullback(psi, tuple(Fraction(int(j == i)) for j in range(len(x_fan.rays))))
+        pb_plus = pullback(ToricMap(psi_prime.matrix, theta, x_plus),
+                           tuple(Fraction(int(r == ray)) for r in x_plus.rays))
+        if any(pb[j] != pb_plus[j] for j in range(len(theta.rays)) if j != e_idx):
+            raise ValueError("pullbacks differ away from the exceptional ray")
+        gamma.append(pb_plus[e_idx] - pb[e_idx])
+    return theta, e_ray, tuple(gamma)
+
+
+def _sign_pattern_fans():
+    """The distinct simplicial, convex, full-span fans of `reference_fans()`
+    and `mmp_models()`."""
+    chosen = [f for f in reference_fans()
+              if f.rays and is_simplicial(f) and support_is_convex(f) and full_span(f)]
+    return list(dict.fromkeys(chosen + [f for f, _ in mmp_models()]))
+
+
+def _or_error(fn, *args):
+    try:
+        return fn(*args)
+    except (ValueError, RuntimeError) as exc:
+        return str(exc)
+
+
+def test_sign_pattern_matches_the_reference_contraction_flip_and_diagram():
+    # every extremal ray of 44 fans: the kind, target, map, merged groups and
+    # removed ray, and on each flipping ray the flip of D = -D_u (u an
+    # off-wall ray, so D.C < 0) and its diagram, agree with the old path
+    kinds = Counter()
+    for fan in _sign_pattern_fans():
+        for item in extremal_rays(fan):
+            res = mmp.contract(fan, item)
+            expected = _reference_contract(fan, item)
+            assert (res.kind, res.target, res.map, res.merged_groups,
+                    res.removed_ray) == expected
+            kinds[res.kind] += 1
+            if res.kind != "flipping":
+                continue
+            w = item[1][0]
+            u = next(i for i in fan.max_cones[w.cone_a] if i not in w.rays)
+            D = scale(-1, ray_divisor(fan, fan.rays[u]))
+            flipped = flip(fan, res, D)
+            assert flipped == _reference_flip(fan, res.merged_groups, D)
+            got = _or_error(flip_diagram, fan, flipped, res)
+            if not isinstance(got, str):
+                got = got.theta, got.e_ray, got.gamma
+            assert got == _or_error(_reference_flip_diagram, fan, flipped, res.target)
+    assert kinds == {"divisorial": 72, "flipping": 56, "fibration": 18}
+
+
+def test_contract_asks_the_simplex_only_through_validate(monkeypatch):
+    # on each extremal ray of the distinct fans of mmp_models(), from cold
+    # memos, contract makes exactly the lp.in_cone calls that validating its
+    # target alone makes: no merged circuit cone reaches the simplex
+    calls = []
+    real = lp.in_cone
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    def cold_calls(fn, *args):
+        for memo in (cones._dual, cones.extreme_ray_indices, fans._common_face):
+            memo.cache_clear()
+        del calls[:]
+        out = fn(*args)
+        return out, len(calls)
+
+    monkeypatch.setattr(lp, "in_cone", counting)
+    rays = 0
+    for fan in dict.fromkeys(f for f, _ in mmp_models()):
+        for item in extremal_rays(fan):
+            res, inside = cold_calls(mmp.contract, fan, item)
+            _, alone = cold_calls(validate, res.target)
+            assert inside == alone, (res.kind, inside, alone)
+            rays += 1
+    assert rays == 73
