@@ -36,9 +36,8 @@ from .mori import walls
 from .verify import (
     DEFAULT_FIELDS,
     _model_cohomology,
-    report_entry,
+    instance_entry,
     verify_flip_diagram_for,
-    verify_instance,
     verify_kv,
     verify_mfs,
     verify_mmp,
@@ -174,7 +173,8 @@ def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
     """Generate the corpus, run every verifier, and assemble the report.
 
     Returns (report_obj, exit_code): 0 when everything passes (controls must
-    fail exactly as predicted), 1 otherwise.
+    fail exactly as predicted), 1 otherwise, as when an instance's pipeline
+    raised and its entry reads "error".
     """
     instances = [inst for _, inst in curated_instances()]
     skipped = []
@@ -186,7 +186,7 @@ def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
         print(f"{'verdict':18s} label")
     entries = []
     for inst in instances:
-        entries.append(report_entry(*verify_instance(inst, fields)))
+        entries.append(instance_entry(inst, fields))
         if not quiet:
             print(f"{entries[-1]['verdict']:18s} {inst.label}")
     report = {"instances": sorted(entries, key=lambda e: e["label"])}

@@ -12,10 +12,13 @@ factors all 1, no Q-homology) has no homology over any field, so its
 chambers are dropped once per (fan, D) and each field walks the rest;
 `coh_dims` counts lattice points, and so decides boundedness, only there.
 
-Most neg complexes are shown Z-acyclic from their maximal faces alone, before
-any boundary matrix is built (`_acyclic_witness`):
-- apex: some vertex lies in every maximal face, so the complex is a cone.
-  This holds on any fan.
+Most neg complexes are shown Z-acyclic from their faces alone, before any
+boundary matrix is built. The tests read, per ray v, the minimal faces F of
+the incidence complex for which F + {v} is not a face (`_apex_obstructions`,
+once per fan): v is an apex of the full subcomplex K_S on a ray set S (in
+every maximal face, so K_S is a cone) iff v is in S and no such F lies in S.
+- apex: some ray of the neg set is an apex of its complex. This holds on
+  any fan.
 - dual apex: only on a complete fan (simplicial, as every chamber fan is).
   Its incidence complex is then a triangulated (r-1)-sphere on the rays
   that lie in a maximal cone. For a set I of them whose complex K_I and
@@ -32,23 +35,39 @@ the side where it fails, and a child survives iff its region is nonempty.
 A cell carries the incremental elimination levels of its rows, so a split
 decides each child by extending its parent's levels by one row
 (`regions.extend_levels`): no system is eliminated from scratch and no
-witness point is built.
+witness point is built. The side where the inequality fails is extended
+first; when it is empty the inequality holds on the whole cell, so the
+other child keeps the cell's levels, which describe the same region, and
+the split costs one elimination. Rows are built from the integer numerators
+of D over one common denominator, divided by their gcd: the coprime rows
+`regions.make_row` would give.
+
+`chambers` walks the whole tree. `_homology_chambers` drops a cell before
+eliminating it when `_cone_certificate` decides every chamber below it. A
+cell with N decided negative and P decided positive has below it only neg
+sets S with N <= S <= ~P, and a face of K_S is a face of K_~P:
+- apex: some v in N with every obstruction meeting P is an apex of K_~P,
+  so of every K_S.
+- dual apex: on a complete fan, N holds a vertex and some w in P has every
+  obstruction meeting N: w is an apex of the complement complex of every S.
+Both tests only gain as N and P grow, and at a leaf they are
+`_acyclic_witness`; so the walk drops exactly the chambers that test would,
+and the rest come out in the same order.
 """
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 
 from .fans import is_complete, is_simplicial
-from .linalg import dot, snf_diagonal
+from .linalg import dot, lcm_list, snf_diagonal
 from .regions import (
     IneqSystem,
     empty_levels,
     extend_levels,
     has_lattice_point,
     lattice_points,
-    make_row,
 )
 from .record import Record
 
@@ -142,28 +161,44 @@ def _chamber_key(fan, coeffs):
     return tuple(Fraction(c) for c in coeffs)
 
 
-def chambers(fan, coeffs):
-    """Feasible sign-pattern chambers of D, in binary order over the rays."""
-    coeffs = _chamber_key(fan, coeffs)
+def _walk(fan, coeffs, cut=lambda neg, pos: None):
+    """(pattern, rows) of each feasible chamber, in binary order over the
+    rays; see the module docstring. A cell whose `cut(neg, pos)`, given the
+    masks of the rays decided negative and positive, is true is dropped
+    before it is eliminated."""
     n = len(fan.rays)
     if n > 20:
         raise ValueError("too many rays for subset enumeration")
-    # a cell is (pattern, rows, levels); the last ray's children keep no levels
-    cells = [((), (), empty_levels(fan.rank))]
+    scale = lcm_list([c.denominator for c in coeffs])
+    # a cell is (neg, rows, levels); the last ray's children keep no levels
+    cells = [(0, (), empty_levels(fan.rank))]
     for i, ray in enumerate(fan.rays):
-        a = coeffs[i]
-        last = i == n - 1
-        row_pos = make_row(ray, -a, False)
-        row_neg = make_row([-x for x in ray], a, True)
+        a = int(coeffs[i] * scale)
+        g = gcd(scale * gcd(*ray), a) or 1
+        weak = (tuple([x * scale // g for x in ray]), -a // g, False)
+        strict = (tuple([-x * scale // g for x in ray]), a // g, True)
+        bit, last = 1 << i, i == n - 1
         new_cells = []
-        for pattern, rows, levels in cells:
-            for pat, row in ((pattern, row_pos), (pattern + (i,), row_neg)):
-                child = extend_levels(levels, (row,))
-                if child is not None:
-                    new_cells.append((pat, rows + (row,), None if last else child))
+        for neg, rows, levels in cells:
+            pos = (bit - 1) & ~neg
+            strict_cut = cut(neg | bit, pos)
+            below = None if strict_cut else extend_levels(levels, (strict,))
+            if not cut(neg, pos | bit):
+                # an empty strict side implies the weak row: same region
+                above = (extend_levels(levels, (weak,))
+                         if strict_cut or below is not None else levels)
+                if above is not None:
+                    new_cells.append((neg, rows + (weak,), None if last else above))
+            if below is not None:
+                new_cells.append((neg | bit, rows + (strict,), None if last else below))
         cells = new_cells
+    return [(tuple(i for i in range(n) if neg >> i & 1), rows) for neg, rows, _ in cells]
+
+
+def chambers(fan, coeffs):
+    """Feasible sign-pattern chambers of D, in binary order over the rays."""
     return [ChamberReport(pattern, IneqSystem(fan.rank, rows))
-            for pattern, rows, _ in cells]
+            for pattern, rows in _walk(fan, _chamber_key(fan, coeffs))]
 
 
 @lru_cache(maxsize=4096)
@@ -190,38 +225,63 @@ def _z_acyclic(maximal_faces):
             and not any(homology_dims(maximal_faces, None, max(data)).values()))
 
 
-def _apex(maximal_faces):
-    """The least vertex lying in every maximal face, or None."""
-    if not maximal_faces:
-        return None
-    return min(set(maximal_faces[0]).intersection(*maximal_faces[1:]), default=None)
+@lru_cache(maxsize=512)
+def _apex_obstructions(fan):
+    """(vertices, obstructions): the mask of the rays in some maximal cone,
+    and per ray v the masks of the minimal faces F of the incidence complex
+    for which F + {v} is not a face (F = 0 when v is in no maximal cone)."""
+    faces = {0}
+    for cone in fan.max_cones:
+        mask = sub = sum(1 << i for i in cone)
+        while sub:
+            faces.add(sub)
+            sub = (sub - 1) & mask
+    ordered = sorted(faces)
+    obstructions = tuple(
+        tuple(f for f in ordered if not f & (1 << v) and f | (1 << v) not in faces
+              and all((f & ~(1 << x)) | (1 << v) in faces
+                      for x in range(f.bit_length()) if f >> x & 1))
+        for v in range(len(fan.rays)))
+    return sum(1 << v for v, obs in enumerate(obstructions) if 0 not in obs), obstructions
+
+
+def _cone_certificate(obstructions, sphere, neg, pos):
+    """("apex", v), ("dual apex", w) or None: why every neg complex K_S with
+    neg <= S <= ~pos (masks of rays) is a cone, or has one for complement.
+    `sphere` is the vertex mask on a complete fan, and 0 on any other."""
+    for v, obs in enumerate(obstructions):
+        if neg >> v & 1 and all(map(pos.__and__, obs)):
+            return "apex", v
+    if neg & sphere:
+        for w, obs in enumerate(obstructions):
+            if pos >> w & 1 and all(map(neg.__and__, obs)):
+                return "dual apex", w
+    return None
 
 
 def _acyclic_witness(fan, pattern, complete):
-    """Why the neg complex of the pattern is Z-acyclic, read off maximal faces
-    only: ("apex", v), ("dual apex", v), or None when neither test decides.
+    """Why the neg complex of the pattern is Z-acyclic, read off its faces
+    only: ("apex", v), ("dual apex", w), or None when neither test decides.
+    It is `_cone_certificate` with every ray decided.
 
     The dual test needs `complete`, i.e. `is_complete(fan)` on this simplicial
     fan, whose incidence complex is then a triangulated sphere.
     """
-    cx = _pattern_homology(fan, pattern)
-    v = _apex(cx)
-    if v is not None:
-        return "apex", v
-    if not complete or not cx:
-        return None
-    vertices = set().union(*fan.max_cones)
-    v = _apex(_pattern_homology(fan, tuple(sorted(vertices.difference(pattern)))))
-    return None if v is None else ("dual apex", v)
+    vertices, obstructions = _apex_obstructions(fan)
+    neg = sum(1 << i for i in pattern)
+    return _cone_certificate(obstructions, vertices if complete else 0, neg, ~neg)
 
 
 @lru_cache(maxsize=512)
 def _homology_chambers(fan, coeffs):
     """(chamber, neg complex), in chamber order, where that is not Z-acyclic;
-    SNF runs only where `_acyclic_witness` does not decide."""
-    complete = is_complete(fan)
-    pairs = ((ch, _pattern_homology(fan, ch.pattern)) for ch in chambers(fan, coeffs)
-             if _acyclic_witness(fan, ch.pattern, complete) is None)
+    the walk drops every cell `_cone_certificate` decides, and SNF runs only
+    on the chambers left."""
+    vertices, obstructions = _apex_obstructions(fan)
+    sphere = vertices if is_complete(fan) else 0
+    walk = _walk(fan, coeffs, partial(_cone_certificate, obstructions, sphere))
+    pairs = ((ChamberReport(p, IneqSystem(fan.rank, rows)), _pattern_homology(fan, p))
+             for p, rows in walk)
     return tuple(p for p in pairs if not _z_acyclic(p[1]))
 
 

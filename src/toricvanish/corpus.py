@@ -190,10 +190,16 @@ def gen_corpus(seed, rank, max_rays=12, count=10):
     """Deterministic instance list for one rank; see the module docstring."""
     if rank not in (2, 3):
         raise ValueError("rank must be 2 or 3")
+    if count < 0:
+        raise ValueError("count must be nonnegative")
     if max_rays > 14:
         raise ValueError("max_rays must be at most 14")
     rng = random.Random(f"corpus:{seed}:{rank}")
     seeds = seed_fans(rank)
+    smallest = min(len(fan.rays) for _, fan in seeds)
+    if max_rays < smallest:
+        raise ValueError(f"max_rays must be at least {smallest}, the rays of the "
+                         f"smallest rank-{rank} seed fan")
     out = []
     skipped = []
     i = 0
@@ -203,8 +209,9 @@ def gen_corpus(seed, rank, max_rays=12, count=10):
         fan = base
         if is_simplicial(base) and rng.random() < 0.6:
             fan = mutate(rng, base, max_rays, rng.randint(1, 2))
-        if len(fan.rays) > max_rays:
-            fan = base
+        if len(fan.rays) > max_rays:  # the seed fan itself is too large
+            skipped.append(name)
+            continue
         mode = 1 if (is_simplicial(fan) and i % 3 == 0) else 2
         made = _mode1_divisors(rng, fan) if mode == 1 else None
         if made is not None:

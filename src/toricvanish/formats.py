@@ -18,8 +18,21 @@ class ParseError(ValueError):
     """Schema violation with a field diagnostic."""
 
 
+def _is_int(x):
+    """A JSON integer: true and false are not numbers here."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _list_field(obj, key, where):
+    """obj[key], which must be a list; a missing key reads as the empty list."""
+    value = obj.get(key, [])
+    if not isinstance(value, list):
+        raise ParseError(f"{where}.{key}: expected a list")
+    return value
+
+
 def fraction_from_str(text, where="coefficient"):
-    if isinstance(text, int):
+    if _is_int(text):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected a string like 'p' or 'p/q'")
@@ -59,12 +72,11 @@ def fan_from_obj(obj, where="fan"):
         if key not in obj:
             raise ParseError(f"{where}: missing field {key!r}")
     rank = obj["rank"]
-    if not isinstance(rank, int) or rank < 0:
+    if not _is_int(rank) or rank < 0:
         raise ParseError(f"{where}.rank: expected a nonnegative integer")
     rays = []
-    for i, ray in enumerate(obj["rays"]):
-        if not isinstance(ray, list) or len(ray) != rank \
-                or not all(isinstance(x, int) for x in ray):
+    for i, ray in enumerate(_list_field(obj, "rays", where)):
+        if not isinstance(ray, list) or len(ray) != rank or not all(map(_is_int, ray)):
             raise ParseError(f"{where}.rays[{i}]: expected {rank} integers")
         if gcd_list(ray) != 1:
             raise ParseError(f"{where}.rays[{i}]: ray {ray} is not primitive")
@@ -74,8 +86,8 @@ def fan_from_obj(obj, where="fan"):
     if len(set(rays)) != len(rays):
         raise ParseError(f"{where}.rays: duplicate rays")
     max_cones = []
-    for i, cone in enumerate(obj["max_cones"]):
-        if not isinstance(cone, list) or not all(isinstance(x, int) for x in cone):
+    for i, cone in enumerate(_list_field(obj, "max_cones", where)):
+        if not isinstance(cone, list) or not all(map(_is_int, cone)):
             raise ParseError(f"{where}.max_cones[{i}]: expected a list of ray indices")
         if any(x < 0 or x >= len(rays) for x in cone):
             raise ParseError(f"{where}.max_cones[{i}]: ray index out of range")
@@ -90,11 +102,8 @@ def divisor_to_obj(fan, coeffs):
 
 
 def _coeffs_from_obj(obj, fan, where):
-    if isinstance(obj, dict) and "coeffs" in obj:
-        raw = obj["coeffs"]
-    elif isinstance(obj, list):
-        raw = obj
-    else:
+    raw = obj.get("coeffs") if isinstance(obj, dict) else obj
+    if not isinstance(raw, list):
         raise ParseError(f"{where}: expected a coeffs list")
     if len(raw) != len(fan.rays):
         raise ParseError(f"{where}: expected {len(fan.rays)} coefficients, "
@@ -140,21 +149,23 @@ def instance_from_obj(obj, where="instance"):
     b = _coeffs_from_obj(obj["B"], fan, f"{where}.B")
     d = _coeffs_from_obj(obj["D"], fan, f"{where}.D")
     mode = obj["mode"]
-    if mode not in (1, 2):
+    if not _is_int(mode) or mode not in (1, 2):
         raise ParseError(f"{where}.mode: expected 1 or 2")
+    label = obj.get("label", "unlabeled")
+    if not isinstance(label, str):
+        raise ParseError(f"{where}.label: expected a string")
     witness = []
-    for i, w in enumerate(obj.get("witness", [])):
+    for i, w in enumerate(_list_field(obj, "witness", where)):
         if not isinstance(w, dict) or "q" not in w or "m" not in w:
             raise ParseError(f"{where}.witness[{i}]: expected q and m")
         m = w["m"]
-        if not isinstance(m, list) or len(m) != fan.rank \
-                or not all(isinstance(x, int) for x in m):
+        if not isinstance(m, list) or len(m) != fan.rank or not all(map(_is_int, m)):
             raise ParseError(f"{where}.witness[{i}].m: expected {fan.rank} integers")
         witness.append((fraction_from_str(w["q"], f"{where}.witness[{i}].q"),
                         tuple(m)))
     if any(x.denominator != 1 for x in d):
         raise ParseError(f"{where}.D: divisor must have integer coefficients")
-    return Instance(obj.get("label", "unlabeled"), fan, b, d, mode, tuple(witness))
+    return Instance(label, fan, b, d, mode, tuple(witness))
 
 
 def canonical_json(obj):

@@ -6,8 +6,9 @@ per-model dimension tables and the MMP step certificates. Every instance goes
 through one generator, `_verdicts`, which yields the KV verdict (first model's
 table) before it runs the MMP and yields the MMP verdict (every model's
 table); `verify_kv`, `verify_mmp`, `verify_instance` and, through
-`report_entry`, the suite of `cli` all read it. Negative controls are labeled and must
-fail in exactly the predicted way.
+`instance_entry`, the suite of `cli` all read it; the suite records an
+instance whose pipeline raises as an "error" entry and goes on. Negative
+controls are labeled and must fail in exactly the predicted way.
 """
 
 import random
@@ -188,6 +189,22 @@ def verify_instance(inst, fields=DEFAULT_FIELDS):
     Q-Cartier."""
     verdicts = _verdicts(inst, fields)
     return next(verdicts), next(verdicts, None)
+
+
+def instance_entry(inst, fields=DEFAULT_FIELDS):
+    """The suite's report entry of one instance: `report_entry` of both
+    verdicts, or, when its KV or MMP stage raises ValueError or RuntimeError,
+    an entry with verdict "error", that stage and the message."""
+    verdicts = _verdicts(inst, fields)
+    stage = "kv"
+    try:
+        kv = next(verdicts)
+        stage = "mmp"
+        mmp = next(verdicts, None)
+    except (ValueError, RuntimeError) as exc:
+        return {"label": inst.label, "verdict": "error", "stage": stage,
+                "error": str(exc)}
+    return report_entry(kv, mmp)
 
 
 def verify_kv(inst, fields=DEFAULT_FIELDS):

@@ -221,6 +221,48 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert main(["fan", "info", str(tmp_path / "badfan.json")]) == 2
 
 
+def test_exit_code_2_on_a_field_of_the_wrong_type(tmp_path, capsys):
+    # a non-list where a list belongs is malformed input: one stderr line,
+    # exit 2, no traceback
+    from toricvanish.formats import Instance, instance_to_obj
+
+    save(tmp_path / "fan.json", {"rank": 2, "rays": 5, "max_cones": []})
+    assert main(["fan", "info", str(tmp_path / "fan.json")]) == 2
+    p2 = p2_fan()
+    inst = instance_to_obj(Instance("x", p2, (Fraction(0),) * 3,
+                                    (Fraction(0),) * 3, 2, ()))
+    for field, value in (("witness", 5), ("B", {"coeffs": 5})):
+        save(tmp_path / "inst.json", dict(inst, **{field: value}))
+        assert main(["verify", "kv", str(tmp_path / "inst.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 and all(e.startswith("input error: ") for e in err)
+    assert "rays: expected a list" in err[0]
+    assert "witness: expected a list" in err[1]
+    assert "B: expected a coeffs list" in err[2]
+
+
+def test_suite_argument_errors_exit_2(capsys):
+    assert main(["suite", "--count", "-1"]) == 2
+    assert main(["suite", "--max-rays", "2"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["input error: count must be nonnegative",
+                   "input error: max_rays must be at least 3, the rays of the "
+                   "smallest rank-2 seed fan"]
+
+
+def test_suite_error_entry_exits_1(monkeypatch, capsys):
+    from toricvanish import verify
+
+    def failing_run(*args):
+        raise RuntimeError("injected certificate failure")
+
+    monkeypatch.setattr(verify, "run_mmp", failing_run)
+    assert main(["suite", "--count", "0", "--field", "q"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert "error              control-p2-canonical" in out
+    assert out[-1] == "0/4 instances passed"
+
+
 def test_exit_code_2_on_invalid_fan(tmp_path, capsys):
     # schema-valid but geometrically invalid: the cones overlap in interiors
     save(tmp_path / "overlap.json",

@@ -8,6 +8,7 @@ from conftest import (
     f1_fan,
     flip_side_a,
     flip_side_b,
+    mmp_models,
     p1xp1_fan,
     p2_fan,
     p3_fan,
@@ -562,32 +563,127 @@ def test_dual_apex_test_waits_for_a_complete_fan(monkeypatch):
 
 
 def test_boundary_matrices_only_for_chambers_no_cone_test_decides(monkeypatch):
-    # verify_instance on cubeq-flop: every complex that reaches
-    # `_boundary_divisors` is one that neither the apex nor the dual test
-    # decided, and each undecided one reaches it
+    # verify_instance on cubeq-flop: the walk's cone tests drop most cells
+    # before they are eliminated, every chamber it keeps is one that neither
+    # the apex nor the dual test decides, and every complex that reaches
+    # `_boundary_divisors` is one of those
     from toricvanish import verify
 
     undecided, decided, boundary = set(), 0, set()
-    real_witness = cohomology._acyclic_witness
+    real_certificate = cohomology._cone_certificate
+    real_pattern = cohomology._pattern_homology
     real_boundary = cohomology._boundary_divisors
 
-    def recording_witness(fan, pattern, complete):
+    def recording_certificate(obstructions, sphere, neg, pos):
         nonlocal decided
-        witness = real_witness(fan, pattern, complete)
-        if witness is None:
-            undecided.add(neg_complex(fan, pattern))
-        else:
-            decided += 1
-        return witness
+        certificate = real_certificate(obstructions, sphere, neg, pos)
+        decided += certificate is not None
+        return certificate
+
+    def recording_pattern(fan, pattern):
+        assert cohomology._acyclic_witness(fan, pattern, is_complete(fan)) is None
+        undecided.add(real_pattern(fan, pattern))
+        return real_pattern(fan, pattern)
 
     def recording_boundary(maximal_faces):
         boundary.add(maximal_faces)
         return real_boundary(maximal_faces)
 
-    monkeypatch.setattr(cohomology, "_acyclic_witness", recording_witness)
+    monkeypatch.setattr(cohomology, "_cone_certificate", recording_certificate)
+    monkeypatch.setattr(cohomology, "_pattern_homology", recording_pattern)
     monkeypatch.setattr(cohomology, "_boundary_divisors", recording_boundary)
     cohomology._homology_chambers.cache_clear()
     verify.verify_instance(dict(curated_instances())["cubeq-flop"])
     cohomology._homology_chambers.cache_clear()
     assert decided > 4 * len(undecided) > 0
     assert boundary == undecided
+
+
+def _reference_witness_homology_chambers(fan, coeffs):
+    """`_homology_chambers` as it walked every chamber, then dropped those the
+    apex or dual-apex test decided on their maximal faces, then ran SNF."""
+    complete = is_complete(fan)
+    vertices = set().union(*fan.max_cones)
+
+    def has_apex(faces):
+        return bool(faces) and bool(set(faces[0]).intersection(*faces[1:]))
+
+    out = []
+    for ch in chambers(fan, coeffs):
+        cx = neg_complex(fan, ch.pattern)
+        if has_apex(cx) or (complete and cx and has_apex(
+                neg_complex(fan, vertices.difference(ch.pattern)))):
+            continue
+        if not cohomology._z_acyclic(cx):
+            out.append((ch, cx))
+    return tuple(out)
+
+
+def _relative_chamber_fans():
+    """Simplicial fans with convex support that are not complete."""
+    fans = reference_fans() + [_upper_half_plane()] + [f for f, _ in mmp_models()]
+    out = []
+    for fan in fans:
+        if (is_simplicial(fan) and fan not in out and support_is_convex(fan)
+                and not is_complete(fan)):
+            out.append(fan)
+    return out
+
+
+def test_pruned_walk_keeps_the_chambers_of_the_full_walk():
+    rng = random.Random(31)
+    relative = _relative_chamber_fans()
+    assert len(relative) >= 5
+    checked = 0
+    for fan in _chamber_fans() + relative:
+        ints = tuple(rng.randint(-3, 3) for _ in fan.rays)
+        fracs = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4)))
+                      for _ in fan.rays)
+        for D in (canonical(fan), coeffs_of(fan, {}), ints, fracs):
+            key = tuple(Fraction(a) for a in D)
+            assert cohomology._homology_chambers(fan, key) == \
+                _reference_witness_homology_chambers(fan, D), (fan, D)
+            checked += 1
+    assert checked >= 250
+
+
+def test_apex_obstructions_are_the_minimal_non_faces_through_each_ray(p2):
+    # on P^2 the one non-face is {0, 1, 2}; on the upper half-plane (rays
+    # (-1, 0), (0, 1), (1, 0)) the one non-face is {0, 2}, and (0, 1) lies
+    # in both maximal cones, so nothing obstructs it
+    assert cohomology._apex_obstructions(p2) == (0b111, ((0b110,), (0b101,), (0b011,)))
+    assert cohomology._apex_obstructions(_upper_half_plane()) == \
+        (0b111, ((0b100,), (), (0b001,)))
+    # a ray in no maximal cone is obstructed by the empty face, and no vertex
+    fan = make_fan(2, [(1, 0), (0, 1), (-1, 0)], [(0, 1)])
+    i = fan.ray_index((-1, 0))
+    vertices, obstructions = cohomology._apex_obstructions(fan)
+    assert obstructions[i] == (0,) and vertices == 0b111 & ~(1 << i)
+
+
+def test_pruned_walk_eliminates_fewer_cells_and_asks_no_leaf_witness(monkeypatch):
+    # on cubeq-flop the cone tests drop cells before they are eliminated, so
+    # the leaves need no witness of their own
+    inst = dict(curated_instances())["cubeq-flop"]
+    key = tuple(Fraction(a) for a in inst.d_coeffs)
+    calls = {"extend": 0, "witness": 0}
+    real_extend, real_witness = cohomology.extend_levels, cohomology._acyclic_witness
+
+    def extend(levels, rows):
+        calls["extend"] += 1
+        return real_extend(levels, rows)
+
+    def witness(*args):
+        calls["witness"] += 1
+        return real_witness(*args)
+
+    monkeypatch.setattr(cohomology, "extend_levels", extend)
+    monkeypatch.setattr(cohomology, "_acyclic_witness", witness)
+    cohomology._homology_chambers.cache_clear()
+    kept = cohomology._homology_chambers(inst.fan, key)
+    cohomology._homology_chambers.cache_clear()
+    pruned = calls["extend"]
+    assert calls["witness"] == 0
+    full = chambers(inst.fan, inst.d_coeffs)
+    assert len(full) > len(kept)
+    assert 0 < pruned < calls["extend"] - pruned

@@ -81,6 +81,27 @@ def test_gen_corpus_rank_guard():
         gen_corpus(1, 4)
 
 
+def test_gen_corpus_rejects_a_negative_count_and_too_few_rays():
+    with pytest.raises(ValueError, match="count must be nonnegative"):
+        gen_corpus(42, 2, count=-1)
+    # the smallest seed fans have 3 rays at rank 2 (P^2) and 4 at rank 3 (P^3)
+    with pytest.raises(ValueError, match="at least 3"):
+        gen_corpus(42, 2, max_rays=2)
+    with pytest.raises(ValueError, match="at least 4"):
+        gen_corpus(42, 3, max_rays=3)
+
+
+def test_gen_corpus_skips_a_seed_fan_with_more_than_max_rays():
+    # at rank 3 and max_rays 4 only P^3 and the two 4-ray flip threefolds fit;
+    # a draw of a larger seed fan is skipped under its name
+    instances, skipped = gen_corpus(42, 3, max_rays=4, count=6)
+    assert len(instances) == 6
+    assert all(len(inst.fan.rays) <= 4 for inst in instances)
+    assert {"p1x3", "p1xp2", "cubeq", "cube"} <= set(skipped)
+    assert {"p1x3", "p1xp2", "cubeq", "cube"}.isdisjoint(
+        inst.label.split("-")[3] for inst in instances)
+
+
 def test_curated_control():
     insts = dict(curated_instances())
     control = insts["control-p2-canonical"]
@@ -219,6 +240,39 @@ def test_suite_reports_why_the_mmp_check_failed(monkeypatch):
     assert entry["verdict"] == "fail" and entry["mmp_pass"] is False
     assert "q: dims changed at step 0" in entry["notes"]
     assert "q: dims changed at step 1" in entry["notes"]
+
+
+def test_suite_records_an_instance_error_and_goes_on(monkeypatch):
+    # the MMP of the first instance and the hypothesis check of p2-minus-h
+    # raise: each becomes an "error" entry with its stage and message, every
+    # other instance is still verified, and the suite exits 1
+    real_run, real_check = verify.run_mmp, verify.check_hypothesis
+    calls = []
+
+    def failing_run(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise RuntimeError("injected certificate failure")
+        return real_run(*args)
+
+    def failing_check(inst):
+        if inst.label == "p2-minus-h":
+            raise ValueError("injected input failure")
+        return real_check(inst)
+
+    monkeypatch.setattr(verify, "run_mmp", failing_run)
+    monkeypatch.setattr(verify, "check_hypothesis", failing_check)
+    report, code = suite(ranks=(), fields=("q",), quiet=True)
+    entries = {e["label"]: e for e in report["instances"]}
+    assert code == 1
+    assert entries["control-p2-canonical"] == {
+        "label": "control-p2-canonical", "verdict": "error", "stage": "mmp",
+        "error": "injected certificate failure"}
+    assert entries["p2-minus-h"] == {
+        "label": "p2-minus-h", "verdict": "error", "stage": "kv",
+        "error": "injected input failure"}
+    assert entries["flip2-relative"]["verdict"] == "pass"
+    assert entries["cubeq-flop"]["verdict"] == "pass"
 
 
 def test_cubeq_flop_computes_each_cone_dual_once(monkeypatch):

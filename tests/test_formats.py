@@ -57,6 +57,36 @@ def test_fan_errors():
         fan_from_obj(bad3)
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("rank", True, "rank: expected a nonnegative integer"),
+    ("rays", 5, "rays: expected a list"),
+    ("rays", [[True, 0], [0, 1], [-1, -1]], r"rays\[0\]: expected 2 integers"),
+    ("max_cones", {"0": [0, 1]}, "max_cones: expected a list"),
+    ("max_cones", [[False, 1]], r"max_cones\[0\]: expected a list of ray indices"),
+])
+def test_fan_fields_are_type_checked(field, value, message):
+    obj = dict(fan_to_obj(p2_fan()), **{field: value})
+    with pytest.raises(ParseError, match=message):
+        fan_from_obj(obj)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("witness", 5, "witness: expected a list"),
+    ("witness", [{"q": True, "m": [1, 0]}], r"witness\[0\].q: expected a string"),
+    ("witness", [{"q": "1", "m": [True, 0]}], r"witness\[0\].m: expected 2 integers"),
+    ("B", {"coeffs": 5}, "B: expected a coeffs list"),
+    ("D", {"coeffs": [True, 0, 0]}, r"D\[0\]: expected a string"),
+    ("mode", True, "mode: expected 1 or 2"),
+    ("label", 5, "label: expected a string"),
+])
+def test_instance_fields_are_type_checked(field, value, message):
+    p2 = p2_fan()
+    inst = Instance("x", p2, (Fraction(0),) * 3, (Fraction(0),) * 3, 2, ())
+    obj = dict(instance_to_obj(inst), **{field: value})
+    with pytest.raises(ParseError, match=message):
+        instance_from_obj(obj)
+
+
 def test_divisor_round_trip(tmp_path, p2):
     coeffs = (Fraction(1, 2), Fraction(-3), Fraction(0))
     obj = divisor_to_obj(p2, coeffs)
