@@ -2,14 +2,15 @@
 
 Subcommands: fan info, div check, coh dims, mmp run, verify kv|mmp|mfs|flip,
 suite. Exit codes: 0 success / all pass, 1 verdict or certificate failure,
-2 input error. `coh dims` prints the table that `verify._model_cohomology`
-builds per model; `verify kv|mmp` and `suite`, the deterministic driver over
-the generated corpus, read the one per-instance pipeline in `verify`.
+2 input error. `coh dims` prints a model's `cohomology.model_cohomology`
+table; `verify kv|mmp` and `suite`, the deterministic driver over the
+generated corpus, read the one per-instance pipeline in `verify`.
 """
 
 import argparse
 import sys
 
+from .cohomology import model_cohomology
 from .corpus import curated_instances, gen_corpus
 from .divisors import (
     NotQCartier,
@@ -35,7 +36,6 @@ from .mmp import negative_contractions, run_mmp
 from .mori import walls
 from .verify import (
     DEFAULT_FIELDS,
-    _model_cohomology,
     instance_entry,
     verify_flip_diagram_for,
     verify_kv,
@@ -98,7 +98,7 @@ def _div_check(args):
 def _coh_dims(args):
     fan, coeffs = load_divisor(args.divisor)
     _require_valid(fan)
-    mode, payload = _model_cohomology(fan, coeffs, (args.field,))
+    mode, payload = model_cohomology(fan, coeffs, (args.field,))
     value = payload[args.field]
     if mode == "complete":
         print(" ".join(str(d) for d in value))

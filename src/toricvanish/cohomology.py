@@ -9,8 +9,9 @@ their invariant factors (Q: nonzero ones; F_p: those not divisible by p).
 A field is `parse_field`'s result: None for Q, or the prime p. A chamber is
 its sign pattern and region. A neg complex that is Z-acyclic (invariant
 factors all 1, no Q-homology) has no homology over any field, so its
-chambers are dropped once per (fan, D) and each field walks the rest;
-`coh_dims` counts lattice points, and so decides boundedness, only there.
+chambers are dropped once per (fan, D). `coh_dims` and `vanishing_higher`
+take a tuple of fields and walk the rest once, reading every field's
+homology off each chamber and deciding its lattice points at most once.
 
 Most neg complexes are shown Z-acyclic from their faces alone, before any
 boundary matrix is built. The tests read, per ray v, the minimal faces F of
@@ -38,9 +39,8 @@ decides each child by extending its parent's levels by one row
 witness point is built. The side where the inequality fails is extended
 first; when it is empty the inequality holds on the whole cell, so the
 other child keeps the cell's levels, which describe the same region, and
-the split costs one elimination. Rows are built from the integer numerators
-of D over one common denominator, divided by their gcd: the coprime rows
-`regions.make_row` would give.
+the split costs one elimination. The rows are `divisors.section_rows`, and a
+strict row is the negation of its weak one.
 
 `chambers` walks the whole tree. `_homology_chambers` drops a cell before
 eliminating it when `_cone_certificate` decides every chamber below it. A
@@ -58,10 +58,11 @@ and the rest come out in the same order.
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 
-from .fans import is_complete, is_simplicial
-from .linalg import dot, lcm_list, snf_diagonal
+from .divisors import section_rows
+from .fans import is_complete, is_simplicial, support_is_convex
+from .linalg import dot, snf_diagonal
 from .regions import (
     IneqSystem,
     empty_levels,
@@ -145,11 +146,6 @@ def homology_dims(maximal_faces, field, top_degree):
     return dims
 
 
-@lru_cache(maxsize=65536)
-def _pattern_homology(fan, pattern):
-    return neg_complex(fan, pattern)
-
-
 class ChamberReport(Record):
     # pattern: sorted ray indices with <m, u> < -a; region: an IneqSystem
     __slots__ = ("pattern", "region")
@@ -169,14 +165,10 @@ def _walk(fan, coeffs, cut=lambda neg, pos: None):
     n = len(fan.rays)
     if n > 20:
         raise ValueError("too many rays for subset enumeration")
-    scale = lcm_list([c.denominator for c in coeffs])
     # a cell is (neg, rows, levels); the last ray's children keep no levels
     cells = [(0, (), empty_levels(fan.rank))]
-    for i, ray in enumerate(fan.rays):
-        a = int(coeffs[i] * scale)
-        g = gcd(scale * gcd(*ray), a) or 1
-        weak = (tuple([x * scale // g for x in ray]), -a // g, False)
-        strict = (tuple([-x * scale // g for x in ray]), a // g, True)
+    for i, weak in enumerate(section_rows(fan, coeffs)):
+        strict = (tuple([-x for x in weak[0]]), -weak[1], True)
         bit, last = 1 << i, i == n - 1
         new_cells = []
         for neg, rows, levels in cells:
@@ -199,23 +191,6 @@ def chambers(fan, coeffs):
     """Feasible sign-pattern chambers of D, in binary order over the rays."""
     return [ChamberReport(pattern, IneqSystem(fan.rank, rows))
             for pattern, rows in _walk(fan, _chamber_key(fan, coeffs))]
-
-
-@lru_cache(maxsize=4096)
-def _lattice_count(region):
-    """Lattice points of a chamber region, or None when it is unbounded;
-    decided once per process, as `coh_dims` asks for the same chamber once
-    per coefficient field."""
-    pts = lattice_points(region)
-    return None if pts is None else len(pts)
-
-
-@lru_cache(maxsize=4096)
-def _has_lattice_point(region):
-    """Whether a chamber region holds a lattice point, bounded or not; decided
-    once per process, as `vanishing_higher` asks about the same chamber once
-    per coefficient field."""
-    return has_lattice_point(region)
 
 
 def _z_acyclic(maximal_faces):
@@ -276,17 +251,19 @@ def _acyclic_witness(fan, pattern, complete):
 def _homology_chambers(fan, coeffs):
     """(chamber, neg complex), in chamber order, where that is not Z-acyclic;
     the walk drops every cell `_cone_certificate` decides, and SNF runs only
-    on the chambers left."""
+    on the chambers left. Memoized: `verify_kv` and then `verify_mmp` on one
+    instance each build the first model's table, and without the memo the
+    second walks its chambers again."""
     vertices, obstructions = _apex_obstructions(fan)
     sphere = vertices if is_complete(fan) else 0
     walk = _walk(fan, coeffs, partial(_cone_certificate, obstructions, sphere))
-    pairs = ((ChamberReport(p, IneqSystem(fan.rank, rows)), _pattern_homology(fan, p))
+    pairs = ((ChamberReport(p, IneqSystem(fan.rank, rows)), neg_complex(fan, p))
              for p, rows in walk)
     return tuple(p for p in pairs if not _z_acyclic(p[1]))
 
 
-def coh_dims(fan, coeffs, field=None):
-    """h^0..h^rank of O(D) on a complete simplicial fan over the field.
+def coh_dims(fan, coeffs, fields=(None,)):
+    """h^0..h^rank of O(D) on a complete simplicial fan, one tuple per field.
 
     Graded pieces are indexed by lattice points, so only chambers containing
     lattice points contribute; a chamber with nonzero homology, a lattice
@@ -294,35 +271,52 @@ def coh_dims(fan, coeffs, field=None):
     """
     if not is_complete(fan):
         raise ValueError("coh_dims requires a complete fan; use vanishing_higher")
-    dims = [0] * (fan.rank + 1)
+    dims = [[0] * (fan.rank + 1) for _ in fields]
     for ch, cx in _homology_chambers(fan, _chamber_key(fan, coeffs)):
-        hom = homology_dims(cx, field, fan.rank - 1)
-        if not any(hom.values()):
+        homs = [homology_dims(cx, field, fan.rank - 1) for field in fields]
+        if not any(any(hom.values()) for hom in homs):
             continue
-        count = _lattice_count(ch.region)
-        if count is None:
-            if _has_lattice_point(ch.region):
+        pts = lattice_points(ch.region)
+        if pts is None:
+            if has_lattice_point(ch.region):
                 raise RuntimeError("unbounded chamber with nonzero homology "
                                    "and lattice points on a complete fan")
             continue
-        for p in range(fan.rank + 1):
-            dims[p] += count * hom.get(p - 1, 0)
-    return tuple(dims)
+        for out, hom in zip(dims, homs):
+            for p in range(fan.rank + 1):
+                out[p] += len(pts) * hom.get(p - 1, 0)
+    return tuple(map(tuple, dims))
 
 
-def vanishing_higher(fan, coeffs, field=None):
-    """Whether the degree->=1 cohomology vanishes, chamber by chamber.
+def vanishing_higher(fan, coeffs, fields=(None,)):
+    """Whether the degree->=1 cohomology vanishes, chamber by chamber, per field.
 
     Works on any simplicial fan with convex support; boundedness of chambers
     is not required. Only chambers holding a lattice point can contribute a
-    graded piece. Returns (True, None) or (False, (pattern, degree)).
+    graded piece. Returns (True, None) or (False, (pattern, degree)) per
+    field, at the first chamber where it fails.
     """
+    verdicts = [(True, None)] * len(fields)
     for ch, cx in _homology_chambers(fan, _chamber_key(fan, coeffs)):
-        hom = homology_dims(cx, field, fan.rank - 1)
-        bad = next((p for p in range(1, fan.rank + 1) if hom.get(p - 1, 0)), None)
-        if bad is not None and _has_lattice_point(ch.region):
-            return False, (ch.pattern, bad)
-    return True, None
+        degrees = [next((p for p in range(1, fan.rank + 1) if hom.get(p - 1, 0)), None)
+                   for hom in (homology_dims(cx, f, fan.rank - 1) for f in fields)]
+        bad = [i for i, d in enumerate(degrees) if d is not None and verdicts[i][0]]
+        if bad and has_lattice_point(ch.region):
+            for i in bad:
+                verdicts[i] = (False, (ch.pattern, degrees[i]))
+    return tuple(verdicts)
+
+
+def model_cohomology(fan, coeffs, fields):
+    """(mode, payload) of one model over field names such as "q" and "f2":
+    ("complete", each field's dim list) on a complete fan, else ("relative",
+    each field's `vanishing_higher` verdict) on a support-convex fan."""
+    parsed = tuple(parse_field(f) for f in fields)
+    if is_complete(fan):
+        return "complete", dict(zip(fields, map(list, coh_dims(fan, coeffs, parsed))))
+    if not support_is_convex(fan):
+        raise ValueError("fan is neither complete nor support-convex")
+    return "relative", dict(zip(fields, vanishing_higher(fan, coeffs, parsed)))
 
 
 def pattern_of(fan, coeffs, m):
@@ -333,7 +327,7 @@ def pattern_of(fan, coeffs, m):
 def graded_piece(fan, coeffs, m, field=None):
     """Chamber-formula dimensions of the degree-m piece, h^0..h^rank."""
     coeffs = _chamber_key(fan, coeffs)
-    hom = homology_dims(_pattern_homology(fan, pattern_of(fan, coeffs, m)),
+    hom = homology_dims(neg_complex(fan, pattern_of(fan, coeffs, m)),
                         field, fan.rank - 1)
     return tuple(hom.get(p - 1, 0) for p in range(fan.rank + 1))
 

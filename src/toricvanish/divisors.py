@@ -27,7 +27,7 @@ generator tried.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 from .fans import cone_contains, full_span
 from .linalg import (
@@ -42,7 +42,6 @@ from .regions import (
     has_lattice_point,
     is_feasible,
     lattice_points,
-    make_row,
 )
 from .record import Record
 
@@ -158,13 +157,21 @@ class Positivity(Record):
     __slots__ = ("nef", "ample", "big")
 
 
-def _section_rows(fan, coeffs):
-    return [make_row(r, -coeffs[i]) for i, r in enumerate(fan.rays)]
+def section_rows(fan, coeffs):
+    """The rows <m, u_rho> >= -a_rho of P_D, one per ray, times the lcm of the
+    coefficients' denominators, each divided by its gcd: coprime integers."""
+    scale = lcm_list([c.denominator for c in coeffs])
+    rows = []
+    for ray, c in zip(fan.rays, coeffs):
+        a = c.numerator * (scale // c.denominator)
+        g = gcd(scale * gcd(*ray), a)
+        rows.append((tuple([x * scale // g for x in ray]), -a // g, False))
+    return tuple(rows)
 
 
 def section_system(fan, coeffs):
     """P_D = {m : <m, u_rho> >= -a_rho for every ray}."""
-    return IneqSystem(fan.rank, tuple(_section_rows(fan, coeffs)))
+    return IneqSystem(fan.rank, section_rows(fan, coeffs))
 
 
 def polytope_dim(fan, coeffs):
@@ -224,7 +231,7 @@ def positivity(fan, coeffs):
     # fans with a torus factor admit no strictly convex support function
     ample = (nef and not tight and bool(fan.max_cones) and full_span(fan)
              and len(set(cd.numerators)) == len(cd.numerators))
-    interior = tuple((a, c, True) for a, c, _ in _section_rows(fan, coeffs))
+    interior = tuple((a, c, True) for a, c, _ in section_rows(fan, coeffs))
     big = is_feasible(IneqSystem(fan.rank, interior))
     return Positivity(nef, ample, big)
 

@@ -1,7 +1,7 @@
 """Exact linear inequality systems: feasibility, boundedness, lattice points.
 
-A system is a conjunction of rows <a, x> >= c or <a, x> > c with rational
-data. Rows are normalized to integer form. Feasibility and witnesses come
+A system is a conjunction of rows <a, x> >= c or <a, x> > c with integer
+data, such as `divisors.section_rows`. Feasibility and witnesses come
 from Fourier-Motzkin elimination, which handles strict rows natively.
 Callers that need only a yes or no ask `is_feasible`, which stops after the
 elimination; `feasible` goes on to back-substitute a witness.
@@ -46,7 +46,6 @@ from math import ceil, floor, gcd
 from .cones import halfspaces
 from .linalg import (
     adapted_basis,
-    gcd_list,
     int_kernel,
     int_rank,
     invert_unimodular,
@@ -54,17 +53,6 @@ from .linalg import (
     primitive,
 )
 from .record import Record
-
-
-def make_row(coeffs, const, strict=False):
-    """Normalize a row <coeffs, x> >= const (or >) to coprime integer data."""
-    fr = [Fraction(c) for c in coeffs] + [Fraction(const)]
-    den = lcm_list([f.denominator for f in fr])
-    ints = [int(f * den) for f in fr]
-    g = gcd_list(ints)
-    if g:
-        ints = [x // g for x in ints]
-    return tuple(ints[:-1]), ints[-1], bool(strict)
 
 
 class IneqSystem(Record):

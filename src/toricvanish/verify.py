@@ -2,19 +2,20 @@
 vanishing statements.
 
 A verdict records the re-checked hypothesis, per-field vanishing flags,
-per-model dimension tables and the MMP step certificates. Every instance goes
-through one generator, `_verdicts`, which yields the KV verdict (first model's
-table) before it runs the MMP and yields the MMP verdict (every model's
-table); `verify_kv`, `verify_mmp`, `verify_instance` and, through
-`instance_entry`, the suite of `cli` all read it; the suite records an
-instance whose pipeline raises as an "error" entry and goes on. Negative
-controls are labeled and must fail in exactly the predicted way.
+per-model dimension tables (`cohomology.model_cohomology`) and the MMP step
+certificates. Every instance goes through one generator, `_verdicts`, which
+yields the KV verdict (first model's table) before it runs the MMP and yields
+the MMP verdict (every model's table); `verify_kv`, `verify_mmp`,
+`verify_instance` and, through `instance_entry`, the suite of `cli` all read
+it; the suite records an instance whose pipeline raises as an "error" entry
+and goes on. Negative controls are labeled and must fail in exactly the
+predicted way.
 """
 
 import random
 from fractions import Fraction
 
-from .cohomology import coh_dims, parse_field, vanishing_higher
+from .cohomology import model_cohomology
 from .divisors import (
     ZERO,
     NotQCartier,
@@ -29,7 +30,7 @@ from .divisors import (
     scale,
     sub,
 )
-from .fans import is_complete, is_simplicial, q_factorialize, support_is_convex
+from .fans import is_simplicial, q_factorialize
 from .formats import fraction_to_str
 from .linalg import dot
 from .mmp import flip, flip_diagram, negative_contractions, run_mmp
@@ -96,18 +97,6 @@ def _q_factorial_model(inst):
     return qf, b, d, ["computed on the small Q-factorialization (pulling)"]
 
 
-def _model_cohomology(fan, coeffs, fields):
-    """(mode, payload): per-field dim vectors on complete fans, else
-    per-field higher-vanishing verdicts on support-convex fans."""
-    if is_complete(fan):
-        return "complete", {f: list(coh_dims(fan, coeffs, parse_field(f)))
-                            for f in fields}
-    if not support_is_convex(fan):
-        raise ValueError("fan is neither complete nor support-convex")
-    return "relative", {f: vanishing_higher(fan, coeffs, parse_field(f))
-                        for f in fields}
-
-
 def _vanishes(mode, value):
     """Whether degree->=1 cohomology vanishes, from one field's table entry."""
     return all(x == 0 for x in value[1:]) if mode == "complete" else value[0]
@@ -154,10 +143,10 @@ def _verdicts(inst, fields):
                       ("cohomology skipped: D is not Q-Cartier",))
         return
     fan, b, d, notes = _q_factorial_model(inst)
-    first = _model_cohomology(fan, d, fields)
+    first = model_cohomology(fan, d, fields)
     yield _kv_verdict(inst, hyp, fields, first, list(notes))
     run = run_mmp(fan, d, b)
-    tables = [first] + [_model_cohomology(model, div, fields)
+    tables = [first] + [model_cohomology(model, div, fields)
                         for model, div in zip(run.models[1:], run.divisors[1:])]
     changes = []
     for f in fields:
@@ -172,7 +161,7 @@ def _verdicts(inst, fields):
     vanishing = {f: _vanishes(end_mode, end_payload[f]) for f in fields}
     mfs_ok = True
     if run.end == "mori_fibre_space":
-        _require_fibration(run.models[-1], run.divisors[-1], run.end_data)
+        _require_fibration(run.models[-1], run.divisors[-1], run.end_data, RuntimeError)
         mfs = _mfs_verdict(run.models[-1], run.divisors[-1], tables[-1])
         mfs_ok = mfs.passed
         notes.extend(f"mfs: {n}" for n in mfs.notes)
@@ -221,12 +210,13 @@ def verify_mmp(inst, fields=DEFAULT_FIELDS):
     return mmp or kv
 
 
-def _require_fibration(fan, d_coeffs, contraction):
+def _require_fibration(fan, d_coeffs, contraction, error):
+    """Raise `error` unless -D is relatively ample on the fibration."""
     if contraction.kind != "fibration":
-        raise ValueError("contraction is not a fibration")
+        raise error("contraction is not a fibration")
     for w in walls_within(fan, contraction.merged_groups):
         if intersect(fan, d_coeffs, w) >= 0:
-            raise ValueError("-D is not relatively ample on the fibration")
+            raise error("-D is not relatively ample on the fibration")
 
 
 def _mfs_verdict(fan, d_coeffs, table):
@@ -246,8 +236,8 @@ def _mfs_verdict(fan, d_coeffs, table):
 def verify_mfs(fan, d_coeffs, contraction, fields=DEFAULT_FIELDS):
     """At a Mori fibre space with -D relatively ample, sections vanish; on a
     complete total space every cohomology degree vanishes, h^0 included."""
-    _require_fibration(fan, d_coeffs, contraction)
-    return _mfs_verdict(fan, d_coeffs, _model_cohomology(fan, d_coeffs, fields))
+    _require_fibration(fan, d_coeffs, contraction, ValueError)
+    return _mfs_verdict(fan, d_coeffs, model_cohomology(fan, d_coeffs, fields))
 
 
 def verify_flip_diagram_for(fan, d_coeffs):

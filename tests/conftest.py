@@ -112,6 +112,18 @@ def reference_smith_normal_form(A):
     return S, U, V
 
 
+def make_row(coeffs, const, strict=False):
+    """A row <coeffs, x> >= const (or >) in coprime integers, from rational
+    data: the reference `divisors.section_rows` is checked against."""
+    fr = [Fraction(c) for c in coeffs] + [Fraction(const)]
+    den = lcm_list([f.denominator for f in fr])
+    ints = [int(f * den) for f in fr]
+    g = gcd_list(ints)
+    if g:
+        ints = [x // g for x in ints]
+    return tuple(ints[:-1]), ints[-1], bool(strict)
+
+
 def ray_divisor(fan, ray):
     """The prime divisor attached to one ray."""
     idx = fan.ray_index(ray)

@@ -49,6 +49,7 @@ from toricvanish.verify import (
 )
 
 ALL_FIELDS = ("q", "f2", "f3", "f5", "f7")
+FIELDS = tuple(parse_field(f) for f in ALL_FIELDS)
 
 
 def _report(name, ok, detail=""):
@@ -88,10 +89,10 @@ def test_criterion_1_kv_vanishing_suite():
 
 def test_criterion_2_negative_control():
     p2 = p2_fan()
-    h_k = coh_dims(p2, canonical(p2), None)
+    h_k = coh_dims(p2, canonical(p2))[0]
     control = dict(curated_instances())["control-p2-canonical"]
     hyp_ok, _ = check_hypothesis(control)
-    h_3h = coh_dims(p2, scale(3, ray_divisor(p2, (1, 0))), None)
+    h_3h = coh_dims(p2, scale(3, ray_divisor(p2, (1, 0))))[0]
     _report("criterion-2 negative-control",
             h_k == (0, 0, 1) and not hyp_ok and h_3h == (10, 0, 0),
             f"h(K)={h_k}, h(3H)={h_3h}")
@@ -139,8 +140,7 @@ def test_criterion_4_demazure_nef():
         found += 1
         sections = h0_dim(fan, D)
         expected_h0 = 0 if sections == ZERO else sections
-        for field in ALL_FIELDS:
-            dims = coh_dims(fan, D, parse_field(field))
+        for field, dims in zip(ALL_FIELDS, coh_dims(fan, D, FIELDS)):
             if dims[0] != expected_h0 or any(dims[1:]):
                 bad.append((fan.rank, D, field, dims))
     _report("criterion-4 demazure-nef", found >= 20 and not bad,
@@ -157,8 +157,8 @@ def test_criterion_5_serre_duality():
         K = canonical(fan)
         for _ in range(3):
             D = tuple(Fraction(rng.randint(-2, 2)) for _ in fan.rays)
-            hd = coh_dims(fan, D, None)
-            hk = coh_dims(fan, sub(K, D), None)
+            hd = coh_dims(fan, D)[0]
+            hk = coh_dims(fan, sub(K, D))[0]
             if hd != tuple(reversed(hk)):
                 bad.append((fan.rank, D, hd, hk))
             checked += 1
@@ -248,8 +248,8 @@ def test_criterion_8_mori_fibre_space(corpus_runs):
         if not v.passed:
             bad.append((inst.label, v.notes))
         if is_complete(run.models[-1]):
-            for field in ALL_FIELDS:
-                dims = coh_dims(run.models[-1], run.divisors[-1], parse_field(field))
+            for field, dims in zip(ALL_FIELDS,
+                                   coh_dims(run.models[-1], run.divisors[-1], FIELDS)):
                 if any(dims):
                     bad.append((inst.label, f"nonzero dims over {field}"))
     _report("criterion-8 mori-fibre-space", count >= 1 and not bad,

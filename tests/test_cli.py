@@ -344,3 +344,21 @@ def test_mmp_certificate_failure_exits_1_with_one_line(case, message, tmp_path,
     monkeypatch.setattr(mmp, "validate", lambda fan: ["planted defect"])
     assert main(["mmp", "run", str(tmp_path / "d.json")]) == 1
     assert capsys.readouterr().err.splitlines() == [f"certificate error: {message}"]
+
+
+def test_verify_mmp_failed_fibration_check_exits_1_with_one_line(tmp_path, capsys,
+                                                                 monkeypatch):
+    # the MMP of p2-minus-h ends in a fibration; when -D fails to be
+    # relatively ample on the end model the MMP's own certificate failed
+    # (exit 1), where the same check on a caller's contraction is an input error
+    from toricvanish import verify
+    from toricvanish.corpus import curated_instances
+    from toricvanish.formats import instance_to_obj
+
+    save(tmp_path / "inst.json", instance_to_obj(dict(curated_instances())["p2-minus-h"]))
+    monkeypatch.setattr(verify, "intersect", lambda fan, coeffs, wall: 0)
+    assert main(["verify", "mmp", str(tmp_path / "inst.json")]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "certificate error: -D is not relatively ample on the fibration"]

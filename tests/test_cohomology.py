@@ -8,6 +8,7 @@ from conftest import (
     f1_fan,
     flip_side_a,
     flip_side_b,
+    make_row,
     mmp_models,
     p1xp1_fan,
     p2_fan,
@@ -24,6 +25,7 @@ from toricvanish.cohomology import (
     coh_dims,
     graded_piece,
     homology_dims,
+    model_cohomology,
     neg_complex,
     parse_field,
     vanishing_higher,
@@ -56,8 +58,8 @@ from toricvanish.regions import (
     feasible,
     has_lattice_point,
     lattice_points,
-    make_row,
 )
+from toricvanish.verify import DEFAULT_FIELDS
 
 FIELDS = [None, 2, 3, 5, 7]
 
@@ -221,11 +223,11 @@ def test_chambers_solve_no_system_from_scratch(monkeypatch):
 
 def test_coh_dims_p2(p2):
     threeH = scale(3, ray_divisor(p2, (1, 0)))
-    assert coh_dims(p2, threeH, None) == (10, 0, 0)
+    assert coh_dims(p2, threeH)[0] == (10, 0, 0)
     K = canonical(p2)
-    assert coh_dims(p2, K, None) == (0, 0, 1)
-    assert coh_dims(p2, K, 2) == (0, 0, 1)
-    assert coh_dims(p2, coeffs_of(p2, {}), None) == (1, 0, 0)
+    assert coh_dims(p2, K)[0] == (0, 0, 1)
+    assert coh_dims(p2, K, (2,))[0] == (0, 0, 1)
+    assert coh_dims(p2, coeffs_of(p2, {}))[0] == (1, 0, 0)
 
 
 def test_coh_dims_all_fields(p2, p1xp1, p3):
@@ -234,19 +236,18 @@ def test_coh_dims_all_fields(p2, p1xp1, p3):
         (p1xp1, scale(-1, ray_divisor(p1xp1, (0, 1))), (0, 0, 0)),
         (p3, canonical(p3), (0, 0, 0, 1)),
     ]:
-        for field in FIELDS:
-            assert coh_dims(fan, D, field) == expected
+        assert coh_dims(fan, D, FIELDS) == (expected,) * len(FIELDS)
 
 
 def test_coh_requires_complete():
     with pytest.raises(ValueError, match="complete"):
-        coh_dims(flip_side_a(), coeffs_of(flip_side_a(), {}), None)
+        coh_dims(flip_side_a(), coeffs_of(flip_side_a(), {}))[0]
 
 
 def test_vanishing_higher(p2):
-    ok, witness = vanishing_higher(p2, coeffs_of(p2, {}), None)
+    ok, witness = vanishing_higher(p2, coeffs_of(p2, {}))[0]
     assert ok and witness is None
-    bad, witness = vanishing_higher(p2, canonical(p2), None)
+    bad, witness = vanishing_higher(p2, canonical(p2))[0]
     assert not bad
     pattern, degree = witness
     assert pattern == (0, 1, 2) and degree == 2
@@ -254,10 +255,10 @@ def test_vanishing_higher(p2):
 
 def test_vanishing_higher_flip_sides():
     a = flip_side_a()
-    ok, _ = vanishing_higher(a, coeffs_of(a, {}), None)
+    ok, _ = vanishing_higher(a, coeffs_of(a, {}))[0]
     assert ok
     b = flip_side_b()
-    ok_b, _ = vanishing_higher(b, coeffs_of(b, {}), None)
+    ok_b, _ = vanishing_higher(b, coeffs_of(b, {}))[0]
     assert ok_b
 
 
@@ -296,7 +297,7 @@ def test_linear_equivalence_invariance(p2, f1):
             m = (rng.randint(-2, 2), rng.randint(-2, 2))
             shifted = add(D, principal(fan, m))
             for field in (None, 3):
-                assert coh_dims(fan, D, field) == coh_dims(fan, shifted, field)
+                assert coh_dims(fan, D, (field,)) == coh_dims(fan, shifted, (field,))
 
 
 def test_serre_duality(p2, f1, p1xp1, p3):
@@ -305,14 +306,14 @@ def test_serre_duality(p2, f1, p1xp1, p3):
         K = canonical(fan)
         for _ in range(4):
             D = tuple(Fraction(rng.randint(-2, 2)) for _ in fan.rays)
-            hd = coh_dims(fan, D, None)
-            hk = coh_dims(fan, sub(K, D), None)
+            hd = coh_dims(fan, D)[0]
+            hk = coh_dims(fan, sub(K, D))[0]
             assert hd == tuple(reversed(hk))
 
 
 def test_euler_characteristic_of_structure_sheaf(p2, f1, p1xp1, p112, p3):
     for fan in (p2, f1, p1xp1, p112, p3):
-        dims = coh_dims(fan, coeffs_of(fan, {}), None)
+        dims = coh_dims(fan, coeffs_of(fan, {}))[0]
         assert euler_characteristic(dims) == 1
         assert dims[0] == 1
 
@@ -330,7 +331,7 @@ def test_unimodular_invariance(p2):
         coeffs = {tuple(r): Fraction(rng.randint(-3, 3)) for r in p2.rays}
         D1 = coeffs_of(p2, coeffs)
         D2 = coeffs_of(fan2, {tuple(mat_vec(T, r)): v for r, v in coeffs.items()})
-        assert coh_dims(p2, D1, None) == coh_dims(fan2, D2, None)
+        assert coh_dims(p2, D1)[0] == coh_dims(fan2, D2)[0]
 
 
 def test_demazure_vanishing(p2, f1, p1xp1, p112):
@@ -351,16 +352,43 @@ def test_demazure_vanishing(p2, f1, p1xp1, p112):
                 continue
             found += 1
             for field in FIELDS:
-                dims = coh_dims(fan, D, field)
+                dims = coh_dims(fan, D, (field,))[0]
                 assert dims[0] == h0_dim(fan, D) if h0_dim(fan, D) != "zero" else dims[0] == 0
                 assert all(d == 0 for d in dims[1:])
     assert found >= 20
 
 
+def _table_with_counts(monkeypatch, fan, coeffs):
+    """`model_cohomology(fan, coeffs, DEFAULT_FIELDS)`, with the number of
+    chamber lists it asked for, the (function, region) of each lattice point
+    question it asked, and the regions of the chambers the walk kept."""
+    key = tuple(Fraction(a) for a in coeffs)
+    kept = [ch.region for ch, _ in cohomology._homology_chambers(fan, key)]
+    walks, asked = [], []
+    real_walk = cohomology._homology_chambers
+
+    def walk(fan, key):
+        walks.append(key)
+        return real_walk(fan, key)
+
+    def recording(name, real):
+        def ask(region):
+            asked.append((name, region))
+            return real(region)
+        return ask
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohomology, "_homology_chambers", walk)
+        for name in ("lattice_points", "has_lattice_point"):
+            patch.setattr(cohomology, name, recording(name, getattr(cohomology, name)))
+        table = model_cohomology(fan, coeffs, DEFAULT_FIELDS)
+    return table, len(walks), asked, kept
+
+
 def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeypatch):
     # of the 7 chambers of K on P2 only the all-negative one has homology,
-    # and `lattice_points` decides its boundedness once
-    from toricvanish import cohomology, regions
+    # and `lattice_points` decides its boundedness once for every field
+    from toricvanish import regions
 
     calls = []
     real = regions.recession_is_zero
@@ -370,10 +398,8 @@ def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeyp
         return real(region)
 
     monkeypatch.setattr(regions, "recession_is_zero", counting)
-    cohomology._homology_chambers.cache_clear()
-    cohomology._lattice_count.cache_clear()
     K = canonical(p2)
-    assert coh_dims(p2, K, None) == (0, 0, 1)
+    assert coh_dims(p2, K, FIELDS) == ((0, 0, 1),) * len(FIELDS)
     assert len(chambers(p2, K)) == 7
     assert len(calls) == 1
 
@@ -386,24 +412,16 @@ def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeyp
 ])
 def test_relative_cohomology_asks_for_lattice_points_once_per_chamber(
         fan, coeffs, asked, monkeypatch):
-    # every field walks the same chambers with higher homology; the memo
-    # decides each one's lattice point once
-    from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
-
-    calls = []
-    real = cohomology.has_lattice_point
-
-    def counting(region):
-        calls.append(region)
-        return real(region)
-
-    monkeypatch.setattr(cohomology, "has_lattice_point", counting)
-    cohomology._has_lattice_point.cache_clear()
-    mode, payload = _model_cohomology(fan, coeffs, DEFAULT_FIELDS)
+    # every field reads the same chambers with higher homology in one pass,
+    # which asks about each one's lattice point once
+    (mode, payload), walks, questions, kept = _table_with_counts(monkeypatch, fan, coeffs)
     assert mode == "relative"
     assert all(payload[f] == (True, None) for f in DEFAULT_FIELDS)
-    assert len(calls) == len(set(calls)) == asked
-    assert set(calls) <= {ch.region for ch in chambers(fan, coeffs)}
+    assert walks == 1
+    regions = [region for _, region in questions]
+    assert {name for name, _ in questions} == {"has_lattice_point"}
+    assert len(regions) == len(set(regions)) == asked
+    assert set(regions) <= set(kept)
 
 
 def _reference_coh_dims(fan, coeffs, field):
@@ -452,11 +470,12 @@ def test_homology_chambers_match_the_all_chambers_loop():
                       for _ in fan.rays)
         for D in (canonical(fan), ints, fracs):
             for field in FIELDS:
-                assert vanishing_higher(fan, D, field) == \
+                assert vanishing_higher(fan, D, (field,))[0] == \
                     _reference_vanishing_higher(fan, D, field), (fan, D, field)
                 if is_complete(fan):
-                    assert _outcome(coh_dims, fan, D, field) == \
-                        _outcome(_reference_coh_dims, fan, D, field), (fan, D, field)
+                    expect = _outcome(_reference_coh_dims, fan, D, field)
+                    assert _outcome(coh_dims, fan, D, (field,)) == \
+                        (expect if isinstance(expect, str) else (expect,)), (fan, D, field)
                     checked += 1
     assert checked >= 200
 
@@ -479,19 +498,48 @@ def test_z_acyclic_rejects_a_complex_with_torsion_only():
     assert not cohomology._z_acyclic(((0,), (1,)))
 
 
-def test_each_field_reads_one_list_of_homology_chambers(p2):
-    # the Z-acyclic chambers are dropped once per (fan, D); every field and
-    # a second pass over the same model read the list
-    cohomology._homology_chambers.cache_clear()
+def test_each_field_reads_one_list_of_homology_chambers(p2, monkeypatch):
+    # the Z-acyclic chambers are dropped once per (fan, D), and the table of
+    # every field asks for that list once and counts the one kept chamber's
+    # lattice points once
     K = canonical(p2)
-    for field in FIELDS:
-        assert coh_dims(p2, K, field) == (0, 0, 1)
-        assert vanishing_higher(p2, K, field) == (False, ((0, 1, 2), 2))
-    info = cohomology._homology_chambers.cache_info()
-    assert info.misses == 1 and info.hits == 2 * len(FIELDS) - 1
-    kept = cohomology._homology_chambers(p2, tuple(Fraction(a) for a in K))
-    assert [ch.pattern for ch, _ in kept] == [(0, 1, 2)]
+    (mode, payload), walks, questions, kept = _table_with_counts(monkeypatch, p2, K)
+    assert mode == "complete"
+    assert payload == {f: [0, 0, 1] for f in DEFAULT_FIELDS}
+    assert walks == 1
+    assert questions == [("lattice_points", kept[0])] and len(kept) == 1
+    assert vanishing_higher(p2, K, FIELDS) == ((False, ((0, 1, 2), 2)),) * len(FIELDS)
     assert len(chambers(p2, K)) == 7
+
+
+def test_model_cohomology_matches_the_per_field_references(monkeypatch):
+    # on complete and relative fans, each field's entry of the one-pass table
+    # is the all-chambers loop's answer over that field, and the pass asks
+    # for one chamber list and about each kept chamber's lattice points once
+    rng = random.Random(19)
+    fields = [parse_field(f) for f in DEFAULT_FIELDS]
+    seen = set()
+    for fan in [f for f in _chamber_fans() if f.rank <= 3] + _relative_chamber_fans():
+        ints = tuple(rng.randint(-3, 3) for _ in fan.rays)
+        fracs = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3)))
+                      for _ in fan.rays)
+        for D in (canonical(fan), ints, fracs):
+            if is_complete(fan):
+                expect = [_outcome(_reference_coh_dims, fan, D, f) for f in fields]
+                if any(isinstance(e, str) for e in expect):
+                    with pytest.raises(RuntimeError):
+                        model_cohomology(fan, D, DEFAULT_FIELDS)
+                    continue
+                expect = ("complete", {n: list(e) for n, e in zip(DEFAULT_FIELDS, expect)})
+            else:
+                expect = ("relative", {n: _reference_vanishing_higher(fan, D, f)
+                                       for n, f in zip(DEFAULT_FIELDS, fields)})
+            table, walks, questions, kept = _table_with_counts(monkeypatch, fan, D)
+            assert table == expect, (fan, D)
+            assert walks == 1 and len(questions) == len(set(questions)), (fan, D)
+            assert {region for _, region in questions} <= set(kept), (fan, D)
+            seen.add(expect[0])
+    assert seen == {"complete", "relative"}
 
 
 def test_graded_piece_requires_a_simplicial_fan(cube):
@@ -555,10 +603,10 @@ def test_dual_apex_test_waits_for_a_complete_fan(monkeypatch):
     assert cohomology._acyclic_witness(fan, pattern, False) is None
     assert cohomology._acyclic_witness(fan, pattern, True) == ("dual apex", 1)
     cohomology._homology_chambers.cache_clear()
-    assert vanishing_higher(fan, D) == (False, ((0, 2), 1))
+    assert vanishing_higher(fan, D)[0] == (False, ((0, 2), 1))
     monkeypatch.setattr(cohomology, "is_complete", lambda fan: True)
     cohomology._homology_chambers.cache_clear()
-    assert vanishing_higher(fan, D) == (True, None)
+    assert vanishing_higher(fan, D)[0] == (True, None)
     cohomology._homology_chambers.cache_clear()
 
 
@@ -571,7 +619,7 @@ def test_boundary_matrices_only_for_chambers_no_cone_test_decides(monkeypatch):
 
     undecided, decided, boundary = set(), 0, set()
     real_certificate = cohomology._cone_certificate
-    real_pattern = cohomology._pattern_homology
+    real_neg_complex = cohomology.neg_complex
     real_boundary = cohomology._boundary_divisors
 
     def recording_certificate(obstructions, sphere, neg, pos):
@@ -580,17 +628,17 @@ def test_boundary_matrices_only_for_chambers_no_cone_test_decides(monkeypatch):
         decided += certificate is not None
         return certificate
 
-    def recording_pattern(fan, pattern):
+    def recording_neg_complex(fan, pattern):
         assert cohomology._acyclic_witness(fan, pattern, is_complete(fan)) is None
-        undecided.add(real_pattern(fan, pattern))
-        return real_pattern(fan, pattern)
+        undecided.add(real_neg_complex(fan, pattern))
+        return real_neg_complex(fan, pattern)
 
     def recording_boundary(maximal_faces):
         boundary.add(maximal_faces)
         return real_boundary(maximal_faces)
 
     monkeypatch.setattr(cohomology, "_cone_certificate", recording_certificate)
-    monkeypatch.setattr(cohomology, "_pattern_homology", recording_pattern)
+    monkeypatch.setattr(cohomology, "neg_complex", recording_neg_complex)
     monkeypatch.setattr(cohomology, "_boundary_divisors", recording_boundary)
     cohomology._homology_chambers.cache_clear()
     verify.verify_instance(dict(curated_instances())["cubeq-flop"])

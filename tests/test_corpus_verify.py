@@ -225,7 +225,7 @@ def test_one_pass_agrees_with_public_verifiers():
 def test_suite_reports_why_the_mmp_check_failed(monkeypatch):
     inst = dict(curated_instances())["cubeq-flop"]
     flipped = run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs).models[1]
-    real = verify._model_cohomology
+    real = verify.model_cohomology
 
     def one_step_changes_h0(fan, coeffs, fields):
         mode, payload = real(fan, coeffs, fields)
@@ -233,7 +233,7 @@ def test_suite_reports_why_the_mmp_check_failed(monkeypatch):
             payload = {f: [dims[0] + 1] + dims[1:] for f, dims in payload.items()}
         return mode, payload
 
-    monkeypatch.setattr(verify, "_model_cohomology", one_step_changes_h0)
+    monkeypatch.setattr(verify, "model_cohomology", one_step_changes_h0)
     report, code = suite(ranks=(), fields=("q",), quiet=True)
     entry = next(e for e in report["instances"] if e["label"] == "cubeq-flop")
     assert code == 1

@@ -14,6 +14,7 @@ from conftest import (
     f1_fan,
     flip_side_a,
     flip_side_b,
+    make_row,
     p1xp1_fan,
     p2_fan,
     p3_fan,
@@ -45,6 +46,7 @@ from toricvanish.divisors import (
     q_cartier_index,
     round_divisor,
     scale,
+    section_rows,
     semiample_witness,
     support_value,
 )
@@ -58,7 +60,7 @@ from toricvanish.fans import (
 )
 from toricvanish.linalg import adapted_basis, dot, int_rank, lcm_list, solve_rational
 from toricvanish.mori import intersect, wall_relation, walls
-from toricvanish.regions import IneqSystem, is_feasible, make_row
+from toricvanish.regions import IneqSystem, is_feasible
 
 
 def test_canonical(p2, f1, p112):
@@ -321,6 +323,18 @@ def test_h0_unbounded_strip_without_lattice_points():
 def test_h0_fibration_zero(p1xp1):
     D = scale(-1, ray_divisor(p1xp1, (0, 1)))
     assert h0_dim(p1xp1, D) == ZERO
+
+
+def test_section_rows_are_the_coprime_rows_of_make_row():
+    # zero, integer and fractional coefficients; the ints as Python ints
+    rng = random.Random(41)
+    for fan in reference_fans():
+        ints = tuple(rng.randint(-4, 4) for _ in fan.rays)
+        fracs = tuple(Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 6)))
+                      for _ in fan.rays)
+        for D in (coeffs_of(fan, {}), canonical(fan), ints, fracs):
+            assert section_rows(fan, D) == \
+                tuple(make_row(r, -a) for r, a in zip(fan.rays, D)), (fan, D)
 
 
 def test_big_growth_crosscheck(p2, f1):

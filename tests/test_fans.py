@@ -15,6 +15,7 @@ from conftest import (
     reference_fans,
 )
 from toricvanish import cones, fans, lp, regions, verify
+from toricvanish.cohomology import model_cohomology
 from toricvanish.corpus import _random_interior_point, curated_instances
 from toricvanish.fans import (
     ToricMap,
@@ -31,7 +32,7 @@ from toricvanish.fans import (
 from toricvanish.linalg import dot, mat_vec, primitive
 from toricvanish.mmp import run_mmp
 from toricvanish.regions import subtract_cones
-from toricvanish.verify import DEFAULT_FIELDS, _model_cohomology
+from toricvanish.verify import DEFAULT_FIELDS
 
 
 def test_validate_p2(p2):
@@ -208,7 +209,7 @@ def test_is_complete_matches_the_covering_test():
 
 def test_model_cohomology_runs_no_subtract_cones_on_a_complete_fan(monkeypatch):
     calls = _count_subtract_cones(monkeypatch)
-    mode, payload = _model_cohomology(p2_fan(), (1, 0, 0), DEFAULT_FIELDS)
+    mode, payload = model_cohomology(p2_fan(), (1, 0, 0), DEFAULT_FIELDS)
     assert mode == "complete" and payload["q"] == [3, 0, 0]
     assert calls == []
 
@@ -222,7 +223,7 @@ def test_run_mmp_runs_no_subtract_cones_on_a_complete_fan(monkeypatch):
 
 def test_model_cohomology_runs_no_subtract_cones_on_a_relative_fan(monkeypatch):
     calls = _count_subtract_cones(monkeypatch)
-    mode, _ = _model_cohomology(flip_side_a(), (0, 0, 0, 0), DEFAULT_FIELDS)
+    mode, _ = model_cohomology(flip_side_a(), (0, 0, 0, 0), DEFAULT_FIELDS)
     assert mode == "relative"
     assert calls == []
 

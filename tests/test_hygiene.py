@@ -12,7 +12,8 @@ The exact simplex `lp.in_cone`, the
 set difference `regions.subtract_cones` and the integer kernel
 `linalg.int_kernel` are each called only from the functions on an
 allow-list that only shrinks, so they do not spread back into a hot path or
-into the fan predicates, and curve relations stay solved in one place."""
+into the fan predicates, and curve relations stay solved in one place.
+The functions memoized with `lru_cache` or `cache` are exactly `MEMOS`."""
 
 import ast
 from pathlib import Path
@@ -27,9 +28,27 @@ ASSERT_CEILING = {"corpus": 0, "fans": 0, "mori": 0}
 # module of src/toricvanish/ takes from another; remove an entry when its
 # import goes, and add none.
 PRIVATE_IMPORTS = {
-    ("cli", "verify", "_model_cohomology"),
     ("lp", "linalg", "_eliminate"),
     ("lp", "linalg", "_int_row"),
+}
+# (module, function) for each function of src/toricvanish/ memoized with
+# `lru_cache` or `cache`. Remove an entry when its memo goes; a new entry
+# needs its measured hits and misses recorded in CHANGES.md, so that no memo
+# hides work that a caller repeats and could do once.
+MEMOS = {
+    ("cohomology", "_apex_obstructions"),
+    ("cohomology", "_boundary_divisors"),
+    ("cohomology", "_homology_chambers"),
+    ("cones", "_dual"),
+    ("cones", "extreme_ray_indices"),
+    ("divisors", "_cartier_data"),
+    ("fans", "_common_face"),
+    ("fans", "_cone_dim"),
+    ("fans", "facet_incidence"),
+    ("fans", "full_span"),
+    ("fans", "is_complete"),
+    ("fans", "support_is_convex"),
+    ("mori", "wall_relation"),
 }
 # (module, function) for each function of src/toricvanish/ that names no
 # `Fraction`: the nef/ample loop and the wall curve stay in integers.
@@ -198,6 +217,42 @@ def test_no_private_name_crosses_modules_beyond_the_allow_list():
         f"private imports: {sorted(used - PRIVATE_IMPORTS)}"
     assert not PRIVATE_IMPORTS - used, \
         f"stale allow-list entries: {sorted(PRIVATE_IMPORTS - used)}"
+
+
+def _memoized(tree):
+    """Names of the functions of a module's syntax tree decorated with
+    `lru_cache` or `cache`: bare, called, or as a module attribute."""
+    return {node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any((_dotted(d.func if isinstance(d, ast.Call) else d) or "")
+                    .split(".")[-1] in ("lru_cache", "cache")
+                    for d in node.decorator_list)}
+
+
+def test_memo_scan_sees_every_decorator_form():
+    source = """
+@lru_cache(maxsize=8)
+def a(): pass
+@cache
+def b(): pass
+@functools.lru_cache
+def c(): pass
+@functools.cache
+def d(): pass
+@staticmethod
+def e(): pass
+class F:
+    @lru_cache
+    def g(self): pass
+"""
+    assert _memoized(ast.parse(source)) == {"a", "b", "c", "d", "g"}
+
+
+def test_memos_are_exactly_the_listed_ones():
+    found = {(path.stem, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in _memoized(_tree(path))}
+    assert not found - MEMOS, f"new memos: {sorted(found - MEMOS)}"
+    assert not MEMOS - found, f"stale memo entries: {sorted(MEMOS - found)}"
 
 
 def test_integer_only_functions_name_no_fraction():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_row
 from toricvanish import regions
 from toricvanish.cones import cone_dual, extreme_rays, halfspaces, in_cone_hrep
 from toricvanish.linalg import gcd_list, primitive
@@ -15,7 +16,6 @@ from toricvanish.regions import (
     has_lattice_point,
     is_feasible,
     lattice_points,
-    make_row,
     recession_direction,
     recession_is_zero,
     subtract_cones,
