@@ -50,9 +50,10 @@ sets S with N <= S <= ~P, and a face of K_S is a face of K_~P:
   so of every K_S.
 - dual apex: on a complete fan, N holds a vertex and some w in P has every
   obstruction meeting N: w is an apex of the complement complex of every S.
-Both tests only gain as N and P grow, and at a leaf they are
-`_acyclic_witness`; so the walk drops exactly the chambers that test would,
-and the rest come out in the same order.
+Both tests only gain as N and P grow, and at a leaf, with every ray
+decided, they decide whether the chamber's own neg complex is a cone (or has
+one for complement); so the walk drops exactly the chambers that leaf test
+would, and the rest come out in the same order.
 """
 
 from fractions import Fraction
@@ -232,19 +233,6 @@ def _cone_certificate(obstructions, sphere, neg, pos):
             if pos >> w & 1 and all(map(neg.__and__, obs)):
                 return "dual apex", w
     return None
-
-
-def _acyclic_witness(fan, pattern, complete):
-    """Why the neg complex of the pattern is Z-acyclic, read off its faces
-    only: ("apex", v), ("dual apex", w), or None when neither test decides.
-    It is `_cone_certificate` with every ray decided.
-
-    The dual test needs `complete`, i.e. `is_complete(fan)` on this simplicial
-    fan, whose incidence complex is then a triangulated sphere.
-    """
-    vertices, obstructions = _apex_obstructions(fan)
-    neg = sum(1 << i for i in pattern)
-    return _cone_certificate(obstructions, vertices if complete else 0, neg, ~neg)
 
 
 @lru_cache(maxsize=512)

@@ -9,6 +9,9 @@ read from it. `cone_dual` reads the one memo of duals in the
 package, `_dual`: an `lru_cache` keyed on the generator tuple and `dim`,
 since a dual depends on the generators alone and not on the fan that holds
 them. It hands out tuples, so no caller can change what later readers see.
+`cone_facets` reads the facet incidence (which generators lie on each
+facet normal) from a second memo on the same key, `_incidence`, so the dot
+products that decide it run once per generator tuple.
 `extreme_ray_indices` is memoized the same way and checks pointedness on
 that dual; it asks the exact simplex of `lp` only about non-simplicial cones.
 """
@@ -115,13 +118,16 @@ def cone_is_pointed(gens, dim):
 
 
 def cone_facets(gens, dim):
-    """Facets of cone(gens) as (normal, tuple of generator indices on it)."""
-    normals, _ = cone_dual(gens, dim)
-    out = []
-    for w in normals:
-        idx = tuple(i for i, g in enumerate(gens) if dot(w, g) == 0)
-        out.append((w, idx))
-    return out
+    """Facets of cone(gens) as (normal, tuple of generator indices on it): the
+    facet incidence, memoized like `_dual`."""
+    return _incidence(tuple(map(tuple, gens)), dim)
+
+
+@lru_cache(maxsize=16384)
+def _incidence(gens, dim):
+    normals, _ = _dual(gens, dim)
+    return tuple((w, tuple(i for i, g in enumerate(gens) if dot(w, g) == 0))
+                 for w in normals)
 
 
 @lru_cache(maxsize=16384)

@@ -15,7 +15,9 @@ There is one nef/ample loop, `_nef_test`: it compares <N_sigma, u_rho> with
 meets equality on the rays of sigma, so the semiample certificate
 (multiple L, sections N_sigma) is checked wherever it is read.
 `support_value` and `mori.intersect` read the integers and return exact
-`Fraction`s.
+`Fraction`s. `pullback` reads a target ray's own coefficient, solves one
+cone (`_cone_covector`, shared with the Cartier data) for any other image,
+and asks for Cartier data only as a non-simplicial target's Q-Cartier check.
 
 `cartier_data` is memoized on (fan, coefficients), safe for the same reason
 as the `fans` predicates: a `Fan` is frozen and compared structurally.
@@ -29,7 +31,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
 
-from .fans import cone_contains, full_span
+from .fans import cone_contains, full_span, is_simplicial
 from .linalg import (
     adapted_basis,
     dot,
@@ -115,26 +117,9 @@ def cartier_data(fan, coeffs):
 def _cartier_data(fan, coeffs):
     covectors = []
     for ci, cone in enumerate(fan.max_cones):
-        rays = [fan.rays[i] for i in cone]
-        rhs = [-coeffs[i] for i in cone]
-        sol = solve_rational([list(r) for r in rays], rhs)
-        if sol is None:
+        m = _cone_covector(fan, cone, coeffs)
+        if m is None:
             return NotQCartier(ci)
-        particular, kernel = sol
-        if not kernel:
-            covectors.append(tuple(particular))
-            continue
-        # canonical representative: vanishes on the adapted-basis complement
-        # of the cone's saturated span
-        V, r_span = adapted_basis(rays, fan.rank)
-        coords = [[sum(ray[i] * V[i][j] for i in range(fan.rank))
-                   for j in range(r_span)] for ray in rays]
-        sub_sol = solve_rational(coords, rhs)
-        if sub_sol is None:
-            raise RuntimeError(f"cone {ci} has no covector on its adapted basis")
-        z = sub_sol[0]
-        m = tuple(sum(z[j] * V[i][j] for j in range(r_span))
-                  for i in range(fan.rank))
         covectors.append(m)
     ell = lcm_list([x.denominator for m in covectors for x in m]
                    + [a.denominator for a in coeffs])
@@ -143,6 +128,29 @@ def _cartier_data(fan, coeffs):
         return tuple(x.numerator * (ell // x.denominator) for x in values)
 
     return CartierData(ell, tuple(scaled(m) for m in covectors), scaled(coeffs))
+
+
+def _cone_covector(fan, cone, coeffs):
+    """The covector m of one cone, <m, u_rho> = -a_rho on its rays, or None
+    when there is none; on a cone of less-than-full dimension, the canonical
+    one vanishing on an adapted-basis complement of its saturated span."""
+    rays = [fan.rays[i] for i in cone]
+    rhs = [-coeffs[i] for i in cone]
+    sol = solve_rational([list(r) for r in rays], rhs)
+    if sol is None:
+        return None
+    particular, kernel = sol
+    if not kernel:
+        return tuple(particular)
+    V, r_span = adapted_basis(rays, fan.rank)
+    coords = [[sum(ray[i] * V[i][j] for i in range(fan.rank))
+               for j in range(r_span)] for ray in rays]
+    sub_sol = solve_rational(coords, rhs)
+    if sub_sol is None:
+        raise RuntimeError(f"cone {cone} has no covector on its adapted basis")
+    z = sub_sol[0]
+    return tuple(sum(z[j] * V[i][j] for j in range(r_span))
+                 for i in range(fan.rank))
 
 
 def support_value(fan, cd, v):
@@ -286,15 +294,29 @@ def discrepancy(fan, b_coeffs, v):
 
 
 def pullback(m, coeffs):
-    """Pullback of a Q-Cartier divisor along a toric morphism m (target -> source)."""
+    """Pullback of a Q-Cartier divisor along a toric morphism m (target -> source).
+
+    The support function is a_rho at a target ray u_rho. Any other image (the
+    new ray of a star subdivision, the removed ray of a divisorial
+    contraction) reads the covector of the first target cone that holds it,
+    solved for that cone alone. A simplicial target needs no Q-Cartier
+    check; on any other the Cartier data is that check.
+    """
     tgt = m.target
-    cd = cartier_data(tgt, coeffs)
-    if isinstance(cd, NotQCartier):
+    coeffs = tuple(coeffs)
+    if not is_simplicial(tgt) and isinstance(cartier_data(tgt, coeffs), NotQCartier):
         raise ValueError("pullback needs a Q-Cartier divisor")
+    own = dict(zip(tgt.rays, coeffs))
     out = []
     for ray in m.source.rays:
         image = m.apply(ray)
-        out.append(support_value(tgt, cd, image))
+        if image in own:
+            out.append(Fraction(own[image]))
+            continue
+        cone = next((c for c in tgt.max_cones if cone_contains(tgt, c, image)), None)
+        if cone is None:
+            raise ValueError("point outside the support")
+        out.append(-Fraction(dot(_cone_covector(tgt, cone, coeffs), image)))
     return tuple(out)
 
 

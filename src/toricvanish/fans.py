@@ -15,10 +15,12 @@ torus-factor test `full_span` and the per-cone dimensions, are memoized
 per process with `lru_cache`. This is
 safe because a `Fan` is a frozen record compared structurally: equal fans
 give equal answers, and no fan changes after it is built. Each cone's
-H-representation (`cones.cone_dual`) and `validate`'s common-face test of
-each pair of maximal cones (`_common_face`) are memoized on generators, so a
-cone or a pair shared by several fans is decided once. That pair test runs
-FM only on the pairs that no sum of facet normals separates.
+H-representation (`cones.cone_dual`), its facet incidence (which of its
+generators lie on each facet, `cones.cone_facets`, read by `_facets` and the
+pair test) and `validate`'s common-face test of each pair of maximal cones
+(`_common_face`) are memoized on generators, so a cone or a pair shared by
+several fans is decided once. That pair test runs FM only on the pairs that
+no sum of facet normals separates.
 """
 
 from collections import Counter
@@ -121,22 +123,24 @@ def _common_face(ga, gb, dim):
     """Whether cone(ga) and cone(gb) meet in a face of each (Cox, Little and
     Schenck, Lemma 1.2.13), with S the shared generators.
 
-    Each cone's facets through S must cut out exactly cone(S). The sum t of
-    one cone's facet normals through S is then >= 0 on that cone and zero
-    on it exactly on cone(S), so the cones meet in cone(S) iff no common
-    point has t > 0. The certificate comes first: if t <= 0 on every
-    generator of the other cone, for either cone's t, no common point has
-    t > 0. Only when neither sum separates the cones does one
+    Each cone's facets through S must cut out exactly cone(S), which the
+    facet incidence of `cones.cone_facets` decides without a dot product.
+    The sum t of one cone's facet normals through S is then >= 0 on that
+    cone and zero on it exactly on cone(S), so the cones meet in cone(S)
+    iff no common point has t > 0. The certificate comes first: if t <= 0
+    on every generator of the other cone, for either cone's t, no common
+    point has t > 0. Only when neither sum separates the cones does one
     Fourier-Motzkin feasibility system look for such a point.
     """
     shared = set(ga) & set(gb)
     sums = []
     for gens in (ga, gb):
-        zero = [w for w in cones.cone_dual(gens, dim)[0]
-                if all(dot(w, s) == 0 for s in shared)]
-        if {g for g in gens if all(dot(w, g) == 0 for w in zero)} != shared:
+        on_shared = {i for i, g in enumerate(gens) if g in shared}
+        zero = [(w, idx) for w, idx in cones.cone_facets(gens, dim)
+                if on_shared.issubset(idx)]
+        if set(range(len(gens))).intersection(*(idx for _, idx in zero)) != on_shared:
             return False
-        sums.append(tuple(map(sum, zip(*zero))) or (0,) * dim)
+        sums.append(tuple(map(sum, zip(*(w for w, _ in zero)))) or (0,) * dim)
     ta, tb = sums
     if all(dot(ta, g) <= 0 for g in gb) or all(dot(tb, g) <= 0 for g in ga):
         return True

@@ -10,6 +10,7 @@ solution, a kernel basis or an inverse is read off the final rows.
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 
 def gcd_list(values):
@@ -28,7 +29,7 @@ def primitive(v):
 
 
 def dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def identity_matrix(n):

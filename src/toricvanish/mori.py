@@ -4,7 +4,9 @@ On a simplicial fan with convex support the torus-invariant wall curves
 generate the cone of relative curve classes. A wall curve is kept one way,
 as its primitive integer wall relation b (one int per ray): b is its class,
 since D.C = sum_rho b_rho a_rho / (b_u b_v) with u and v the off-wall rays,
-and b is the direction of its ray in the Mori cone.
+and b is the direction of its ray in the Mori cone. b is read off the
+signed maximal minors of the rays of the wall's two cones (`linalg.det_int`),
+so no Smith normal form runs.
 
 `wall_relation` is memoized per process with `lru_cache`, as the fan-level
 predicates of `fans` are: a `Fan` and a `Wall` are frozen records
@@ -13,11 +15,12 @@ compared structurally, so equal arguments give equal relations.
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 from . import cones
 from .divisors import NotQCartier, cartier_data
 from .fans import facet_incidence, is_simplicial
-from .linalg import dot, int_kernel
+from .linalg import det_int, dot
 from .record import Record
 
 
@@ -56,19 +59,24 @@ def wall_relation(fan, wall):
     the rays of the wall's two cones, one int per fan ray and zero off them,
     and the off-wall rays u of cone_a and v of cone_b, with b[u], b[v] > 0.
 
-    b is primitive because it is a column of the unimodular V of a Smith
-    normal form (`linalg.int_kernel`).
+    The rank x (rank + 1) matrix of those rays has a one-dimensional kernel
+    exactly when its signed maximal minors are not all zero, and then they
+    span it (Cramer's rule); divided by their gcd they are its primitive
+    generator, unique up to sign, and b[u] > 0 fixes the sign.
     """
     u = _off_ray(fan, wall, wall.cone_a)
     v = _off_ray(fan, wall, wall.cone_b)
     support = list(wall.rays) + [u, v]
-    matrix = [[fan.rays[i][k] for i in support] for k in range(fan.rank)]
-    kernel = int_kernel(matrix)
-    if len(kernel) != 1:
+    if len(support) != fan.rank + 1:
+        raise ValueError(f"wall {wall.rays} does not have rank - 1 rays")
+    rel = [(-1) ** j * det_int([fan.rays[i] for i in support[:j] + support[j + 1:]])
+           for j in range(len(support))]
+    g = gcd(*rel)
+    if not g:
         raise ValueError(f"relation of wall {wall.rays} is not one-dimensional")
-    rel = kernel[0]
     if rel[-2] < 0:
-        rel = [-x for x in rel]
+        g = -g
+    rel = [x // g for x in rel]
     if not (rel[-2] > 0 and rel[-1] > 0):
         raise ValueError(f"cones of wall {wall.rays} lie on one side of it")
     b = [0] * len(fan.rays)

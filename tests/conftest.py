@@ -199,11 +199,10 @@ def reference_fans():
 
 
 @cache
-def mmp_models():
-    """(fan, divisor) for every model of the MMP run of each curated instance
-    and of gen_corpus(42, 2) and gen_corpus(42, 3), on the small
-    Q-factorialization the verifier runs it on. Instances whose D is not
-    Q-Cartier run no MMP and are left out."""
+def mmp_runs():
+    """The MMP run of each curated instance and of gen_corpus(42, 2) and
+    gen_corpus(42, 3), on the small Q-factorialization the verifier runs it
+    on. Instances whose D is not Q-Cartier run no MMP and are left out."""
     insts = [inst for _, inst in curated_instances()]
     insts += [inst for rank in (2, 3) for inst in gen_corpus(42, rank)[0]]
     out = []
@@ -211,9 +210,14 @@ def mmp_models():
         if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
             continue
         fan, b, d, _ = _q_factorial_model(inst)
-        run = run_mmp(fan, d, b)
-        out += zip(run.models, run.divisors)
+        out.append(run_mmp(fan, d, b))
     return tuple(out)
+
+
+@cache
+def mmp_models():
+    """(fan, divisor) for every model of every run of `mmp_runs`."""
+    return tuple(pair for run in mmp_runs() for pair in zip(run.models, run.divisors))
 
 
 def reference_curve_class(fan, wall):

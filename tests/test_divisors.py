@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     flip_side_a,
     flip_side_b,
     make_row,
+    mmp_models,
     p1xp1_fan,
     p2_fan,
     p3_fan,
@@ -32,6 +34,7 @@ from toricvanish.divisors import (
     NotQCartier,
     Positivity,
     SemiampleWitness,
+    add,
     canonical,
     cartier_data,
     coeffs_of,
@@ -52,14 +55,26 @@ from toricvanish.divisors import (
 )
 from toricvanish.fans import (
     cone_contains,
+    full_span,
     identity_map,
     is_simplicial,
     make_fan,
     properties,
+    q_factorialize,
     star_subdivide,
+    support_is_convex,
+    validate,
 )
-from toricvanish.linalg import adapted_basis, dot, int_rank, lcm_list, solve_rational
-from toricvanish.mori import intersect, wall_relation, walls
+from toricvanish.linalg import (
+    adapted_basis,
+    dot,
+    int_rank,
+    lcm_list,
+    primitive,
+    solve_rational,
+)
+from toricvanish.mmp import contract, flip, flip_diagram
+from toricvanish.mori import extremal_rays, intersect, wall_relation, walls
 from toricvanish.regions import IneqSystem, is_feasible
 
 
@@ -397,17 +412,18 @@ def test_memoized_cartier_data_matches_the_uncached_solve():
 
 def test_cartier_data_solves_once_per_fan_and_divisor():
     # verify_mmp asks for Cartier data at every hypothesis check, positivity,
-    # nef stop, intersection number and pullback; each distinct (fan, divisor)
-    # is solved once. The hits are pinned, not compared with the misses: they
-    # count repeated questions, which fewer intersect calls make fewer of.
+    # nef stop and intersection number, but not for a pullback to a
+    # simplicial model; each distinct (fan, divisor) is solved once. The hits
+    # are pinned, not compared with the misses: they count repeated
+    # questions, which fewer intersect calls make fewer of.
     from toricvanish.verify import verify_mmp
 
     inst = dict(curated_instances())["cubeq-flop"]
     divisors._cartier_data.cache_clear()
     verify_mmp(inst)
     info = divisors._cartier_data.cache_info()
-    assert info.hits == 20
-    assert info.misses == info.currsize == 22
+    assert info.hits == 18
+    assert info.misses == info.currsize == 6
 
 
 # A Fraction copy of the Cartier data, nef/ample loop, semiample certificate,
@@ -522,3 +538,88 @@ def test_integer_cartier_data_matches_the_fraction_reference(fan, data):
             for wall in walls(fan):
                 assert intersect(fan, D, wall) == _reference_intersect(
                     fan, D, covectors, wall), (D, wall)
+
+
+@cache
+def _pullback_maps():
+    """Toric maps to pull back along, by kind: the star subdivision of each
+    valid reference fan at the primitive sum of the rays of its first cone
+    with two; on the simplicial, convex, full-span reference fans and MMP
+    models, both sides of the flip diagram of each single-circuit flipping
+    ray (flipped for D = -D_u, u an off-wall ray, so D.C < 0) and each
+    divisorial contraction; and the Q-factorialization of each
+    non-simplicial reference fan."""
+    maps = {"star": [], "flip": [], "divisorial": [], "q_factorialize": []}
+    for fan in REFERENCE_FANS:
+        if validate(fan):
+            continue
+        if not is_simplicial(fan):
+            maps["q_factorialize"].append(q_factorialize(fan)[1])
+        cone = next((c for c in fan.max_cones if len(c) > 1), None)
+        if cone is not None:
+            v = primitive(tuple(map(sum, zip(*(fan.rays[i] for i in cone)))))
+            maps["star"].append(star_subdivide(fan, v)[1])
+    convex = [f for f in REFERENCE_FANS
+              if f.rays and is_simplicial(f) and support_is_convex(f) and full_span(f)]
+    for fan in dict.fromkeys(convex + [f for f, _ in mmp_models()]):
+        for item in extremal_rays(fan):
+            res = contract(fan, item)
+            if res.kind == "divisorial":
+                maps["divisorial"].append(res.map)
+            elif res.kind == "flipping" and len(res.merged_groups) == 1:
+                w = item[1][0]
+                u = next(i for i in fan.max_cones[w.cone_a] if i not in w.rays)
+                flipped = flip(fan, res, scale(-1, ray_divisor(fan, fan.rays[u])))
+                diagram = flip_diagram(fan, flipped, res)
+                maps["flip"] += [diagram.psi, diagram.psi_prime]
+    return {kind: tuple(ms) for kind, ms in maps.items()}
+
+
+def _reference_pullback(m, coeffs):
+    """`pullback` as it read the Cartier data of every cone of the target."""
+    cd = cartier_data(m.target, coeffs)
+    if isinstance(cd, NotQCartier):
+        raise ValueError("pullback needs a Q-Cartier divisor")
+    return tuple(support_value(m.target, cd, m.apply(ray)) for ray in m.source.rays)
+
+
+def _pullback_or_error(fn, m, coeffs):
+    try:
+        out = fn(m, coeffs)
+    except ValueError as exc:
+        return str(exc)
+    assert all(type(x) is Fraction for x in out), out
+    return out
+
+
+def test_pullback_reference_maps_cover_every_kind():
+    counts = {kind: len(ms) for kind, ms in _pullback_maps().items()}
+    assert counts["star"] >= 40 and counts["flip"] >= 40, counts
+    assert counts["divisorial"] >= 40 and counts["q_factorialize"] == 2, counts
+
+
+@pytest.mark.parametrize("kind", ["star", "flip", "divisorial", "q_factorialize"])
+@given(st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pullback_matches_the_all_cones_reference(kind, data):
+    # a drawn divisor, not Q-Cartier on a non-simplicial target as a rule,
+    # and a Q-Cartier one there: a rational multiple of K plus div(m)
+    m = data.draw(st.sampled_from(_pullback_maps()[kind]))
+    tgt = m.target
+    n = len(tgt.rays)
+    drawn = tuple(data.draw(st.lists(_coefficients, min_size=n, max_size=n)))
+    covector = data.draw(st.lists(st.integers(-3, 3), min_size=tgt.rank,
+                                  max_size=tgt.rank))
+    q_cartier = add(scale(data.draw(_fractions), canonical(tgt)), principal(tgt, covector))
+    for D in (drawn, q_cartier):
+        assert (_pullback_or_error(pullback, m, D)
+                == _pullback_or_error(_reference_pullback, m, D)), (m, D)
+
+
+def test_pullback_to_a_non_simplicial_target_needs_a_q_cartier_divisor(cube):
+    _, m = q_factorialize(cube)
+    D = ray_divisor(cube, cube.rays[0])
+    assert isinstance(cartier_data(cube, D), NotQCartier)
+    with pytest.raises(ValueError, match="pullback needs a Q-Cartier divisor"):
+        pullback(m, D)
+    assert pullback(m, canonical(cube)) == canonical(m.source)

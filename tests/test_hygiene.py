@@ -40,6 +40,7 @@ MEMOS = {
     ("cohomology", "_boundary_divisors"),
     ("cohomology", "_homology_chambers"),
     ("cones", "_dual"),
+    ("cones", "_incidence"),
     ("cones", "extreme_ray_indices"),
     ("divisors", "_cartier_data"),
     ("fans", "_common_face"),
@@ -60,9 +61,9 @@ IN_CONE_CALLERS = {("cones", "extreme_ray_indices")}
 # the same for `regions.subtract_cones`, a set difference with one FM call per
 # piece: no fan predicate (convexity, completeness, subdivision) takes one.
 SUBTRACT_CONES_CALLERS = {("fans", "check_map")}
-# the same for `linalg.int_kernel`: a curve relation is solved once, as the
-# memoized wall relation, and every contraction decision reads it.
-INT_KERNEL_CALLERS = {("mori", "wall_relation"), ("regions", "recession_direction")}
+# the same for `linalg.int_kernel`: a wall relation is read off its maximal
+# minors, so only a region's recession direction solves a kernel by SNF.
+INT_KERNEL_CALLERS = {("regions", "recession_direction")}
 
 
 def _tree(path):

@@ -11,6 +11,7 @@ from conftest import (
     flip_side_a,
     flip_side_b,
     mmp_models,
+    mmp_runs,
     p2_fan,
     ray_divisor,
     reference_curve_class,
@@ -18,7 +19,7 @@ from conftest import (
     reference_pair,
     reference_primitive_direction,
 )
-from toricvanish import cones, fans, lp, mmp
+from toricvanish import cones, divisors, fans, lp, mmp
 from toricvanish.cones import cone_dual
 from toricvanish.corpus import curated_instances, seed_fans
 from toricvanish.divisors import (
@@ -42,7 +43,7 @@ from toricvanish.fans import (
 from toricvanish.mmp import flip, flip_diagram, negative_contractions, run_mmp
 from toricvanish.linalg import adapted_basis, dot, int_kernel, mat_vec, primitive
 from toricvanish.mori import extremal_rays, intersect, walls, walls_within
-from toricvanish.verify import verify_flip_diagram_for
+from toricvanish.verify import _q_factorial_model, verify_flip_diagram_for
 
 
 def test_contract_f1_divisorial(f1, p2):
@@ -371,6 +372,22 @@ def test_flip_diagram_verifier_contracts_once(monkeypatch):
     verdict = verify_flip_diagram_for(inst.fan, inst.d_coeffs)
     assert verdict.passed
     assert len(calls) == 1
+
+
+def test_flip_diagram_asks_for_no_cartier_data_on_simplicial_sides():
+    # the two sides of a flip are simplicial, so each of the 2n pullbacks of
+    # a coordinate divisor reads the target rays' own coefficients and solves
+    # one covector, for the cone holding the new ray, outside the memo
+    inst = dict(curated_instances())["cubeq-flop"]
+    run = next(r for r in mmp_runs() if r.models[0] == _q_factorial_model(inst)[0])
+    (step,) = [s for s in run.steps if s.kind == "flip"]
+    x_fan, x_plus = run.models[step.source_index], run.models[step.source_index + 1]
+    assert is_simplicial(x_fan) and is_simplicial(x_plus)
+    divisors._cartier_data.cache_clear()
+    diagram = flip_diagram(x_fan, x_plus, step.contraction)
+    info = divisors._cartier_data.cache_info()
+    assert info.hits == info.misses == 0
+    assert diagram == step.diagram
 
 
 def _merge_groups_rescan(fan, direction):

@@ -3,9 +3,12 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     flip_side_a,
@@ -26,8 +29,8 @@ from toricvanish.divisors import (
     principal,
     semiample_witness,
 )
-from toricvanish.fans import is_simplicial, q_factorialize
-from toricvanish.linalg import dot
+from toricvanish.fans import is_simplicial, make_fan, q_factorialize
+from toricvanish.linalg import dot, int_kernel, primitive
 from toricvanish.mmp import run_mmp
 from toricvanish.mori import (
     Wall,
@@ -266,25 +269,26 @@ def test_walls_within_matches_the_group_scan():
 
 def test_wall_relation_solves_once_per_fan_and_wall(monkeypatch):
     # run_mmp reaches wall_relation through both extremal_rays and intersect;
-    # the memo makes one int_kernel solve per distinct (fan, wall) pair
+    # the memo makes one solve, rank + 1 maximal minors, per distinct
+    # (fan, wall) pair
     inst = dict(curated_instances())["cubeq-flop"]
     mori.wall_relation.cache_clear()
-    solves, queries = [], []
-    real_kernel, real_relation = mori.int_kernel, mori.wall_relation
+    minors, queries = [], []
+    real_det, real_relation = mori.det_int, mori.wall_relation
 
-    def counting_kernel(matrix):
-        solves.append(matrix)
-        return real_kernel(matrix)
+    def counting_det(matrix):
+        minors.append(matrix)
+        return real_det(matrix)
 
     def recording_relation(fan, wall):
         queries.append((fan, wall))
         return real_relation(fan, wall)
 
-    monkeypatch.setattr(mori, "int_kernel", counting_kernel)
+    monkeypatch.setattr(mori, "det_int", counting_det)
     monkeypatch.setattr(mori, "wall_relation", recording_relation)
     run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)
     assert len(queries) > len(set(queries))
-    assert len(solves) == len(set(queries))
+    assert len(minors) == (inst.fan.rank + 1) * len(set(queries))
 
 
 def test_off_ray_rejects_a_wall_that_is_not_a_facet(p2):
@@ -308,3 +312,69 @@ def test_off_ray_check_survives_python_O():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: wall (0, 1) is not a facet")
+
+
+def _reference_wall_relation(fan, wall):
+    """`wall_relation` as it solved the kernel by Smith normal form
+    (`linalg.int_kernel`), whose one basis vector is primitive."""
+    u = _off_ray(fan, wall, wall.cone_a)
+    v = _off_ray(fan, wall, wall.cone_b)
+    support = list(wall.rays) + [u, v]
+    kernel = int_kernel([[fan.rays[i][k] for i in support] for k in range(fan.rank)])
+    if len(kernel) != 1:
+        raise ValueError(f"relation of wall {wall.rays} is not one-dimensional")
+    rel = kernel[0]
+    if rel[-2] < 0:
+        rel = [-x for x in rel]
+    if not (rel[-2] > 0 and rel[-1] > 0):
+        raise ValueError(f"cones of wall {wall.rays} lie on one side of it")
+    b = [0] * len(fan.rays)
+    for i, x in zip(support, rel):
+        b[i] = x
+    return tuple(b), u, v
+
+
+def _relation_or_error(fn, fan, wall):
+    try:
+        return fn(fan, wall)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_wall_relation_matches_the_kernel_reference_on_every_wall():
+    fans_ = [f for f in reference_fans() if is_simplicial(f)]
+    fans_ = list(dict.fromkeys(fans_ + [f for f, _ in mmp_models()]))
+    checked = 0
+    for fan in fans_:
+        for wall in walls(fan):
+            assert wall_relation(fan, wall) == _reference_wall_relation(fan, wall), \
+                (fan, wall)
+            checked += 1
+    assert checked >= 400
+
+
+_primitive_vectors = st.lists(st.integers(-3, 3), min_size=4, max_size=4).filter(
+    lambda v: any(v) and gcd(*v) == 1)
+
+
+@given(st.integers(2, 4), st.lists(_primitive_vectors, min_size=5, max_size=5,
+                                   unique_by=tuple))
+# four coplanar rays in rank 3: the kernel has dimension two
+@example(3, [(1, 0, 0, 0), (0, 1, 0, 0), (1, 1, 0, 0), (1, -1, 0, 0), (0, 0, 1, 0)])
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_wall_relation_matches_the_kernel_reference_on_drawn_walls(rank, vectors):
+    # two simplicial cones on rank + 1 drawn rays sharing rank - 1 of them:
+    # dependent rays (a kernel of dimension two) and both off-wall rays on
+    # one side give the same ValueError as the reference
+    rays = list(dict.fromkeys(primitive(v[:rank]) for v in vectors if any(v[:rank])))
+    if len(rays) < rank + 1:
+        return
+    rays = rays[:rank + 1]
+    shared = tuple(range(rank - 1))
+    fan = make_fan(rank, rays, [shared + (rank - 1,), shared + (rank,)])
+    index = [fan.ray_index(r) for r in rays]
+    cone_a = fan.max_cones.index(tuple(sorted(index[:rank])))
+    wall = Wall(tuple(sorted(index[:rank - 1])), cone_a, 1 - cone_a)
+    mori.wall_relation.cache_clear()
+    assert (_relation_or_error(wall_relation, fan, wall)
+            == _relation_or_error(_reference_wall_relation, fan, wall))
