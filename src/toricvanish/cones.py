@@ -4,16 +4,17 @@ Cones are given either by integer generators or by integer inequality rows
 {x : <a_i, x> >= 0}. Conversions run the double description method with a
 tight-set rank test for extremality, exact over the integers.
 
-A cone's dual is its H-representation, and pointedness and facets are
-read from it. `cone_dual` reads the one memo of duals in the
-package, `_dual`: an `lru_cache` keyed on the generator tuple and `dim`,
-since a dual depends on the generators alone and not on the fan that holds
-them. It hands out tuples, so no caller can change what later readers see.
-`cone_facets` reads the facet incidence (which generators lie on each
-facet normal) from a second memo on the same key, `_incidence`, so the dot
-products that decide it run once per generator tuple.
-`extreme_ray_indices` is memoized the same way and checks pointedness on
-that dual; it asks the exact simplex of `lp` only about non-simplicial cones.
+A cone's dual is its H-representation, and pointedness, facets and the
+recession cone of an inequality system (`regions`) are read from it. Every
+cone question reads the one memo of duals in the package, `_dual`: an
+`lru_cache` keyed on the generator tuple and `dim`, since a dual depends on
+the generators alone and not on the fan or system that holds them. Beside
+the dual it keeps the facet incidence (which generators lie on each facet
+normal), read by `cone_facets`, so the dot products that decide it run once
+per generator tuple. It hands out tuples, so no caller can change what later
+readers see. `extreme_ray_indices` is memoized the same way and checks
+pointedness on that dual; it asks the exact simplex of `lp` only about
+non-simplicial cones.
 """
 
 from functools import lru_cache
@@ -83,13 +84,17 @@ def cone_dual(gens, dim):
     cone(gens): x is in the cone iff <w,x> >= 0 for w in rays and <e,x> = 0
     for e in lineality.
     """
-    return _dual(tuple(map(tuple, gens)), dim)
+    return _dual(tuple(map(tuple, gens)), dim)[0]
 
 
 @lru_cache(maxsize=16384)
 def _dual(gens, dim):
+    """((rays, lineality), facet incidence) of cone(gens); see `cone_dual`
+    and `cone_facets`."""
     rays, lin = dd_cone(gens, dim)
-    return tuple(rays), tuple(lin)
+    incidence = tuple((w, tuple(i for i, g in enumerate(gens) if dot(w, g) == 0))
+                      for w in rays)
+    return (tuple(rays), tuple(lin)), incidence
 
 
 def halfspaces(hrep):
@@ -107,10 +112,6 @@ def in_cone_hrep(hrep, x):
     return all(dot(w, x) >= 0 for w in ineqs) and all(dot(e, x) == 0 for e in eqs)
 
 
-def cone_dim(gens):
-    return int_rank(gens)
-
-
 def cone_is_pointed(gens, dim):
     """Whether cone(gens) holds no line, i.e. its dual is full-dimensional."""
     ineqs, eqs = cone_dual(gens, dim)
@@ -119,15 +120,8 @@ def cone_is_pointed(gens, dim):
 
 def cone_facets(gens, dim):
     """Facets of cone(gens) as (normal, tuple of generator indices on it): the
-    facet incidence, memoized like `_dual`."""
-    return _incidence(tuple(map(tuple, gens)), dim)
-
-
-@lru_cache(maxsize=16384)
-def _incidence(gens, dim):
-    normals, _ = _dual(gens, dim)
-    return tuple((w, tuple(i for i, g in enumerate(gens) if dot(w, g) == 0))
-                 for w in normals)
+    facet incidence that `_dual` keeps beside the dual."""
+    return _dual(tuple(map(tuple, gens)), dim)[1]
 
 
 @lru_cache(maxsize=16384)

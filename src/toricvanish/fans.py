@@ -15,10 +15,11 @@ torus-factor test `full_span` and the per-cone dimensions, are memoized
 per process with `lru_cache`. This is
 safe because a `Fan` is a frozen record compared structurally: equal fans
 give equal answers, and no fan changes after it is built. Each cone's
-H-representation (`cones.cone_dual`), its facet incidence (which of its
+H-representation (`cones.cone_dual`) and its facet incidence (which of its
 generators lie on each facet, `cones.cone_facets`, read by `_facets` and the
-pair test) and `validate`'s common-face test of each pair of maximal cones
-(`_common_face`) are memoized on generators, so a cone or a pair shared by
+pair test) come off one memo of `cones` keyed on its generators, and
+`validate`'s common-face test of each pair of maximal cones (`_common_face`)
+is memoized on the two generator tuples, so a cone or a pair shared by
 several fans is decided once. That pair test runs FM only on the pairs that
 no sum of facet normals separates.
 """
@@ -31,6 +32,7 @@ from .linalg import (
     det_int,
     dot,
     gcd_list,
+    int_rank,
     mat_vec,
     primitive,
     snf_diagonal,
@@ -63,18 +65,13 @@ def make_fan(rank, rays, max_cones):
     return Fan(rank, sorted_rays, tuple(new_cones))
 
 
-def _cone_hrep(fan, cone):
-    gens = [fan.rays[i] for i in cone]
-    return cones.cone_dual(gens, fan.rank)
-
-
 @lru_cache(maxsize=16384)
 def _cone_dim(fan, cone):
-    return cones.cone_dim([fan.rays[i] for i in cone])
+    return int_rank([fan.rays[i] for i in cone])
 
 
 def cone_contains(fan, cone, v):
-    return cones.in_cone_hrep(_cone_hrep(fan, cone), v)
+    return cones.in_cone_hrep(cones.cone_dual([fan.rays[i] for i in cone], fan.rank), v)
 
 
 def _facets(fan, cone):
@@ -200,7 +197,7 @@ def support_is_convex(fan):
     """
     if not fan.max_cones or is_complete(fan):
         return True
-    span = cones.cone_dim(fan.rays)
+    span = int_rank(fan.rays)
     if any(_cone_dim(fan, c) != span for c in fan.max_cones):
         return False
     facets = [wf for c in fan.max_cones for wf in _facets(fan, c)]
@@ -212,7 +209,7 @@ def support_is_convex(fan):
 def full_span(fan):
     """Whether the fan has rays and they span R^rank, so that it has no torus
     factor."""
-    return bool(fan.rays) and cones.cone_dim(fan.rays) == fan.rank
+    return bool(fan.rays) and int_rank(fan.rays) == fan.rank
 
 
 @lru_cache(maxsize=4096)
@@ -311,7 +308,7 @@ def q_factorialize(fan):
 def _hreps(fan):
     """H-representations of the maximal cones; the zero cone's when none."""
     if fan.max_cones:
-        return [_cone_hrep(fan, c) for c in fan.max_cones]
+        return [cones.cone_dual([fan.rays[i] for i in c], fan.rank) for c in fan.max_cones]
     return [cones.cone_dual([], fan.rank)]
 
 

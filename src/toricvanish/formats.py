@@ -1,17 +1,24 @@
 """JSON file formats for fans, divisors, instances and reports.
 
-Formats are canonical: rays primitive and lexicographically sorted, cone
-index lists sorted, rational coefficients as "p" or "p/q" strings with a
-positive denominator. Serialization is byte-stable.
+Formats are canonical: rays primitive and lexicographically sorted, each
+cone's index list strictly increasing and no cone listed twice, rational
+coefficients as "p" or "p/q" strings of ASCII digits with a positive
+denominator. Serialization is byte-stable.
 """
 
 import json
 import os
+import re
 from fractions import Fraction
 
 from .fans import make_fan
 from .linalg import gcd_list
 from .record import Record
+
+
+# a canonical rational: "p" or "p/q" in ASCII digits, each with an optional
+# minus sign (a negative q is refused with its own message)
+_RATIONAL = re.compile(r"-?[0-9]+(/-?[0-9]+)?")
 
 
 class ParseError(ValueError):
@@ -36,13 +43,9 @@ def fraction_from_str(text, where="coefficient"):
         return Fraction(text)
     if not isinstance(text, str):
         raise ParseError(f"{where}: expected a string like 'p' or 'p/q'")
-    parts = text.split("/")
-    if len(parts) not in (1, 2):
+    if not _RATIONAL.fullmatch(text):
         raise ParseError(f"{where}: malformed rational {text!r}")
-    try:
-        nums = [int(p) for p in parts]
-    except ValueError as exc:
-        raise ParseError(f"{where}: malformed rational {text!r}") from exc
+    nums = [int(p) for p in text.split("/")]
     if len(nums) == 1:
         return Fraction(nums[0])
     if nums[1] <= 0:
@@ -91,8 +94,10 @@ def fan_from_obj(obj, where="fan"):
             raise ParseError(f"{where}.max_cones[{i}]: expected a list of ray indices")
         if any(x < 0 or x >= len(rays) for x in cone):
             raise ParseError(f"{where}.max_cones[{i}]: ray index out of range")
-        if cone != sorted(cone):
-            raise ParseError(f"{where}.max_cones[{i}]: indices must be sorted")
+        if any(x >= y for x, y in zip(cone, cone[1:])):
+            raise ParseError(f"{where}.max_cones[{i}]: indices must be strictly increasing")
+        if tuple(cone) in max_cones:
+            raise ParseError(f"{where}.max_cones[{i}]: cone listed twice")
         max_cones.append(tuple(cone))
     return make_fan(rank, rays, max_cones)
 

@@ -40,10 +40,6 @@ def mat_vec(M, v):
     return tuple(dot(row, v) for row in M)
 
 
-def transpose(A):
-    return [list(col) for col in zip(*A)] if A else []
-
-
 def smith_normal_form(A):
     """Smith normal form with its column transformation.
 
@@ -160,20 +156,6 @@ def int_rank(A):
         if r == m:
             break
     return r
-
-
-def int_kernel(A):
-    """Basis of the saturated integer kernel {x : A x = 0}, as a list of vectors."""
-    m = len(A)
-    n = len(A[0]) if m else 0
-    if n == 0:
-        return []
-    if m == 0:
-        return [tuple(row) for row in identity_matrix(n)]
-    S, V = smith_normal_form(A)
-    r = len([i for i in range(min(m, n)) if S[i][i]])
-    cols = transpose(V)
-    return [tuple(cols[j]) for j in range(r, n)]
 
 
 def _int_row(values):

@@ -47,6 +47,7 @@ from .fans import (
 from .linalg import (
     adapted_basis,
     dot,
+    int_rank,
     mat_vec,
     primitive,
 )
@@ -104,7 +105,7 @@ def contract(fan, extremal):
     merged_cone_list = [tuple(sorted(set().union(*(fan.max_cones[ci] for ci in g))
                                      - removed)) for g in merged]
     for mc in merged_cone_list:
-        simplicial = len(mc) == cones.cone_dim([fan.rays[i] for i in mc])
+        simplicial = len(mc) == int_rank([fan.rays[i] for i in mc])
         if simplicial != (kind == "divisorial"):
             raise RuntimeError(f"merged cone {mc} does not fit a {kind} contraction")
     removed_ray = fan.rays[min(removed)] if removed else None

@@ -7,12 +7,10 @@ Callers that need only a yes or no ask `is_feasible`, which stops after the
 elimination; `feasible` goes on to back-substitute a witness.
 
 Boundedness asks whether the recession cone C = {x : Ax >= 0} is {0}, with
-A the rows' covectors: C = {0} iff rank A = dim and no x has Ax >= 0 and
-(1^T A) x > 0. If rank A < dim, ker A is in C. If rank A = dim, a nonzero
-x in C has Ax >= 0 and Ax != 0, so (1^T A) x > 0; conversely such an x is a
-nonzero point of C. That is one rank and one elimination per region, and
-the same system gives a recession direction: a kernel vector when rank
-A < dim, and otherwise its witness, if it has one.
+A the rows' covectors. C is the dual of cone(A), so it is read off the
+memoized double description `cones.cone_dual`: C = {0} iff that dual has no
+ray and no lineality, and otherwise its first lineality vector, or else its
+first extreme ray, is a primitive integer recession direction.
 
 Pruning invariant: each eliminated level keeps, per primitive direction
 d = a / gcd(a), only the row with the largest bound c / gcd(a), the strict one
@@ -43,15 +41,8 @@ from scratch makes it once per prefix.
 from fractions import Fraction
 from math import ceil, floor, gcd
 
-from .cones import halfspaces
-from .linalg import (
-    adapted_basis,
-    int_kernel,
-    int_rank,
-    invert_unimodular,
-    lcm_list,
-    primitive,
-)
+from .cones import cone_dual, halfspaces
+from .linalg import adapted_basis, invert_unimodular
 from .record import Record
 
 
@@ -221,38 +212,17 @@ def feasible(sys):
     return tuple(x)
 
 
-def _homogenized(sys):
-    """The system {Ax >= 0, (1^T A) x > 0} of the rows' covectors A, or None
-    when rank A < dim; see the module docstring."""
-    covectors = [a for a, _, _ in sys.rows]
-    if int_rank(covectors) != sys.dim:
-        return None
-    total = tuple(sum(col) for col in zip(*covectors))
-    rows = tuple((a, 0, False) for a in covectors) + ((total, 0, True),)
-    return IneqSystem(sys.dim, rows)
-
-
 def recession_is_zero(sys):
     """Whether the recession cone {x : <a, x> >= 0 for every row} is {0}."""
-    hom = _homogenized(sys)
-    return hom is not None and not is_feasible(hom)
+    return cone_dual([a for a, _, _ in sys.rows], sys.dim) == ((), ())
 
 
 def recession_direction(sys):
-    """A primitive integer recession direction of the weak closure, or None.
-
-    When the covectors have rank < dim it is a vector of their kernel (any
-    unit vector when there are no rows); otherwise it is the homogenized
-    system's witness, scaled to a primitive integer vector.
-    """
-    hom = _homogenized(sys)
-    if hom is None:
-        return int_kernel([a for a, _, _ in sys.rows] or [(0,) * sys.dim])[0]
-    w = feasible(hom)
-    if w is None:
-        return None
-    den = lcm_list([f.denominator for f in w])
-    return primitive([int(f * den) for f in w])
+    """A primitive integer recession direction of the weak closure, or None:
+    the first lineality vector of the recession cone, else its first extreme
+    ray (e_0 when there are no rows)."""
+    rays, lin = cone_dual([a for a, _, _ in sys.rows], sys.dim)
+    return next(iter(lin + rays), None)
 
 
 def _int_low(v, strict):

@@ -88,13 +88,15 @@ def check_hypothesis(inst):
 
 
 def _q_factorial_model(inst):
-    """Small Q-factorialization, divisors pulled back (same rays), its note."""
+    """Small Q-factorialization, B and D on it, and its note. The map is
+    small: it has the same rays in the same order and no exceptional divisor,
+    so B and D keep their coefficients and nothing is pulled back, which B
+    would refuse when it is not Q-Cartier (klt asks that only of K+B)."""
     if is_simplicial(inst.fan):
         return inst.fan, inst.b_coeffs, inst.d_coeffs, []
-    qf, mp = q_factorialize(inst.fan)
-    d = pullback(mp, inst.d_coeffs)
-    b = pullback(mp, inst.b_coeffs)
-    return qf, b, d, ["computed on the small Q-factorialization (pulling)"]
+    qf, _ = q_factorialize(inst.fan)
+    note = "computed on the small Q-factorialization (pulling)"
+    return qf, inst.b_coeffs, inst.d_coeffs, [note]
 
 
 def _vanishes(mode, value):

@@ -14,7 +14,7 @@ from toricvanish.corpus import (
 )
 from toricvanish.divisors import NotQCartier, cartier_data
 from toricvanish.fans import is_simplicial, make_fan
-from toricvanish.linalg import gcd_list, int_kernel, lcm_list
+from toricvanish.linalg import gcd_list, identity_matrix, lcm_list, smith_normal_form
 from toricvanish.mmp import run_mmp
 from toricvanish.verify import _q_factorial_model
 
@@ -110,6 +110,27 @@ def reference_smith_normal_form(A):
                 break
         t += 1
     return S, U, V
+
+
+def int_kernel(A):
+    """Basis of the saturated integer kernel {x : A x = 0}, as a list of
+    vectors, read off the column transformation V of the Smith normal form:
+    the reference that the wall relations of `mori` are checked against."""
+    m = len(A)
+    n = len(A[0]) if m else 0
+    if n == 0:
+        return []
+    if m == 0:
+        return [tuple(row) for row in identity_matrix(n)]
+    S, V = smith_normal_form(A)
+    r = len([i for i in range(min(m, n)) if S[i][i]])
+    cols = [list(col) for col in zip(*V)]
+    return [tuple(cols[j]) for j in range(r, n)]
+
+
+# rationals that int() would read: with spaces, "_" digit groups, a "+"
+# sign or non-ASCII digits; and two that split into the wrong parts
+NON_CANONICAL_RATIONALS = [" 1", "1 ", "1_0", "+2", "1/ 2", "\u0663", "1/2/3", "", "1/"]
 
 
 def make_row(coeffs, const, strict=False):

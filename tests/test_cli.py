@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import p2_fan, ray_divisor
+from conftest import NON_CANONICAL_RATIONALS, p2_fan, ray_divisor
 from toricvanish.cli import main
 from toricvanish.formats import fan_to_obj, fraction_to_str, save
 
@@ -134,6 +134,26 @@ def test_verify_mmp_cli_skips_cohomology_when_d_is_not_q_cartier(tmp_path, capsy
     assert obj["notes"] == ["cohomology skipped: D is not Q-Cartier"]
 
 
+def test_verify_passes_a_klt_pair_whose_boundary_is_not_q_cartier(tmp_path, capsys):
+    # klt asks only that K+B be Q-Cartier: on this one-cone fan K is not, B is
+    # not, K+B is, and the small Q-factorialization keeps B's coefficients
+    from toricvanish.fans import is_simplicial, make_fan
+    from toricvanish.formats import Instance, instance_to_obj
+    from toricvanish.verify import instance_entry
+
+    fan = make_fan(3, [(-1, 0, 1), (0, -1, 2), (0, 1, 1), (1, 0, 1)], [(0, 1, 2, 3)])
+    assert not is_simplicial(fan)
+    half, zero = Fraction(1, 2), Fraction(0)
+    inst = Instance("klt-b-not-q-cartier", fan, (half, zero, half, half),
+                    (zero,) * 4, 2, ())
+    save(tmp_path / "inst.json", instance_to_obj(inst))
+    for what in ("kv", "mmp"):
+        assert main(["verify", what, str(tmp_path / "inst.json")]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["hypothesis_ok"] is True and obj["pass"] is True
+    assert instance_entry(inst)["verdict"] == "pass"
+
+
 def test_suite_cli_deterministic(tmp_path, capsys):
     r1 = tmp_path / "r1.json"
     r2 = tmp_path / "r2.json"
@@ -212,6 +232,8 @@ def test_coh_dims_cli_rejects_a_fan_without_convex_support(tmp_path, capsys):
 
 
 def test_exit_code_2_on_bad_input(tmp_path, capsys):
+    from toricvanish.formats import Instance, instance_to_obj
+
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["fan", "info", str(bad)]) == 2
@@ -219,6 +241,17 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert main(["fan", "info", str(missing)]) == 2
     save(tmp_path / "badfan.json", {"rank": 2, "rays": [[2, 0]], "max_cones": [[0]]})
     assert main(["fan", "info", str(tmp_path / "badfan.json")]) == 2
+    # a cone repeating an index or listed twice, and a rational that only
+    # int()'s leniency reads, are not canonical: malformed input
+    p2 = fan_to_obj(p2_fan())
+    for cones in ([[0, 0, 1], [0, 2], [1, 2]], [[0, 1], [0, 1], [0, 2], [1, 2]]):
+        save(tmp_path / "fan.json", dict(p2, max_cones=cones))
+        assert main(["fan", "info", str(tmp_path / "fan.json")]) == 2
+    zero = (Fraction(0),) * 3
+    inst = instance_to_obj(Instance("x", p2_fan(), zero, zero, 2, ()))
+    for text in NON_CANONICAL_RATIONALS + ["1/-2"]:
+        save(tmp_path / "inst.json", dict(inst, B={"coeffs": [text, "0", "0"]}))
+        assert main(["verify", "kv", str(tmp_path / "inst.json")]) == 2
 
 
 def test_exit_code_2_on_a_field_of_the_wrong_type(tmp_path, capsys):

@@ -42,6 +42,7 @@ from toricvanish.divisors import (
     canonical,
     coeffs_of,
     principal,
+    q_cartier_index,
     scale,
     sub,
 )
@@ -49,10 +50,12 @@ from toricvanish.fans import (
     is_complete,
     is_simplicial,
     make_fan,
+    properties,
     q_factorialize,
     star_subdivide,
     support_is_convex,
 )
+from toricvanish.mori import intersect, walls
 from toricvanish.regions import (
     IneqSystem,
     feasible,
@@ -316,6 +319,59 @@ def test_euler_characteristic_of_structure_sheaf(p2, f1, p1xp1, p112, p3):
         dims = coh_dims(fan, coeffs_of(fan, {}))[0]
         assert euler_characteristic(dims) == 1
         assert dims[0] == 1
+
+
+def _complete_simplicial_fans():
+    """The distinct complete simplicial fans of `reference_fans`, ranks 2-4,
+    with at most 10 rays."""
+    return [fan for fan in dict.fromkeys(reference_fans())
+            if is_complete(fan) and is_simplicial(fan) and len(fan.rays) <= 10]
+
+
+def test_snapper_euler_characteristic_is_a_polynomial_of_degree_at_most_rank():
+    # Snapper: on a complete X with H Cartier, t -> chi(O(D + tH)) is a
+    # polynomial of degree at most r, so its (r+1)-th finite differences over
+    # t = -1..r+1 vanish; H = L(-K) with L the Cartier index of K, and D is 0
+    # or drawn. Each chi runs the chamber walk, `lattice_points` and its
+    # boundedness test end to end.
+    rng = random.Random(12)
+    fans = _complete_simplicial_fans()
+    assert {fan.rank for fan in fans} == {2, 3, 4}
+    for fan in fans:
+        K = canonical(fan)
+        H = scale(-q_cartier_index(fan, K), K)
+        for D in (coeffs_of(fan, {}),
+                  tuple(Fraction(rng.randint(-2, 2)) for _ in fan.rays)):
+            diffs = [euler_characteristic(coh_dims(fan, add(D, scale(t, H)))[0])
+                     for t in range(-1, fan.rank + 2)]
+            for _ in range(fan.rank + 1):
+                diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+            assert diffs == [0, 0], (fan, D)
+
+
+def test_riemann_roch_on_smooth_complete_surfaces():
+    # chi(O(D)) = 1 + (D.D - D.K)/2 (Fulton, Introduction to Toric Varieties,
+    # section 5.3), with D.D_rho the intersection number on the wall of ray
+    # rho, so D.D = sum_rho a_rho D.D_rho and D.K = -sum_rho D.D_rho; the
+    # surfaces are the smooth reference ones and their blowups at the torus
+    # fixed point of their first cone, once and twice
+    rng = random.Random(5)
+    surfaces = [fan for fan in _complete_simplicial_fans()
+                if fan.rank == 2 and properties(fan).smooth]
+    for fan in surfaces[:]:
+        for _ in range(2):
+            u, v = (fan.rays[i] for i in fan.max_cones[0])
+            fan, _ = star_subdivide(fan, (u[0] + v[0], u[1] + v[1]))
+            surfaces.append(fan)
+    assert len(surfaces) == 9 and all(properties(fan).smooth for fan in surfaces)
+    for fan in surfaces:
+        wall_of = {w.rays: w for w in walls(fan)}
+        for _ in range(6):
+            D = tuple(Fraction(rng.randint(-3, 3)) for _ in fan.rays)
+            on_rays = [intersect(fan, D, wall_of[(i,)]) for i in range(len(fan.rays))]
+            dd = sum(a * x for a, x in zip(D, on_rays))
+            dk = -sum(on_rays)
+            assert euler_characteristic(coh_dims(fan, D)[0]) == 1 + (dd - dk) / 2, (fan, D)
 
 
 def test_unimodular_invariance(p2):

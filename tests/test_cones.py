@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from toricvanish import lp
 from toricvanish.cones import (
-    cone_dim,
     cone_dual,
     cone_facets,
     cone_is_pointed,
@@ -58,7 +57,7 @@ def test_lineality_and_pointedness():
     assert cone_is_pointed([(1, 0), (0, 1)], 2)
     assert not cone_is_pointed([(1, 0), (-1, 0)], 2)
     assert not cone_is_pointed([(1, 0), (-1, 0), (0, 1)], 2)
-    assert cone_dim([(1, 0), (-1, 0), (0, 1)]) == 2
+    assert int_rank([(1, 0), (-1, 0), (0, 1)]) == 2
 
 
 @given(st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3), st.integers(-3, 3)),

@@ -312,7 +312,7 @@ def _reference_star_subdivide(fan, v):
             new_cones.append(tuple(c))
             continue
         for _, fidx in fans._facets(fan, c):
-            if cones.in_cone_hrep(fans._cone_hrep(fan, fidx), v):
+            if cones.in_cone_hrep(cones.cone_dual([fan.rays[i] for i in fidx], fan.rank), v):
                 continue
             new_cones.append(tuple(sorted(fidx + (len(fan.rays),))))
     return make_fan(fan.rank, list(fan.rays) + [v], new_cones)

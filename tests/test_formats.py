@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import p2_fan
+from conftest import NON_CANONICAL_RATIONALS, p2_fan
 from toricvanish.formats import (
     Instance,
     ParseError,
@@ -34,6 +34,12 @@ def test_fraction_negative_denominator():
         fraction_from_str("1/-2")
 
 
+@pytest.mark.parametrize("text", NON_CANONICAL_RATIONALS)
+def test_fraction_rejects_non_canonical_text(text):
+    with pytest.raises(ParseError, match="malformed rational"):
+        fraction_from_str(text)
+
+
 def test_fan_round_trip(p2):
     obj = fan_to_obj(p2)
     again = fan_from_obj(obj)
@@ -63,6 +69,10 @@ def test_fan_errors():
     ("rays", [[True, 0], [0, 1], [-1, -1]], r"rays\[0\]: expected 2 integers"),
     ("max_cones", {"0": [0, 1]}, "max_cones: expected a list"),
     ("max_cones", [[False, 1]], r"max_cones\[0\]: expected a list of ray indices"),
+    ("max_cones", [[0, 0, 1], [0, 2], [1, 2]],
+     r"max_cones\[0\]: indices must be strictly increasing"),
+    ("max_cones", [[0, 1], [2, 0]], r"max_cones\[1\]: indices must be strictly increasing"),
+    ("max_cones", [[0, 1], [0, 1], [0, 2], [1, 2]], r"max_cones\[1\]: cone listed twice"),
 ])
 def test_fan_fields_are_type_checked(field, value, message):
     obj = dict(fan_to_obj(p2_fan()), **{field: value})

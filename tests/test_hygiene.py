@@ -8,12 +8,14 @@ that only shrinks. The one nef/ample loop, `divisors._nef_test`, and the
 integer wall curve of `mori` name no `Fraction`, so they stay in integers,
 and no module imports `dataclasses`, which cost a third of the package's
 import time: frozen value types derive from `record.Record`.
-The exact simplex `lp.in_cone`, the
-set difference `regions.subtract_cones` and the integer kernel
-`linalg.int_kernel` are each called only from the functions on an
-allow-list that only shrinks, so they do not spread back into a hot path or
-into the fan predicates, and curve relations stay solved in one place.
-The functions memoized with `lru_cache` or `cache` are exactly `MEMOS`."""
+The exact simplex `lp.in_cone` and the
+set difference `regions.subtract_cones` are each called only from the
+functions on an allow-list that only shrinks, so they do not spread back
+into a hot path or into the fan predicates.
+The functions memoized with `lru_cache` or `cache` are exactly `MEMOS`.
+Every function, class and method of `src/toricvanish/` is reachable from
+`cli.main` or from module-level code, but for `UNREACHABLE`, an allow-list
+that only shrinks: code that only the tests call does not stay in `src/`."""
 
 import ast
 from pathlib import Path
@@ -40,7 +42,6 @@ MEMOS = {
     ("cohomology", "_boundary_divisors"),
     ("cohomology", "_homology_chambers"),
     ("cones", "_dual"),
-    ("cones", "_incidence"),
     ("cones", "extreme_ray_indices"),
     ("divisors", "_cartier_data"),
     ("fans", "_common_face"),
@@ -61,9 +62,30 @@ IN_CONE_CALLERS = {("cones", "extreme_ray_indices")}
 # the same for `regions.subtract_cones`, a set difference with one FM call per
 # piece: no fan predicate (convexity, completeness, subdivision) takes one.
 SUBTRACT_CONES_CALLERS = {("fans", "check_map")}
-# the same for `linalg.int_kernel`: a wall relation is read off its maximal
-# minors, so only a region's recession direction solves a kernel by SNF.
-INT_KERNEL_CALLERS = {("regions", "recession_direction")}
+# (module, name) for each function, class or method of src/toricvanish/ that
+# no command reaches (`_unreachable`); remove an entry when it gains a caller
+# or leaves src/, and add none. Each names the ROADMAP item that moves it.
+UNREACHABLE = {
+    # item 1 (benchmark refresh): perfbench's layer boundary names them.
+    # Once it drops them, `chambers` and `polytope_dim` move into the tests,
+    # and `subtract_cones` into item 4's checker with `feasible` and its
+    # `_pick`, which only `subtract_cones` reaches
+    ("cohomology", "chambers"),
+    ("divisors", "polytope_dim"),
+    ("regions", "subtract_cones"),
+    ("regions", "feasible"),
+    ("regions", "_pick"),
+    # item 4 (certificate checker): its re-checks call them
+    ("cohomology", "cech_graded"),
+    ("cohomology", "graded_piece"),
+    ("cohomology", "pattern_of"),
+    ("fans", "check_map"),
+    ("fans", "_hreps"),
+    # item 8 (failure dumps): the dump writes instances through them
+    ("formats", "divisor_to_obj"),
+    ("formats", "fan_to_obj"),
+    ("formats", "instance_to_obj"),
+}
 
 
 def _tree(path):
@@ -336,5 +358,74 @@ def test_set_difference_callers_only_shrink():
     _ratchet("regions", "subtract_cones", SUBTRACT_CONES_CALLERS)
 
 
-def test_integer_kernel_callers_only_shrink():
-    _ratchet("linalg", "int_kernel", INT_KERNEL_CALLERS)
+def _module_level(node):
+    """The parts of a module-level statement that run when the module is
+    imported: all of it, except a function's body and a class's methods
+    (their decorators, defaults and bases run) and the names an import binds."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return []
+    if isinstance(node, ast.FunctionDef):
+        return node.decorator_list + node.args.defaults + \
+            [d for d in node.args.kw_defaults if d is not None]
+    if isinstance(node, ast.ClassDef):
+        return node.decorator_list + node.bases + node.keywords + \
+            [part for item in node.body for part in _module_level(item)]
+    return [node]
+
+
+def _unreachable(modules):
+    """(module, name) of each function, class and non-dunder method of the
+    modules (a dict from module name to syntax tree) that a name-based call
+    graph does not reach from `main` and module-level code.
+
+    The graph over-approximates what runs: a definition is reached when any
+    reached code refers to its name (`_references`: a name, an attribute, an
+    imported name or an identifier-like string), whatever module or object
+    the reference meant, and a reached class reaches its dunder methods,
+    which Python calls implicitly. So an unreachable definition is certainly
+    run by no command, and a reachable one may still be dead.
+    """
+    by_name, roots = {}, [ast.Name("main")]
+    for module, tree in modules.items():
+        roots += [part for node in tree.body for part in _module_level(node)]
+        for node, _ in _definitions(tree.body):
+            by_name.setdefault(node.name, []).append((module, node))
+    reached, seen, todo = set(), set(), _references(roots)
+    while todo:
+        name = todo.pop()
+        seen.add(name)
+        for module, node in by_name.get(name, ()):
+            reached.add((module, node.name))
+            if isinstance(node, ast.ClassDef):
+                parts = [item for item in node.body if not isinstance(item, ast.FunctionDef)
+                         or item.name.startswith("__")]
+            else:
+                parts = [node]
+            todo |= _references(parts) - seen
+    return {(module, node.name) for defs in by_name.values()
+            for module, node in defs} - reached
+
+
+def test_unreachable_scan_follows_names_from_main():
+    # `helper` is reached through the dunder of the class main builds,
+    # `put` by its name and `make` as a default; an import refers to nothing
+    source = """
+from .other import orphan
+class Box(Base):
+    def __init__(self): self.x = helper()
+    def put(self): pass
+    def spare(self): pass
+def helper(): return 1
+def make(): return 2
+def unused(x=make()): return x
+def main(): return Box().put()
+def orphan(): pass
+"""
+    assert _unreachable({"m": ast.parse(source)}) == {
+        ("m", "spare"), ("m", "unused"), ("m", "orphan")}
+
+
+def test_every_definition_is_reachable_from_the_cli():
+    found = _unreachable({path.stem: _tree(path) for path in sorted(PACKAGE.glob("*.py"))})
+    assert not found - UNREACHABLE, f"unreachable from cli.main: {sorted(found - UNREACHABLE)}"
+    assert not UNREACHABLE - found, f"stale unreachable entries: {sorted(UNREACHABLE - found)}"

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mat_mul, reference_smith_normal_form
+from conftest import int_kernel, mat_mul, reference_smith_normal_form
 from toricvanish.linalg import (
     adapted_basis,
     det_int,
-    int_kernel,
     int_rank,
     invert_unimodular,
     primitive,

@@ -10,6 +10,7 @@ import pytest
 from conftest import (
     flip_side_a,
     flip_side_b,
+    int_kernel,
     mmp_models,
     mmp_runs,
     p2_fan,
@@ -41,7 +42,7 @@ from toricvanish.fans import (
     validate,
 )
 from toricvanish.mmp import flip, flip_diagram, negative_contractions, run_mmp
-from toricvanish.linalg import adapted_basis, dot, int_kernel, mat_vec, primitive
+from toricvanish.linalg import adapted_basis, dot, int_rank, mat_vec, primitive
 from toricvanish.mori import extremal_rays, intersect, walls, walls_within
 from toricvanish.verify import _q_factorial_model, verify_flip_diagram_for
 
@@ -542,7 +543,7 @@ def _reference_contract(fan, extremal):
         extreme = cones.extreme_ray_indices(tuple(fan.rays[i] for i in idx), fan.rank)
         removed.update(idx[k] for k in range(len(idx)) if k not in extreme)
         new_cones.append(tuple(idx[k] for k in extreme))
-    simplicial = [len(mc) == cones.cone_dim([fan.rays[i] for i in mc]) for mc in new_cones]
+    simplicial = [len(mc) == int_rank([fan.rays[i] for i in mc]) for mc in new_cones]
     if removed and (len(removed) != 1 or not all(simplicial)):
         raise ValueError("not an extremal contraction")
     if not removed and any(simplicial):
@@ -591,7 +592,7 @@ def _reference_flip_diagram(x_fan, x_plus, z_fan):
     """`mmp.flip_diagram` as it rescanned the contracted fan for its one
     non-simplicial cone and solved that circuit again: (theta, e_ray, gamma)."""
     non_simplicial = [c for c in z_fan.max_cones
-                      if len(c) != cones.cone_dim([z_fan.rays[i] for i in c])]
+                      if len(c) != int_rank([z_fan.rays[i] for i in c])]
     if len(non_simplicial) != 1:
         raise ValueError("flip diagram needs a single-circuit flip")
     idx = non_simplicial[0]

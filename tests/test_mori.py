@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     flip_side_a,
+    int_kernel,
     mmp_models,
     ray_divisor,
     reference_curve_class,
@@ -30,7 +31,7 @@ from toricvanish.divisors import (
     semiample_witness,
 )
 from toricvanish.fans import is_simplicial, make_fan, q_factorialize
-from toricvanish.linalg import dot, int_kernel, primitive
+from toricvanish.linalg import dot, primitive
 from toricvanish.mmp import run_mmp
 from toricvanish.mori import (
     Wall,
@@ -316,7 +317,7 @@ def test_off_ray_check_survives_python_O():
 
 def _reference_wall_relation(fan, wall):
     """`wall_relation` as it solved the kernel by Smith normal form
-    (`linalg.int_kernel`), whose one basis vector is primitive."""
+    (`conftest.int_kernel`), whose one basis vector is primitive."""
     u = _off_ray(fan, wall, wall.cone_a)
     v = _off_ray(fan, wall, wall.cone_b)
     support = list(wall.rays) + [u, v]

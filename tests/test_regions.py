@@ -438,21 +438,29 @@ def test_boundedness_in_dim_zero():
     assert lattice_points(IneqSystem(0, ())) == [()]
 
 
-def test_is_bounded_eliminates_twice(monkeypatch):
-    # a bounded rank-3 simplex: one elimination of a whole system for the
-    # feasibility guard and one for the recession cone
+def test_is_bounded_eliminates_once_and_dualizes_once(monkeypatch):
+    # a bounded rank-3 simplex: one elimination of the whole system for the
+    # feasibility guard, and the recession cone read off one dual
     calls = []
+    duals = []
     real = regions._feasible_levels
+    real_dual = regions.cone_dual
 
     def counted(sys):
         calls.append(sys)
         return real(sys)
 
+    def counted_dual(gens, dim):
+        duals.append(dim)
+        return real_dual(gens, dim)
+
     monkeypatch.setattr(regions, "_feasible_levels", counted)
+    monkeypatch.setattr(regions, "cone_dual", counted_dual)
     s = sys_of(3, [((1, 0, 0), -1, False), ((0, 1, 0), -1, False),
                    ((0, 0, 1), -1, False), ((-1, -1, -1), -1, False)])
     assert _bounded(s)
-    assert len(calls) == 2
+    assert len(calls) == 1
+    assert duals == [3]
 
 
 def _slab():
@@ -464,25 +472,25 @@ def _slab():
 
 
 def test_has_lattice_point_finds_a_recession_direction_once_per_level(monkeypatch):
-    # each recursion level asks for at most the one witness of its
-    # homogenized system
+    # each recursion level reads its recession direction off one dual, and
+    # no level builds a witness
     calls = []
-    real = regions.feasible
+    real = regions.cone_dual
 
-    def counted(sys):
-        calls.append(sys.dim)
-        return real(sys)
+    def counted(gens, dim):
+        calls.append(dim)
+        return real(gens, dim)
 
-    monkeypatch.setattr(regions, "feasible", counted)
+    monkeypatch.setattr(regions, "cone_dual", counted)
+    monkeypatch.setattr(regions, "feasible", None)
     assert not has_lattice_point(_slab())
-    assert sorted(calls) == [2, 3]
+    assert calls == [3, 2]
 
 
-def test_has_lattice_point_eliminates_twice_per_level(monkeypatch):
-    # the slab's homogenized and rotated systems, then the projection's
-    # homogenized system: the slab itself is never eliminated (the rotated
-    # system is feasible iff it is), and the bounded projection's levels are
-    # the rotated system's lower levels
+def test_has_lattice_point_eliminates_only_the_rotated_system(monkeypatch):
+    # the slab itself is never eliminated (the rotated system is feasible iff
+    # it is), the recession cones are read off duals, and the bounded
+    # projection's levels are the rotated system's lower levels
     calls = []
     real = regions._feasible_levels
 
@@ -492,4 +500,4 @@ def test_has_lattice_point_eliminates_twice_per_level(monkeypatch):
 
     monkeypatch.setattr(regions, "_feasible_levels", counted)
     assert not has_lattice_point(_slab())
-    assert calls == [(3, 6), (3, 5), (2, 5)]
+    assert calls == [(3, 5)]
