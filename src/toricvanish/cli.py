@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Subcommands: fan info, div check, coh dims, mmp run, verify kv|mmp|mfs|flip,
-suite. Exit codes: 0 success / all pass, 1 verdict or certificate failure,
-2 input error. `coh dims` prints a model's `cohomology.model_cohomology`
-table; `verify kv|mmp` and `suite`, the deterministic driver over the
-generated corpus, read the one per-instance pipeline in `verify`.
+suite. Exit codes: 0 success / all pass, 1 verdict, certificate or engine
+failure, 2 input error. `coh dims` prints a model's `model_cohomology` table;
+`verify kv|mmp` and `suite`, the deterministic pass over the generated
+corpus, read the one per-instance pipeline in `verify`.
 """
 
 import argparse
@@ -271,6 +271,9 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except (RecursionError, NotImplementedError) as exc:
+        print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     except RuntimeError as exc:
         print(f"certificate error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,10 @@ There is one nef/ample loop, `_nef_test`: it compares <N_sigma, u_rho> with
 `semiample_witness` both read it; the same loop checks that each N_sigma
 meets equality on the rays of sigma, so the semiample certificate
 (multiple L, sections N_sigma) is checked wherever it is read.
+Bigness is decided in ints where a certificate is at hand: every a_rho > 0
+(m = 0 is interior to P_D), else a nef D on a complete fan, where
+P_D = conv(m_sigma) and the centroid of the m_sigma decides; only the other
+divisors run the all-strict Fourier-Motzkin feasibility call.
 `support_value` and `mori.intersect` read the integers and return exact
 `Fraction`s. `pullback` reads a target ray's own coefficient, solves one
 cone (`_cone_covector`, shared with the Cartier data) for any other image,
@@ -31,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import ceil, floor, gcd
 
-from .fans import cone_contains, full_span, is_simplicial
+from .fans import cone_contains, full_span, is_complete, is_simplicial
 from .linalg import (
     adapted_basis,
     dot,
@@ -228,8 +232,13 @@ def positivity(fan, coeffs):
     """Nef/ample/big verdicts for a Q-Cartier divisor.
 
     D is big iff P_D is full-dimensional, iff some m satisfies every section
-    row <m, u_rho> >= -a_rho strictly: one feasibility call on the all-strict
-    rows, with the same verdict as polytope_dim(fan, coeffs) == fan.rank.
+    row <m, u_rho> >= -a_rho strictly, decided in this order:
+    1. every a_rho > 0: big, since m = 0 is such a point;
+    2. D nef on a complete fan: P_D = conv(m_sigma) (Cox, Little and
+       Schenck, Section 6.1), so D is big iff the centroid of the k sections
+       is such a point, sum_sigma <N_sigma, u_rho> > -k*A_rho on every ray;
+    3. otherwise one feasibility call on the all-strict rows.
+    Each step gives the same verdict as polytope_dim(fan, coeffs) == fan.rank.
     """
     cd = cartier_data(fan, coeffs)
     if isinstance(cd, NotQCartier):
@@ -239,8 +248,15 @@ def positivity(fan, coeffs):
     # fans with a torus factor admit no strictly convex support function
     ample = (nef and not tight and bool(fan.max_cones) and full_span(fan)
              and len(set(cd.numerators)) == len(cd.numerators))
-    interior = tuple((a, c, True) for a, c, _ in section_rows(fan, coeffs))
-    big = is_feasible(IneqSystem(fan.rank, interior))
+    if all(a > 0 for a in cd.scaled):
+        big = True  # m = 0 meets every section row strictly
+    elif nef and is_complete(fan):  # the centroid of the k sections
+        k = len(cd.numerators)
+        total = [sum(col) for col in zip(*cd.numerators)]
+        big = all(dot(total, ray) > -k * a for ray, a in zip(fan.rays, cd.scaled))
+    else:
+        interior = tuple((a, c, True) for a, c, _ in section_rows(fan, coeffs))
+        big = is_feasible(IneqSystem(fan.rank, interior))
     return Positivity(nef, ample, big)
 
 

@@ -138,7 +138,8 @@ def _verdicts(inst, fields):
     """The one pass over an instance: the hypothesis and the not-Q-Cartier gate
     once, then the KV verdict off the first model's table, then the MMP verdict
     off every model's table, each table built once. A D that is not Q-Cartier
-    yields only the skipped verdict."""
+    yields only the skipped verdict; when the hypothesis failed, a ValueError
+    or RuntimeError of the MMP stage is a note on a vacuous MMP verdict."""
     hyp = check_hypothesis(inst)
     if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
         yield Verdict(inst.label, *hyp, {}, {}, (), not hyp[0],
@@ -147,9 +148,15 @@ def _verdicts(inst, fields):
     fan, b, d, notes = _q_factorial_model(inst)
     first = model_cohomology(fan, d, fields)
     yield _kv_verdict(inst, hyp, fields, first, list(notes))
-    run = run_mmp(fan, d, b)
-    tables = [first] + [model_cohomology(model, div, fields)
-                        for model, div in zip(run.models[1:], run.divisors[1:])]
+    try:
+        run = run_mmp(fan, d, b)
+        tables = [first] + [model_cohomology(model, div, fields)
+                            for model, div in zip(run.models[1:], run.divisors[1:])]
+    except (ValueError, RuntimeError) as exc:
+        if hyp[0] or isinstance(exc, (RecursionError, NotImplementedError)):
+            raise
+        yield Verdict(inst.label, *hyp, {}, {}, (), True, (*notes, f"mmp: {exc}"))
+        return
     changes = []
     for f in fields:
         for i, ((mode, payload), (mode_next, payload_next)) in enumerate(

@@ -292,8 +292,78 @@ def test_suite_error_entry_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(verify, "run_mmp", failing_run)
     assert main(["suite", "--count", "0", "--field", "q"]) == 1
     out = capsys.readouterr().out.splitlines()
-    assert "error              control-p2-canonical" in out
-    assert out[-1] == "0/4 instances passed"
+    # the three curated klt instances hold their hypothesis, so the raise is
+    # an error entry; the control's failed hypothesis owes no MMP certificate
+    assert sum(line.startswith("error ") for line in out) == 3
+    assert "expected-fail      control-p2-canonical" in out
+    assert out[-1] == "1/4 instances passed"
+
+
+def _not_klt_instance():
+    # b = 1 on the ray (0, 1, 0): not klt, and the flip's discrepancy check
+    # of the MMP raises on it
+    from toricvanish.fans import make_fan
+    from toricvanish.formats import Instance
+
+    fan = make_fan(3, [(0, 0, 1), (0, 1, 0), (1, 0, 0), (1, 1, -2)],
+                   [(0, 1, 2), (1, 2, 3)])
+    b = tuple(Fraction(x) for x in (0, 1, 1, 0))
+    d = tuple(Fraction(x) for x in (-2, 3, 1, -1))
+    return Instance("not-klt", fan, b, d, 2, ())
+
+
+def test_verify_mmp_notes_an_mmp_failure_when_the_hypothesis_fails(tmp_path, capsys):
+    from toricvanish.formats import instance_to_obj
+
+    path = str(tmp_path / "inst.json")
+    save(path, instance_to_obj(_not_klt_instance()))
+    for what in ("kv", "mmp"):
+        assert main(["verify", what, path, "--field", "q"]) == 0
+        obj = json.loads(capsys.readouterr().out)
+        assert obj["hypothesis_ok"] is False and obj["pass"] is True
+        assert obj["hypothesis_reason"].startswith("pair is not klt")
+    assert obj["mmp"] == []
+    assert obj["notes"] == ["mmp: discrepancy -1 <= -1: pair is not klt"]
+
+
+@pytest.mark.parametrize("error", [RecursionError, NotImplementedError])
+def test_mmp_stage_engine_error_is_not_a_note(error, monkeypatch):
+    # only a failed certificate becomes a note, and only when the hypothesis
+    # failed; an engine error propagates either way
+    from toricvanish import verify
+
+    def failing_run(*args):
+        raise error("injected")
+
+    monkeypatch.setattr(verify, "run_mmp", failing_run)
+    with pytest.raises(error):
+        verify.verify_mmp(_not_klt_instance(), ("q",))
+
+
+@pytest.mark.parametrize("error", [RecursionError, NotImplementedError])
+@pytest.mark.parametrize("command", ["verify kv", "mmp run"])
+def test_engine_error_exits_1_with_one_line(error, command, p2_files, tmp_path,
+                                            capsys, monkeypatch):
+    # RecursionError and NotImplementedError subclass RuntimeError, but they
+    # are failures of the engine, not of a certificate
+    from toricvanish import cli
+    from toricvanish.corpus import curated_instances
+    from toricvanish.formats import instance_to_obj
+
+    def failing(*args):
+        raise error("injected")
+
+    if command == "verify kv":
+        save(tmp_path / "inst.json",
+             instance_to_obj(dict(curated_instances())["p2-minus-h"]))
+        path = tmp_path / "inst.json"
+        monkeypatch.setattr(cli, "verify_kv", failing)
+    else:
+        path = p2_files[1]
+        monkeypatch.setattr(cli, "run_mmp", failing)
+    assert main([*command.split(), str(path)]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"engine error: {error.__name__}: injected"]
 
 
 def test_exit_code_2_on_invalid_fan(tmp_path, capsys):

@@ -113,6 +113,24 @@ def test_curated_control():
     assert v.passed  # vacuous: hypothesis fails, so no vanishing is owed
 
 
+def test_bigness_is_sharp_on_p1xp1(monkeypatch):
+    # drop bigness alone: D - (K+B) = 2 D_(1,0) is nef, not big, and D has
+    # h^1 = 1, so vanishing fails exactly where bigness fails. The centroid
+    # of the sections decides it, with no Fourier-Motzkin call
+    from toricvanish import divisors
+    from toricvanish.cohomology import coh_dims
+    from toricvanish.formats import Instance
+
+    p1 = projective_space(1)
+    fan = product_fan(p1, p1)
+    assert list(fan.rays) == sorted(fan.rays)
+    d = tuple(Fraction(x) for x in (-1, -1, -1, 1))
+    inst = Instance("control-p1xp1-not-big", fan, (Fraction(0),) * 4, d, 2, ())
+    monkeypatch.setattr(divisors, "is_feasible", None)
+    assert check_hypothesis(inst) == (False, "D-(K+B) is not big")
+    assert coh_dims(fan, d) == ((0, 1, 0),)
+
+
 def test_curated_minus_h_runs_to_fibration():
     insts = dict(curated_instances())
     inst = insts["p2-minus-h"]
@@ -243,15 +261,17 @@ def test_suite_reports_why_the_mmp_check_failed(monkeypatch):
 
 
 def test_suite_records_an_instance_error_and_goes_on(monkeypatch):
-    # the MMP of the first instance and the hypothesis check of p2-minus-h
-    # raise: each becomes an "error" entry with its stage and message, every
-    # other instance is still verified, and the suite exits 1
+    # the hypothesis check of p2-minus-h and the MMP of flip2-relative raise:
+    # each becomes an "error" entry with its stage and message, every other
+    # instance is still verified, and the suite exits 1. The MMP of the
+    # control raises too, but its hypothesis fails, so no MMP certificate is
+    # owed: the failure is a note and the control still fails as predicted
     real_run, real_check = verify.run_mmp, verify.check_hypothesis
     calls = []
 
     def failing_run(*args):
         calls.append(1)
-        if len(calls) == 1:
+        if len(calls) <= 2:
             raise RuntimeError("injected certificate failure")
         return real_run(*args)
 
@@ -265,13 +285,15 @@ def test_suite_records_an_instance_error_and_goes_on(monkeypatch):
     report, code = suite(ranks=(), fields=("q",), quiet=True)
     entries = {e["label"]: e for e in report["instances"]}
     assert code == 1
-    assert entries["control-p2-canonical"] == {
-        "label": "control-p2-canonical", "verdict": "error", "stage": "mmp",
-        "error": "injected certificate failure"}
+    control = entries["control-p2-canonical"]
+    assert control["verdict"] == "expected-fail" and control["mmp"] == []
+    assert "mmp: injected certificate failure" in control["notes"]
     assert entries["p2-minus-h"] == {
         "label": "p2-minus-h", "verdict": "error", "stage": "kv",
         "error": "injected input failure"}
-    assert entries["flip2-relative"]["verdict"] == "pass"
+    assert entries["flip2-relative"] == {
+        "label": "flip2-relative", "verdict": "error", "stage": "mmp",
+        "error": "injected certificate failure"}
     assert entries["cubeq-flop"]["verdict"] == "pass"
 
 

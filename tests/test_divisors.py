@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from pathlib import Path
@@ -57,6 +58,7 @@ from toricvanish.fans import (
     cone_contains,
     full_span,
     identity_map,
+    is_complete,
     is_simplicial,
     make_fan,
     properties,
@@ -538,6 +540,85 @@ def test_integer_cartier_data_matches_the_fraction_reference(fan, data):
             for wall in walls(fan):
                 assert intersect(fan, D, wall) == _reference_intersect(
                     fan, D, covectors, wall), (D, wall)
+
+
+def _bigness_branch(fan, D, nef):
+    """The step of `positivity`'s bigness order that decides D."""
+    if all(a > 0 for a in D):
+        return "positive"
+    return "centroid" if nef and is_complete(fan) else "fm"
+
+
+def _fm_counter(monkeypatch):
+    calls = []
+
+    def counted(system):
+        calls.append(system)
+        return is_feasible(system)
+
+    monkeypatch.setattr(divisors, "is_feasible", counted)
+    return calls
+
+
+def test_bigness_certificates_match_fourier_motzkin(monkeypatch):
+    # on every reference fan: drawn all-positive divisors (m = 0 is interior
+    # to P_D), and drawn divisors plus a principal one, nef ones among them
+    # on every complete fan, the cube included (the centroid of the
+    # sections); each must give FM's verdict, and only the third step of the
+    # order may call FM
+    calls = _fm_counter(monkeypatch)
+    rng = random.Random("bigness")
+    taken = Counter()
+    for fan in REFERENCE_FANS:
+        nef_drawn = 0
+        for draw in range(16):
+            if is_simplicial(fan):
+                D = tuple(Fraction(rng.randint(1, 11), rng.randint(1, 4))
+                          for _ in fan.rays)
+            else:  # a multiple of -K stays Q-Cartier on the cube
+                D = scale(Fraction(-rng.randint(1, 6), rng.randint(1, 3)),
+                          canonical(fan))
+            if draw % 2:
+                if draw % 4 == 1:
+                    D = tuple(0 * a for a in D)
+                m = tuple(rng.randint(-3, 3) for _ in range(fan.rank))
+                D = add(D, principal(fan, m))
+            covectors = _reference_covectors(fan, D)
+            if covectors is None:
+                continue
+            expected = _reference_positivity(fan, D, covectors)
+            before = len(calls)
+            assert positivity(fan, D) == expected, (fan, D)
+            branch = _bigness_branch(fan, D, expected.nef)
+            assert len(calls) - before == (branch == "fm"), (fan, D, branch)
+            taken[branch] += 1
+            if branch == "centroid":
+                nef_drawn += 1
+                taken[branch, expected.big] += 1
+        assert nef_drawn or not is_complete(fan), fan
+    for key in ("positive", "centroid", ("centroid", True), ("centroid", False), "fm"):
+        assert taken[key] >= 20, taken
+
+
+def test_bigness_needs_no_fourier_motzkin_on_the_suite_and_the_corpus(monkeypatch):
+    # every positivity call the generator and the verifier make is decided by
+    # an integer certificate: all-positive, or nef on a complete fan
+    from toricvanish import corpus, verify
+    from toricvanish.cli import main
+
+    calls = _fm_counter(monkeypatch)
+    asked = Counter()
+    for module in (corpus, verify):
+        def counted(fan, coeffs, module=module):
+            asked[module.__name__] += 1
+            return positivity(fan, coeffs)
+
+        monkeypatch.setattr(module, "positivity", counted)
+    assert main(["--quiet", "suite", "--seed", "42"]) == 0
+    corpus.gen_corpus(42, 2, count=45)
+    corpus.gen_corpus(42, 3, count=40)
+    assert asked["toricvanish.corpus"] and asked["toricvanish.verify"]
+    assert calls == []
 
 
 @cache
