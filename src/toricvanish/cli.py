@@ -36,6 +36,7 @@ from .mmp import negative_contractions, run_mmp
 from .mori import walls
 from .verify import (
     DEFAULT_FIELDS,
+    ENGINE_ERRORS,
     instance_entry,
     verify_flip_diagram_for,
     verify_kv,
@@ -140,10 +141,6 @@ def _fields(args):
     return DEFAULT_FIELDS
 
 
-def _is_quiet(args):
-    return bool(args.quiet or getattr(args, "quiet_sub", False))
-
-
 def _verify(args):
     if args.what in ("kv", "mmp"):
         inst = load_instance(args.path)
@@ -163,7 +160,7 @@ def _verify(args):
         _require_valid(fan)
         verdict = verify_flip_diagram_for(fan, coeffs)
     obj = verdict.to_obj()
-    if not _is_quiet(args):
+    if not args.quiet:
         print(canonical_json(obj), end="")
     return 0 if verdict.passed else 1
 
@@ -196,13 +193,12 @@ def suite(seed=42, ranks=(2, 3), count=10, max_rays=12, fields=DEFAULT_FIELDS,
 
 
 def _suite(args):
-    quiet = _is_quiet(args)
     ranks = (args.rank,) if args.rank else (2, 3)
     report, code = suite(args.seed, ranks, args.count, args.max_rays, _fields(args),
-                         quiet)
+                         args.quiet)
     if args.report:
         save(args.report, report)
-    if not quiet:
+    if not args.quiet:
         total = len(report["instances"])
         bad = [e for e in report["instances"] if e["verdict"] not in OK_VERDICTS]
         print(f"{total - len(bad)}/{total} instances passed")
@@ -246,7 +242,7 @@ def build_parser():
     ver.add_argument("path")
     ver.add_argument("--field", action="append",
                      choices=DEFAULT_FIELDS)
-    ver.add_argument("--quiet", action="store_true", dest="quiet_sub")
+    ver.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     ver.set_defaults(func=_verify)
 
     sui = sub.add_parser("suite")
@@ -257,7 +253,7 @@ def build_parser():
     sui.add_argument("--report")
     sui.add_argument("--field", action="append",
                      choices=DEFAULT_FIELDS)
-    sui.add_argument("--quiet", action="store_true", dest="quiet_sub")
+    sui.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS)
     sui.set_defaults(func=_suite)
 
     return parser
@@ -271,7 +267,7 @@ def main(argv=None):
     except (ValueError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (RecursionError, NotImplementedError) as exc:
+    except ENGINE_ERRORS as exc:
         print(f"engine error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -33,14 +33,13 @@ generator tried.
 
 from fractions import Fraction
 from functools import lru_cache
-from math import ceil, floor, gcd
+from math import ceil, floor, gcd, lcm
 
 from .fans import cone_contains, full_span, is_complete, is_simplicial
 from .linalg import (
     adapted_basis,
     dot,
     int_rank,
-    lcm_list,
     solve_rational,
 )
 from .regions import (
@@ -125,8 +124,8 @@ def _cartier_data(fan, coeffs):
         if m is None:
             return NotQCartier(ci)
         covectors.append(m)
-    ell = lcm_list([x.denominator for m in covectors for x in m]
-                   + [a.denominator for a in coeffs])
+    ell = lcm(*(x.denominator for m in covectors for x in m),
+              *(a.denominator for a in coeffs))
 
     def scaled(values):
         return tuple(x.numerator * (ell // x.denominator) for x in values)
@@ -143,8 +142,8 @@ def _cone_covector(fan, cone, coeffs):
     sol = solve_rational([list(r) for r in rays], rhs)
     if sol is None:
         return None
-    particular, kernel = sol
-    if not kernel:
+    particular, nullity = sol
+    if not nullity:
         return tuple(particular)
     V, r_span = adapted_basis(rays, fan.rank)
     coords = [[sum(ray[i] * V[i][j] for i in range(fan.rank))
@@ -172,7 +171,7 @@ class Positivity(Record):
 def section_rows(fan, coeffs):
     """The rows <m, u_rho> >= -a_rho of P_D, one per ray, times the lcm of the
     coefficients' denominators, each divided by its gcd: coprime integers."""
-    scale = lcm_list([c.denominator for c in coeffs])
+    scale = lcm(*(c.denominator for c in coeffs))
     rows = []
     for ray, c in zip(fan.rays, coeffs):
         a = c.numerator * (scale // c.denominator)

@@ -26,12 +26,12 @@ no sum of facet normals separates.
 
 from collections import Counter
 from functools import lru_cache
+from math import gcd
 
 from . import cones
 from .linalg import (
     det_int,
     dot,
-    gcd_list,
     int_rank,
     mat_vec,
     primitive,
@@ -54,7 +54,7 @@ def make_fan(rank, rays, max_cones):
     for r in rays:
         if len(r) != rank:
             raise ValueError("ray length does not match rank")
-        if gcd_list(r) != 1:
+        if gcd(*r) != 1:
             raise ValueError(f"ray {r} is not primitive")
     if len(set(rays)) != len(rays):
         raise ValueError("duplicate rays")

@@ -10,9 +10,9 @@ import json
 import os
 import re
 from fractions import Fraction
+from math import gcd
 
 from .fans import make_fan
-from .linalg import gcd_list
 from .record import Record
 
 
@@ -81,7 +81,7 @@ def fan_from_obj(obj, where="fan"):
     for i, ray in enumerate(_list_field(obj, "rays", where)):
         if not isinstance(ray, list) or len(ray) != rank or not all(map(_is_int, ray)):
             raise ParseError(f"{where}.rays[{i}]: expected {rank} integers")
-        if gcd_list(ray) != 1:
+        if gcd(*ray) != 1:
             raise ParseError(f"{where}.rays[{i}]: ray {ray} is not primitive")
         rays.append(tuple(ray))
     if rays != sorted(rays):

@@ -2,10 +2,11 @@
 
 Everything runs on arbitrary-precision Python ints and fractions.Fraction;
 there is no floating point anywhere in the engine. The eliminations are
-fraction-free: ranks and determinants by Bareiss, and the rational solves and
-unimodular inverses by one integer Gauss-Jordan (`_gauss_jordan`) whose rows
-are divided by their gcd after each step. A Fraction is built only when a
-solution, a kernel basis or an inverse is read off the final rows.
+fraction-free: rank and determinant by one Bareiss forward elimination
+(`_bareiss`), and the rational solves and unimodular inverses by one integer
+Gauss-Jordan (`_gauss_jordan`) whose rows are divided by their gcd after each
+step. A Fraction is built only when a solution is read off the final rows.
+gcd and lcm of integer vectors are `math.gcd(*v)` and `math.lcm(*v)`.
 """
 
 from fractions import Fraction
@@ -13,16 +14,9 @@ from math import gcd, lcm
 from operator import mul
 
 
-def gcd_list(values):
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
-
-
 def primitive(v):
     """Divide a nonzero integer vector by the gcd of its entries."""
-    g = gcd_list(v)
+    g = gcd(*v)
     if g == 0:
         raise ValueError("not a direction")
     return tuple(x // g for x in v)
@@ -134,18 +128,24 @@ def snf_diagonal(A):
     return [S[i][i] for i in range(min(len(S), len(S[0]) if S else 0)) if S[i][i]]
 
 
-def int_rank(A):
-    """Rank of an integer matrix (Bareiss fraction-free row echelon form)."""
+def _bareiss(A):
+    """Bareiss fraction-free forward elimination of an integer matrix.
+
+    Returns (rank, last): last is the last pivot times the sign of the row
+    swaps, which is the determinant when A is square of full rank.
+    """
     M = [list(row) for row in A]
     m = len(M)
     n = len(M[0]) if m else 0
     r = 0
-    prev = 1
+    sign = prev = 1
     for c in range(n):
         piv = next((i for i in range(r, m) if M[i][c]), None)
         if piv is None:
             continue
-        M[r], M[piv] = M[piv], M[r]
+        if piv != r:
+            M[r], M[piv] = M[piv], M[r]
+            sign = -sign
         p = M[r][c]
         for i in range(r + 1, m):
             f = M[i][c]
@@ -155,7 +155,18 @@ def int_rank(A):
         r += 1
         if r == m:
             break
-    return r
+    return r, sign * prev
+
+
+def int_rank(A):
+    """Rank of an integer matrix."""
+    return _bareiss(A)[0]
+
+
+def det_int(A):
+    """Determinant of a square integer matrix."""
+    rank, last = _bareiss(A)
+    return last if rank == len(A) else 0
 
 
 def _int_row(values):
@@ -207,9 +218,9 @@ def _gauss_jordan(rows, ncols):
 def solve_rational(A, b):
     """Exact solution set of A x = b over the rationals.
 
-    Returns (particular, kernel_basis) with Fraction entries, or None when the
-    system is inconsistent. Free variables are set to zero in the particular
-    solution; the kernel basis has one vector per free variable.
+    Returns (particular, nullity), or None when the system is inconsistent:
+    particular has Fraction entries and its free variables set to zero, and
+    nullity is the number of free variables, the dimension of the kernel.
     """
     m = len(A)
     n = len(A[0]) if m else 0
@@ -220,37 +231,7 @@ def solve_rational(A, b):
     particular = [Fraction(0)] * n
     for row, c in zip(rows, pivots):
         particular[c] = Fraction(row[n], row[c])
-    kernel = []
-    for fc in [c for c in range(n) if c not in pivots]:
-        v = [Fraction(0)] * n
-        v[fc] = Fraction(1)
-        for row, c in zip(rows, pivots):
-            v[c] = Fraction(-row[fc], row[c])
-        kernel.append(tuple(v))
-    return tuple(particular), kernel
-
-
-def det_int(A):
-    """Determinant of a square integer matrix (Bareiss fraction-free)."""
-    n = len(A)
-    if n == 0:
-        return 1
-    M = [list(row) for row in A]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if M[k][k] == 0:
-            piv = next((i for i in range(k + 1, n) if M[i][k]), None)
-            if piv is None:
-                return 0
-            M[k], M[piv] = M[piv], M[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
-            M[i][k] = 0
-        prev = M[k][k]
-    return sign * M[n - 1][n - 1]
+    return tuple(particular), n - len(pivots)
 
 
 def invert_unimodular(A):
@@ -282,12 +263,3 @@ def adapted_basis(vectors, n):
         return identity_matrix(n), 0
     S, V = smith_normal_form(rows)
     return V, len([i for i in range(min(len(rows), n)) if S[i][i]])
-
-
-def lcm_list(values):
-    out = 1
-    for v in values:
-        v = abs(v)
-        if v:
-            out = out * v // gcd(out, v)
-    return out

@@ -28,6 +28,7 @@ from .divisors import (
     NotQCartier,
     SemiampleWitness,
     cartier_data,
+    coeffs_of,
     discrepancy,
     pullback,
     pushforward,
@@ -222,13 +223,9 @@ def flip_diagram(x_fan, x_plus, contraction):
     psi_prime = ToricMap(psi_prime.matrix, theta, x_plus)
     e_idx = theta.ray_index(e_ray)
     kappa = []
-    for i in range(len(x_fan.rays)):
-        f_coeffs = tuple(Fraction(1) if j == i else Fraction(0)
-                         for j in range(len(x_fan.rays)))
-        pb = pullback(psi, f_coeffs)
-        f_plus = tuple(Fraction(1) if x_plus.rays[j] == x_fan.rays[i] else Fraction(0)
-                       for j in range(len(x_plus.rays)))
-        pb_plus = pullback(psi_prime, f_plus)
+    for ray in x_fan.rays:
+        pb = pullback(psi, coeffs_of(x_fan, {ray: 1}))
+        pb_plus = pullback(psi_prime, coeffs_of(x_plus, {ray: 1}))
         for j in range(len(theta.rays)):
             if j != e_idx and pb[j] != pb_plus[j]:
                 raise RuntimeError("pullbacks differ away from the exceptional ray")

@@ -22,6 +22,7 @@ from .divisors import (
     add,
     canonical,
     cartier_data,
+    coeffs_of,
     h0_dim,
     klt_check,
     positivity,
@@ -38,6 +39,10 @@ from .mori import intersect, walls_within
 from .record import Record
 
 DEFAULT_FIELDS = ("q", "f2", "f3", "f5", "f7")
+
+# failures of the engine itself, not of an input or a certificate: reported
+# with their type, and never turned into a note
+ENGINE_ERRORS = (RecursionError, NotImplementedError)
 
 
 class Verdict(Record):
@@ -69,15 +74,15 @@ def check_hypothesis(inst):
         return False, f"pair is not klt: {reason}"
     rest = sub(sub(d, canonical(fan)), b)
     if inst.mode == 2:
-        if isinstance(cartier_data(fan, rest), NotQCartier):
-            return False, "D-(K+B) is not Q-Cartier"
+        # D and K+B are Q-Cartier and the per-cone systems are linear, so
+        # D-(K+B) is Q-Cartier too
         pos = positivity(fan, rest)
         if not pos.nef:
             return False, "D-(K+B) is not nef"
         if not pos.big:
             return False, "D-(K+B) is not big"
         return True, "ok"
-    principal_part = tuple(Fraction(0) for _ in fan.rays)
+    principal_part = coeffs_of(fan, {})
     for q, m in inst.witness:
         principal_part = add(principal_part, scale(q, principal(fan, m)))
     if rest != principal_part:
@@ -153,7 +158,7 @@ def _verdicts(inst, fields):
         tables = [first] + [model_cohomology(model, div, fields)
                             for model, div in zip(run.models[1:], run.divisors[1:])]
     except (ValueError, RuntimeError) as exc:
-        if hyp[0] or isinstance(exc, (RecursionError, NotImplementedError)):
+        if hyp[0] or isinstance(exc, ENGINE_ERRORS):
             raise
         yield Verdict(inst.label, *hyp, {}, {}, (), True, (*notes, f"mmp: {exc}"))
         return
@@ -192,7 +197,8 @@ def verify_instance(inst, fields=DEFAULT_FIELDS):
 def instance_entry(inst, fields=DEFAULT_FIELDS):
     """The suite's report entry of one instance: `report_entry` of both
     verdicts, or, when its KV or MMP stage raises ValueError or RuntimeError,
-    an entry with verdict "error", that stage and the message."""
+    an entry with verdict "error", that stage and the message, which an
+    engine error prefixes with its type."""
     verdicts = _verdicts(inst, fields)
     stage = "kv"
     try:
@@ -200,8 +206,8 @@ def instance_entry(inst, fields=DEFAULT_FIELDS):
         stage = "mmp"
         mmp = next(verdicts, None)
     except (ValueError, RuntimeError) as exc:
-        return {"label": inst.label, "verdict": "error", "stage": stage,
-                "error": str(exc)}
+        error = f"{type(exc).__name__}: {exc}" if isinstance(exc, ENGINE_ERRORS) else str(exc)
+        return {"label": inst.label, "verdict": "error", "stage": stage, "error": error}
     return report_entry(kv, mmp)
 
 
@@ -269,17 +275,13 @@ def verify_flip_diagram_for(fan, d_coeffs):
         notes.append("resolution is not simplicial")
     e_idx = dia.theta.ray_index(dia.e_ray)
     rng = random.Random("flipdiag:0")
-    probes = [tuple(Fraction(1) if j == i else Fraction(0)
-                    for j in range(len(fan.rays)))
-              for i in range(len(fan.rays))]
+    probes = [coeffs_of(fan, {ray: 1}) for ray in fan.rays]
     for _ in range(5):
         probes.append(tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4))
                             for _ in fan.rays))
     for f_coeffs in probes:
-        by_ray = {fan.rays[i]: f_coeffs[i] for i in range(len(fan.rays))}
-        f_plus = tuple(by_ray[r] for r in flipped.rays)
         lhs = pullback(dia.psi, f_coeffs)
-        rhs = pullback(dia.psi_prime, f_plus)
+        rhs = pullback(dia.psi_prime, coeffs_of(flipped, dict(zip(fan.rays, f_coeffs))))
         kappa = dot(dia.gamma, f_coeffs)
         expect = tuple(r - (kappa if j == e_idx else 0) for j, r in enumerate(rhs))
         if lhs != expect:

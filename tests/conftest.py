@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 
 import pytest
 
@@ -14,7 +15,7 @@ from toricvanish.corpus import (
 )
 from toricvanish.divisors import NotQCartier, cartier_data
 from toricvanish.fans import is_simplicial, make_fan
-from toricvanish.linalg import gcd_list, identity_matrix, lcm_list, smith_normal_form
+from toricvanish.linalg import identity_matrix, smith_normal_form
 from toricvanish.mmp import run_mmp
 from toricvanish.verify import _q_factorial_model
 
@@ -137,9 +138,9 @@ def make_row(coeffs, const, strict=False):
     """A row <coeffs, x> >= const (or >) in coprime integers, from rational
     data: the reference `divisors.section_rows` is checked against."""
     fr = [Fraction(c) for c in coeffs] + [Fraction(const)]
-    den = lcm_list([f.denominator for f in fr])
+    den = lcm(*(f.denominator for f in fr))
     ints = [int(f * den) for f in fr]
-    g = gcd_list(ints)
+    g = gcd(*ints)
     if g:
         ints = [x // g for x in ints]
     return tuple(ints[:-1]), ints[-1], bool(strict)
@@ -266,9 +267,9 @@ def reference_pair(pairing, coeffs):
 def reference_primitive_direction(pairing):
     """The primitive integer direction of a Fraction pairing, as
     `mori._primitive_direction` computed it."""
-    den = lcm_list([x.denominator for x in pairing])
+    den = lcm(*(x.denominator for x in pairing))
     ints = [int(x * den) for x in pairing]
-    g = gcd_list(ints)
+    g = gcd(*ints)
     return tuple(x // g for x in ints)
 
 

@@ -241,6 +241,12 @@ def test_exit_code_2_on_bad_input(tmp_path, capsys):
     assert main(["fan", "info", str(missing)]) == 2
     save(tmp_path / "badfan.json", {"rank": 2, "rays": [[2, 0]], "max_cones": [[0]]})
     assert main(["fan", "info", str(tmp_path / "badfan.json")]) == 2
+    # a fan that is not an object, or that lacks a field
+    for obj, message in (([1, 0], "expected an object"),
+                         ({"rank": 2, "rays": [[1, 0]]}, "missing field 'max_cones'")):
+        save(tmp_path / "badfan.json", obj)
+        assert main(["fan", "info", str(tmp_path / "badfan.json")]) == 2
+        assert message in capsys.readouterr().err
     # a cone repeating an index or listed twice, and a rational that only
     # int()'s leniency reads, are not canonical: malformed input
     p2 = fan_to_obj(p2_fan())

@@ -25,7 +25,7 @@ from toricvanish.divisors import (
     sub,
 )
 from toricvanish.fans import properties, validate
-from toricvanish.formats import canonical_json, instance_to_obj
+from toricvanish.formats import Instance, canonical_json, instance_to_obj
 from toricvanish.mmp import run_mmp
 from toricvanish.verify import (
     check_hypothesis,
@@ -129,6 +129,22 @@ def test_bigness_is_sharp_on_p1xp1(monkeypatch):
     monkeypatch.setattr(divisors, "is_feasible", None)
     assert check_hypothesis(inst) == (False, "D-(K+B) is not big")
     assert coh_dims(fan, d) == ((0, 1, 0),)
+
+
+@pytest.mark.parametrize("mode, b, d, reason", [
+    # formats refuses a non-integral D at parse time, so only a library call
+    # reaches this reason
+    (2, (0, 0, 0), (Fraction(1, 2), 0, 0), "D is not a Z-divisor"),
+    # D - K = (-3, 1, 1) has degree -1
+    (2, (0, 0, 0), (-4, 0, 0), "D-(K+B) is not nef"),
+    # no witness, and D - K = (1, 1, 1) is not 0
+    (1, (0, 0, 0), (0, 0, 0), "witness does not realize D - K - B as a principal divisor"),
+    (1, (0, 0, 0), (-1, -1, -1), "B is not big"),
+])
+def test_check_hypothesis_refuses_with_its_reason(mode, b, d, reason):
+    inst = Instance("x", projective_space(2), tuple(map(Fraction, b)),
+                    tuple(map(Fraction, d)), mode, ())
+    assert check_hypothesis(inst) == (False, reason)
 
 
 def test_curated_minus_h_runs_to_fibration():
@@ -295,6 +311,22 @@ def test_suite_records_an_instance_error_and_goes_on(monkeypatch):
         "label": "flip2-relative", "verdict": "error", "stage": "mmp",
         "error": "injected certificate failure"}
     assert entries["cubeq-flop"]["verdict"] == "pass"
+
+
+@pytest.mark.parametrize("error", [RecursionError, NotImplementedError])
+def test_suite_entry_names_an_engine_error(error, monkeypatch):
+    # an engine error is an "error" entry that names its type, as `cli.main`
+    # prints it, and the suite goes on to the next instance and exits 1
+    def failing_run(*args):
+        raise error("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(verify, "run_mmp", failing_run)
+    report, code = suite(ranks=(), fields=("q",), quiet=True)
+    assert code == 1
+    assert len(report["instances"]) == 4
+    for entry in report["instances"]:
+        assert entry["verdict"] == "error" and entry["stage"] == "mmp"
+        assert entry["error"] == f"{error.__name__}: maximum recursion depth exceeded"
 
 
 def test_cubeq_flop_computes_each_cone_dual_once(monkeypatch):

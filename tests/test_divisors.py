@@ -5,6 +5,7 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from functools import cache
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -71,7 +72,6 @@ from toricvanish.linalg import (
     adapted_basis,
     dot,
     int_rank,
-    lcm_list,
     primitive,
     solve_rational,
 )
@@ -273,9 +273,7 @@ def test_discrepancy_klt_positive(p2, f1, p112):
             v = None
             while v is None:
                 cand = (rng.randint(-3, 3), rng.randint(-3, 3))
-                from toricvanish.linalg import gcd_list
-
-                if cand != (0, 0) and gcd_list(cand) == 1 and cand not in fan.rays \
+                if cand != (0, 0) and gcd(*cand) == 1 and cand not in fan.rays \
                         and any(cone_contains(fan, c, cand) for c in fan.max_cones):
                     v = cand
             assert discrepancy(fan, b, v) > -1
@@ -424,7 +422,7 @@ def test_cartier_data_solves_once_per_fan_and_divisor():
     divisors._cartier_data.cache_clear()
     verify_mmp(inst)
     info = divisors._cartier_data.cache_info()
-    assert info.hits == 18
+    assert info.hits == 17
     assert info.misses == info.currsize == 6
 
 
@@ -439,8 +437,8 @@ def _reference_covectors(fan, coeffs):
         sol = solve_rational([list(r) for r in rays], rhs)
         if sol is None:
             return None
-        particular, kernel = sol
-        if not kernel:
+        particular, nullity = sol
+        if not nullity:
             covectors.append(tuple(particular))
             continue
         V, r_span = adapted_basis(rays, fan.rank)
@@ -471,7 +469,7 @@ def _reference_positivity(fan, coeffs, covectors):
 
 def _reference_index(coeffs, covectors):
     dens = [x.denominator for m in covectors for x in m] + [c.denominator for c in coeffs]
-    return lcm_list(dens) if dens else 1
+    return lcm(*dens)
 
 
 def _reference_semiample(fan, coeffs, covectors):

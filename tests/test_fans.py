@@ -39,6 +39,18 @@ def test_validate_p2(p2):
     assert validate(p2) == []
 
 
+@pytest.mark.parametrize("rank, rays, message", [
+    (2, [(1, 0, 0), (0, 1)], "ray length does not match rank"),
+    (2, [(1, 0), (0, -2)], r"ray \(0, -2\) is not primitive"),
+    (0, [()], r"ray \(\) is not primitive"),
+    (2, [(1, 0), (0, 1), (1, 0)], "duplicate rays"),
+])
+def test_make_fan_refuses_bad_rays(rank, rays, message):
+    # a rank-0 ray has gcd 0, so it is not primitive either
+    with pytest.raises(ValueError, match=message):
+        make_fan(rank, rays, [])
+
+
 def test_validate_overlapping_interiors():
     fan = make_fan(2, [(1, 0), (0, 1), (1, 1), (-1, 1)], [(0, 1), (2, 3)])
     defects = validate(fan)

@@ -73,6 +73,7 @@ def test_fan_errors():
      r"max_cones\[0\]: indices must be strictly increasing"),
     ("max_cones", [[0, 1], [2, 0]], r"max_cones\[1\]: indices must be strictly increasing"),
     ("max_cones", [[0, 1], [0, 1], [0, 2], [1, 2]], r"max_cones\[1\]: cone listed twice"),
+    ("rays", [[-1, -1], [0, 1], [0, 1]], "rays: duplicate rays"),
 ])
 def test_fan_fields_are_type_checked(field, value, message):
     obj = dict(fan_to_obj(p2_fan()), **{field: value})

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import ceil, floor
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_row
 from toricvanish import regions
 from toricvanish.cones import cone_dual, extreme_rays, halfspaces, in_cone_hrep
-from toricvanish.linalg import gcd_list, primitive
+from toricvanish.linalg import primitive
 from toricvanish.regions import (
     IneqSystem,
     feasible,
@@ -243,7 +243,7 @@ def _reference_eliminate(rows, k):
             q = -au[k]
             a = tuple(q * x + p * y for x, y in zip(al, au))
             c = q * cl + p * cu
-            g = gcd_list(list(a) + [c])
+            g = gcd(*a, c)
             if g:
                 a = tuple(x // g for x in a)
                 c = c // g
