@@ -11,7 +11,9 @@ its sign pattern and region. A neg complex that is Z-acyclic (invariant
 factors all 1, no Q-homology) has no homology over any field, so its
 chambers are dropped once per (fan, D). `coh_dims` and `vanishing_higher`
 take a tuple of fields and walk the rest once, reading every field's
-homology off each chamber and deciding its lattice points at most once.
+homology off each chamber and deciding its lattice points at most once:
+`coh_dims` counts them off the levels the walk kept for the chamber
+(`regions.count_lattice_points`), so no chamber is eliminated again.
 
 Most neg complexes are shown Z-acyclic from their faces alone, before any
 boundary matrix is built. The tests read, per ray v, the minimal faces F of
@@ -30,9 +32,13 @@ every maximal face, so K_S is a cone) iff v is in S and no such F lies in S.
   dual test would be wrong.
 Only the rest go through integer boundary matrices and their SNF.
 
-Chambers are built as a binary tree over the rays: each cell of the first i
-rays splits on ray i into the side where the section inequality holds and
-the side where it fails, and a child survives iff its region is nonempty.
+Chambers are built as a binary tree over the rays: each cell of the rays
+decided so far splits on the next ray into the side where the section
+inequality holds and the side where it fails, and a child survives iff its
+region is nonempty. Rays are decided in descending number of maximal cones
+that hold them, ties by index, so the cone tests below fire early; the
+chambers come out in binary order over the ray indices, each with its rows
+in ray order and the levels of its region.
 A cell carries the incremental elimination levels of its rows, so a split
 decides each child by extending its parent's levels by one row
 (`regions.extend_levels`): no system is eliminated from scratch and no
@@ -56,6 +62,7 @@ one for complement); so the walk drops exactly the chambers that leaf test
 would, and the rest come out in the same order.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
@@ -66,10 +73,10 @@ from .fans import is_complete, is_simplicial, support_is_convex
 from .linalg import dot, snf_diagonal
 from .regions import (
     IneqSystem,
+    count_lattice_points,
     empty_levels,
     extend_levels,
     has_lattice_point,
-    lattice_points,
 )
 from .record import Record
 
@@ -159,21 +166,27 @@ def _chamber_key(fan, coeffs):
 
 
 def _walk(fan, coeffs, cut=lambda neg, pos: None):
-    """(pattern, rows) of each feasible chamber, in binary order over the
-    rays; see the module docstring. A cell whose `cut(neg, pos)`, given the
-    masks of the rays decided negative and positive, is true is dropped
-    before it is eliminated."""
+    """(pattern, rows, levels) of each feasible chamber, in binary order over
+    the rays with rows in ray order; see the module docstring. A cell whose
+    `cut(neg, pos)`, given the masks of the rays decided negative and
+    positive, is true is dropped before it is eliminated."""
     n = len(fan.rays)
     if n > 20:
         raise ValueError("too many rays for subset enumeration")
-    # a cell is (neg, rows, levels); the last ray's children keep no levels
-    cells = [(0, (), empty_levels(fan.rank))]
-    for i, weak in enumerate(section_rows(fan, coeffs)):
-        strict = (tuple([-x for x in weak[0]]), -weak[1], True)
-        bit, last = 1 << i, i == n - 1
+    # each ray's (weak, strict) rows: the inequality holds, or it fails
+    sides = [(weak, (tuple([-x for x in weak[0]]), -weak[1], True))
+             for weak in section_rows(fan, coeffs)]
+    held = Counter(i for cone in fan.max_cones for i in cone)
+    # a cell is (neg, levels); rays are decided in descending number of
+    # maximal cones that hold them, so an apex is decided early
+    cells = [(0, empty_levels(fan.rank))]
+    decided = 0
+    for i in sorted(range(n), key=lambda i: (-held[i], i)):
+        weak, strict = sides[i]
+        bit = 1 << i
         new_cells = []
-        for neg, rows, levels in cells:
-            pos = (bit - 1) & ~neg
+        for neg, levels in cells:
+            pos = decided & ~neg
             strict_cut = cut(neg | bit, pos)
             below = None if strict_cut else extend_levels(levels, (strict,))
             if not cut(neg, pos | bit):
@@ -181,17 +194,21 @@ def _walk(fan, coeffs, cut=lambda neg, pos: None):
                 above = (extend_levels(levels, (weak,))
                          if strict_cut or below is not None else levels)
                 if above is not None:
-                    new_cells.append((neg, rows + (weak,), None if last else above))
+                    new_cells.append((neg, above))
             if below is not None:
-                new_cells.append((neg | bit, rows + (strict,), None if last else below))
+                new_cells.append((neg | bit, below))
         cells = new_cells
-    return [(tuple(i for i in range(n) if neg >> i & 1), rows) for neg, rows, _ in cells]
+        decided |= bit
+    cells.sort(key=lambda cell: [cell[0] >> i & 1 for i in range(n)])
+    return [(tuple(i for i in range(n) if neg >> i & 1),
+             tuple(sides[i][neg >> i & 1] for i in range(n)), levels)
+            for neg, levels in cells]
 
 
 def chambers(fan, coeffs):
     """Feasible sign-pattern chambers of D, in binary order over the rays."""
     return [ChamberReport(pattern, IneqSystem(fan.rank, rows))
-            for pattern, rows in _walk(fan, _chamber_key(fan, coeffs))]
+            for pattern, rows, _ in _walk(fan, _chamber_key(fan, coeffs))]
 
 
 def _z_acyclic(maximal_faces):
@@ -237,17 +254,18 @@ def _cone_certificate(obstructions, sphere, neg, pos):
 
 @lru_cache(maxsize=512)
 def _homology_chambers(fan, coeffs):
-    """(chamber, neg complex), in chamber order, where that is not Z-acyclic;
-    the walk drops every cell `_cone_certificate` decides, and SNF runs only
-    on the chambers left. Memoized: `verify_kv` and then `verify_mmp` on one
-    instance each build the first model's table, and without the memo the
-    second walks its chambers again."""
+    """(chamber, neg complex, elimination levels), in chamber order, where
+    that complex is not Z-acyclic; the walk drops every cell
+    `_cone_certificate` decides, and SNF runs only on the chambers left.
+    Memoized: `verify_kv` and then `verify_mmp` on one instance each build
+    the first model's table, and without the memo the second walks its
+    chambers again."""
     vertices, obstructions = _apex_obstructions(fan)
     sphere = vertices if is_complete(fan) else 0
     walk = _walk(fan, coeffs, partial(_cone_certificate, obstructions, sphere))
-    pairs = ((ChamberReport(p, IneqSystem(fan.rank, rows)), neg_complex(fan, p))
-             for p, rows in walk)
-    return tuple(p for p in pairs if not _z_acyclic(p[1]))
+    triples = ((ChamberReport(p, IneqSystem(fan.rank, rows)), neg_complex(fan, p), levels)
+               for p, rows, levels in walk)
+    return tuple(t for t in triples if not _z_acyclic(t[1]))
 
 
 def coh_dims(fan, coeffs, fields=(None,)):
@@ -256,23 +274,25 @@ def coh_dims(fan, coeffs, fields=(None,)):
     Graded pieces are indexed by lattice points, so only chambers containing
     lattice points contribute; a chamber with nonzero homology, a lattice
     point and an unbounded region would make the totals infinite and raises.
+    A chamber's points are counted off the levels the walk kept, so no
+    region is eliminated again.
     """
     if not is_complete(fan):
         raise ValueError("coh_dims requires a complete fan; use vanishing_higher")
     dims = [[0] * (fan.rank + 1) for _ in fields]
-    for ch, cx in _homology_chambers(fan, _chamber_key(fan, coeffs)):
+    for ch, cx, levels in _homology_chambers(fan, _chamber_key(fan, coeffs)):
         homs = [homology_dims(cx, field, fan.rank - 1) for field in fields]
         if not any(any(hom.values()) for hom in homs):
             continue
-        pts = lattice_points(ch.region)
-        if pts is None:
+        count = count_lattice_points(levels, fan.rank)
+        if count is None:
             if has_lattice_point(ch.region):
                 raise RuntimeError("unbounded chamber with nonzero homology "
                                    "and lattice points on a complete fan")
             continue
         for out, hom in zip(dims, homs):
             for p in range(fan.rank + 1):
-                out[p] += len(pts) * hom.get(p - 1, 0)
+                out[p] += count * hom.get(p - 1, 0)
     return tuple(map(tuple, dims))
 
 
@@ -285,7 +305,7 @@ def vanishing_higher(fan, coeffs, fields=(None,)):
     field, at the first chamber where it fails.
     """
     verdicts = [(True, None)] * len(fields)
-    for ch, cx in _homology_chambers(fan, _chamber_key(fan, coeffs)):
+    for ch, cx, _ in _homology_chambers(fan, _chamber_key(fan, coeffs)):
         degrees = [next((p for p in range(1, fan.rank + 1) if hom.get(p - 1, 0)), None)
                    for hom in (homology_dims(cx, f, fan.rank - 1) for f in fields)]
         bad = [i for i, d in enumerate(degrees) if d is not None and verdicts[i][0]]

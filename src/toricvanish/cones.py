@@ -4,17 +4,18 @@ Cones are given either by integer generators or by integer inequality rows
 {x : <a_i, x> >= 0}. Conversions run the double description method with a
 tight-set rank test for extremality, exact over the integers.
 
-A cone's dual is its H-representation, and pointedness, facets and the
-recession cone of an inequality system (`regions`) are read from it. Every
-cone question reads the one memo of duals in the package, `_dual`: an
+A cone's dual is its H-representation, and facets and the recession cone
+of an inequality system (`regions`) are read from it. Every dual comes from
+the one memo of duals in the package, `_dual`: an
 `lru_cache` keyed on the generator tuple and `dim`, since a dual depends on
 the generators alone and not on the fan or system that holds them. Beside
 the dual it keeps the facet incidence (which generators lie on each facet
 normal), read by `cone_facets`, so the dot products that decide it run once
 per generator tuple. It hands out tuples, so no caller can change what later
-readers see. `extreme_ray_indices` is memoized the same way and checks
-pointedness on that dual; it asks the exact simplex of `lp` only about
-non-simplicial cones.
+readers see. `extreme_ray_indices` is memoized the same way and builds no
+dual: linearly independent generators span a pointed cone, and only about
+dependent ones does it ask the exact simplex of `lp`, once whether the cone
+holds a line and once per generator whether it is extreme.
 """
 
 from functools import lru_cache
@@ -112,12 +113,6 @@ def in_cone_hrep(hrep, x):
     return all(dot(w, x) >= 0 for w in ineqs) and all(dot(e, x) == 0 for e in eqs)
 
 
-def cone_is_pointed(gens, dim):
-    """Whether cone(gens) holds no line, i.e. its dual is full-dimensional."""
-    ineqs, eqs = cone_dual(gens, dim)
-    return int_rank(ineqs + eqs) == dim
-
-
 def cone_facets(gens, dim):
     """Facets of cone(gens) as (normal, tuple of generator indices on it): the
     facet incidence that `_dual` keeps beside the dual."""
@@ -130,28 +125,19 @@ def extreme_ray_indices(gens, dim):
     the pointed cone(gens), as a sorted tuple; memoized like `_dual`.
 
     Each distinct primitive generator is listed at its first index. When
-    they are linearly independent (the cone is simplicial) each is extreme,
-    since none is a combination of the others; otherwise one exact simplex
-    per generator asks whether the others generate it.
+    they are linearly independent (the cone is simplicial) the cone is
+    pointed and each is extreme, since none is a combination of the others.
+    Otherwise one exact simplex asks whether the cone holds a line, that is
+    whether 0 is a convex combination of the distinct primitive generators,
+    and one per generator whether the others generate it.
     """
-    if not cone_is_pointed(gens, dim):
-        raise ValueError("not strongly convex")
     prim = {}
     for i, g in enumerate(gens):
         if any(g):
             prim.setdefault(primitive(g), i)
     if int_rank(list(prim)) == len(prim):
         return tuple(prim.values())
+    if lp.in_cone((0,) * dim + (1,), [p + (1,) for p in prim]):
+        raise ValueError("not strongly convex")
     return tuple(i for p, i in prim.items()
                  if not lp.in_cone(p, [q for q in prim if q != p]))
-
-
-def extreme_rays(gens):
-    """Minimal generating subset of a strongly convex cone, in input order."""
-    gens = tuple(map(tuple, gens))
-    nonzero = [g for g in gens if any(g)]
-    if not nonzero:
-        return []
-    dim = len(nonzero[0])
-    keep = extreme_ray_indices(gens, dim)
-    return [gens[i] for i in keep]

@@ -17,15 +17,21 @@ safe because a `Fan` is a frozen record compared structurally: equal fans
 give equal answers, and no fan changes after it is built. Each cone's
 H-representation (`cones.cone_dual`) and its facet incidence (which of its
 generators lie on each facet, `cones.cone_facets`, read by `_facets` and the
-pair test) come off one memo of `cones` keyed on its generators, and
-`validate`'s common-face test of each pair of maximal cones (`_common_face`)
-is memoized on the two generator tuples, so a cone or a pair shared by
-several fans is decided once. That pair test runs FM only on the pairs that
-no sum of facet normals separates.
+pair test) come off one memo of `cones` keyed on its generators.
+
+`validate` decides a fan whose maximal cones are all simplicial and
+full-dimensional by a certificate (`_is_triangulation`): the facet matching
+that `is_complete` reads, opposite sides across each facet, and one generic
+point in exactly one cone. Every other fan, and one that fails the
+certificate, goes through the pairwise loop, which alone writes defects: its
+common-face test of each pair of maximal cones (`_common_face`) is memoized
+on the two generator tuples, and runs FM only on the pairs that no sum of
+facet normals separates.
 """
 
 from collections import Counter
 from functools import lru_cache
+from itertools import count
 from math import gcd
 
 from . import cones
@@ -101,7 +107,7 @@ def validate(fan):
     if set(range(len(fan.rays))) - used:
         missing = sorted(set(range(len(fan.rays))) - used)
         defects.append(f"rays {missing} appear in no cone")
-    if defects:
+    if defects or _is_triangulation(fan):
         return defects
     for ai in range(len(fan.max_cones)):
         for bi in range(ai + 1, len(fan.max_cones)):
@@ -113,6 +119,52 @@ def validate(fan):
                                 tuple(fan.rays[i] for i in cb), fan.rank):
                 defects.append(f"intersection of cones {ca} and {cb} is not a face")
     return defects
+
+
+def _is_triangulation(fan):
+    """Whether the maximal cones, all simplicial and full-dimensional with
+    rank >= 2, certainly form a complete fan; False when that certificate
+    does not apply or fails, and the pairwise test then decides.
+
+    The certificate: each facet lies in exactly two maximal cones, whose
+    off-facet rays lie strictly on opposite sides of it, and one generic
+    point is interior to exactly one cone. This is the pseudo-manifold and
+    interior-point characterization of triangulations (De Loera, Rambau and
+    Santos, Triangulations, 2010):
+    - Along a path in general position, which meets cone boundaries only in
+      relative interiors of facets, crossing a facet leaves one of its two
+      cones and enters the other. So every point off the boundaries lies in
+      as many cones as the generic point: one. The cones cover R^rank with
+      disjoint interiors.
+    - Near a point of the relative interior of a face G, the boundaries of
+      the union of the cones through G lie in faces of codimension 2, since
+      every facet through G is matched; they do not disconnect a small
+      ball, so those cones cover it, and no other cone meets G there. Hence
+      a cone that meets the relative interior of a face G of another has G
+      as a face, and two cones meet in a common face.
+
+    The generic point is sum_i t^i r_i over the first cone's rays r_i, for
+    t = 1, 2, ...: it lies on a facet hyperplane for at most rank - 1 values
+    of t per hyperplane, since the first cone is full-dimensional.
+    """
+    if fan.rank < 2 or not (is_simplicial(fan) and is_complete(fan)):
+        return False
+    normals = {}
+    for c in fan.max_cones:
+        for w, f in _facets(fan, c):
+            normals.setdefault(f, w)
+    for f, (a, b) in facet_incidence(fan):
+        (off,) = set(fan.max_cones[b]) - set(f)
+        if dot(normals[f], fan.rays[off]) >= 0:
+            return False
+    first = [fan.rays[i] for i in fan.max_cones[0]]
+    hreps = [cones.cone_dual([fan.rays[i] for i in c], fan.rank)[0]
+             for c in fan.max_cones]
+    for t in count(1):
+        p = [sum(t ** i * r[k] for i, r in enumerate(first)) for k in range(fan.rank)]
+        signs = [min(dot(w, p) for w in ws) for ws in hreps]
+        if 0 not in signs:
+            return sum(x > 0 for x in signs) == 1
 
 
 @lru_cache(maxsize=16384)

@@ -6,7 +6,9 @@ as its primitive integer wall relation b (one int per ray): b is its class,
 since D.C = sum_rho b_rho a_rho / (b_u b_v) with u and v the off-wall rays,
 and b is the direction of its ray in the Mori cone. b is read off the
 signed maximal minors of the rays of the wall's two cones (`linalg.det_int`),
-so no Smith normal form runs.
+so no Smith normal form runs. `extremal_rays` restricts the relations to the
+rays off one full-dimensional maximal cone, which loses nothing, and decides
+their extreme rays in Z^(rays - rank) with no double description.
 
 `wall_relation` is memoized per process with `lru_cache`, as the fan-level
 predicates of `fans` are: a `Fan` and a `Wall` are frozen records
@@ -108,6 +110,13 @@ def extremal_rays(fan):
     Returns a list of (primitive direction, [walls whose class lies on it]),
     ordered by each ray's smallest representative wall; a wall's direction
     is its relation b.
+
+    The relations are handed to `cones.extreme_ray_indices` restricted to
+    the rays off one full-dimensional maximal cone: a relation that
+    vanishes on those rays is a relation among that cone's rays, which are
+    linearly independent, so it is 0. The restriction is therefore injective, extremality and
+    pointedness do not change, and the cone lives in Z^(rays - rank)
+    instead of Z^rays.
     """
     ws = walls(fan)
     if not ws:
@@ -115,7 +124,11 @@ def extremal_rays(fan):
     directions = {}
     for w in ws:
         directions.setdefault(wall_relation(fan, w)[0], []).append(w)
-    extremal = cones.extreme_rays(sorted(directions))
-    out = [(d, directions[d]) for d in extremal]
+    ordered = sorted(directions)
+    cone = fan.max_cones[ws[0].cone_a]
+    off = [i for i in range(len(fan.rays)) if i not in cone]
+    keep = cones.extreme_ray_indices(tuple(tuple(d[i] for i in off) for d in ordered),
+                                     len(off))
+    out = [(ordered[i], directions[ordered[i]]) for i in keep]
     out.sort(key=lambda item: item[1][0].rays)
     return out

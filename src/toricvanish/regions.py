@@ -22,6 +22,13 @@ variable, with their strictness, are the same. Witnesses and lattice points
 are therefore those of unpruned elimination. `_tighten` is that rule,
 written once.
 
+Lattice points: each level gives integer bounds on its variable over an
+integer prefix by floor division (`_int_bounds`, `_int_range`). The
+enumerator `_points`, behind `lattice_points` and `has_lattice_point`, and
+`count_lattice_points`, which counts a region's points off levels a caller
+kept and takes the last variable as an interval, read those bounds; only
+`feasible`'s rational witness reads `Fraction` bounds.
+
 Elimination: `extend_levels` adds rows to the levels of a feasible system
 without eliminating it again, and a whole system is `extend_levels` from
 `empty_levels`. Levels are dicts from primitive direction to the tightest
@@ -39,7 +46,8 @@ from scratch makes it once per prefix.
 """
 
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import gcd
+from operator import mul
 
 from .cones import cone_dual, halfspaces
 from .linalg import adapted_basis, invert_unimodular
@@ -149,8 +157,9 @@ def extend_levels(levels, rows):
     return tuple(levels)
 
 
-def _bounds_at(levels, k, x):
-    """Bounds on variable k given chosen values x[0..k-1]."""
+def _pick(levels, k, x):
+    """A rational value of variable k within its bounds given chosen values
+    x[0..k-1]: 0 when it is allowed, else a bound or their midpoint."""
     lo = hi = None
     lo_s = hi_s = False
     for d, entry in levels[k + 1].items():
@@ -168,10 +177,7 @@ def _bounds_at(levels, k, x):
                 hi, hi_s = residual, s
             elif residual == hi:
                 hi_s = hi_s or s
-    return lo, lo_s, hi, hi_s
 
-
-def _pick(lo, lo_s, hi, hi_s):
     def ok(t):
         if lo is not None and (t < lo or (t == lo and lo_s)):
             return False
@@ -207,8 +213,7 @@ def feasible(sys):
         return None
     x = []
     for k in range(sys.dim):
-        lo, lo_s, hi, hi_s = _bounds_at(levels, k, x)
-        x.append(_pick(lo, lo_s, hi, hi_s))
+        x.append(_pick(levels, k, x))
     return tuple(x)
 
 
@@ -225,29 +230,81 @@ def recession_direction(sys):
     return next(iter(lin + rays), None)
 
 
-def _int_low(v, strict):
-    return floor(v) + 1 if strict else ceil(v)
+def _int_bounds(levels, n):
+    """Per variable k, the rows of level k + 1 that bound it from below and
+    from above, each as (a[:k], c, strict, a[k]); None when some variable has
+    no lower or no upper row.
+
+    On a nonempty region, None means unbounded: that variable then grows
+    without bound over every feasible prefix. Otherwise the first variable
+    is bounded by constants and each next one over bounded prefixes, so the
+    region is bounded.
+    """
+    out = []
+    for k in range(n):
+        low, high = [], []
+        for d, entry in levels[k + 1].items():
+            if d[k]:
+                a, c, s = _stored_row(d, entry)
+                (low if a[k] > 0 else high).append((a[:k], c, s, a[k]))
+        if not (low and high):
+            return None
+        out.append((low, high))
+    return out
 
 
-def _int_high(v, strict):
-    return ceil(v) - 1 if strict else floor(v)
+def _int_range(bounds, x):
+    """(lo, hi): the integers allowed for the next variable after the prefix
+    x, by floor division. With r = c - <a, x>, a row p*t >= r (> r when
+    strict) gives t >= ceil(r/p) (t >= floor(r/p) + 1) for p > 0, and
+    t <= floor(-r/q) (t <= ceil(-r/q) - 1) for p = -q < 0."""
+    low, high = bounds
+    lo = max((r // p + 1 if s else -(-r // p))
+             for r, s, p in ((c - sum(map(mul, a, x)), s, p) for a, c, s, p in low))
+    hi = min((-(r // -p) - 1 if s else -r // -p)
+             for r, s, p in ((c - sum(map(mul, a, x)), s, p) for a, c, s, p in high))
+    return lo, hi
 
 
 def _points(levels, n):
     """The integer points of a region from its elimination levels, in
-    lexicographic order; raises on a prefix whose next variable is unbounded."""
+    lexicographic order, under the integer bounds of `_int_bounds`; raises
+    when the region is unbounded."""
+    bounds = _int_bounds(levels, n)
+    if bounds is None:
+        raise ValueError("unbounded region")
+
     def extend(x):
-        k = len(x)
-        if k == n:
+        if len(x) == n:
             yield tuple(x)
             return
-        lo, lo_s, hi, hi_s = _bounds_at(levels, k, x)
-        if lo is None or hi is None:
-            raise ValueError("unbounded region")
-        for v in range(_int_low(lo, lo_s), _int_high(hi, hi_s) + 1):
+        lo, hi = _int_range(bounds[len(x)], x)
+        for v in range(lo, hi + 1):
             yield from extend(x + [v])
 
     return extend([])
+
+
+def count_lattice_points(levels, n):
+    """The number of integer points of a nonempty region from its elimination
+    levels, or None when the region is unbounded. The same integer bounds
+    as `_points`; the last variable's points are counted in closed form,
+    max(0, hi - lo + 1). Each level is the exact projection of the region,
+    so over every prefix the next variable's rational interval is nonempty
+    and hi >= lo - 1; the max keeps the count sound on any levels."""
+    bounds = _int_bounds(levels, n)
+    if bounds is None:
+        return None
+    if not n:
+        return 1
+
+    def count(x):
+        lo, hi = _int_range(bounds[len(x)], x)
+        if len(x) == n - 1:
+            return max(0, hi - lo + 1)
+        return sum(count(x + [v]) for v in range(lo, hi + 1))
+
+    return count([])
 
 
 def lattice_points(sys):

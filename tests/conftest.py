@@ -221,14 +221,20 @@ def reference_fans():
 
 
 @cache
-def mmp_runs():
-    """The MMP run of each curated instance and of gen_corpus(42, 2) and
-    gen_corpus(42, 3), on the small Q-factorialization the verifier runs it
-    on. Instances whose D is not Q-Cartier run no MMP and are left out."""
+def verify_instances():
+    """The curated instances and gen_corpus(42, 2) and gen_corpus(42, 3): the
+    24 instances `toricvanish suite` verifies at seed 42."""
     insts = [inst for _, inst in curated_instances()]
-    insts += [inst for rank in (2, 3) for inst in gen_corpus(42, rank)[0]]
+    return tuple(insts + [inst for rank in (2, 3) for inst in gen_corpus(42, rank)[0]])
+
+
+@cache
+def mmp_runs():
+    """The MMP run of each of `verify_instances`, on the small
+    Q-factorialization the verifier runs it on. Instances whose D is not
+    Q-Cartier run no MMP and are left out."""
     out = []
-    for inst in insts:
+    for inst in verify_instances():
         if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
             continue
         fan, b, d, _ = _q_factorial_model(inst)

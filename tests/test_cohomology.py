@@ -17,7 +17,7 @@ from conftest import (
     ray_divisor,
     reference_fans,
 )
-from toricvanish import cohomology
+from toricvanish import cohomology, regions
 from toricvanish.cohomology import (
     ChamberReport,
     cech_graded,
@@ -416,10 +416,13 @@ def test_demazure_vanishing(p2, f1, p1xp1, p112):
 
 def _table_with_counts(monkeypatch, fan, coeffs):
     """`model_cohomology(fan, coeffs, DEFAULT_FIELDS)`, with the number of
-    chamber lists it asked for, the (function, region) of each lattice point
-    question it asked, and the regions of the chambers the walk kept."""
+    chamber lists it asked for, the (function, chamber) of each lattice point
+    question it asked, and the chambers the walk kept. A chamber is named by
+    its region where a question takes the region, and by the `id` of its
+    levels where the count reads them."""
     key = tuple(Fraction(a) for a in coeffs)
-    kept = [ch.region for ch, _ in cohomology._homology_chambers(fan, key)]
+    kept = [(ch.region, id(levels))
+            for ch, _, levels in cohomology._homology_chambers(fan, key)]
     walks, asked = [], []
     real_walk = cohomology._homology_chambers
 
@@ -427,37 +430,44 @@ def _table_with_counts(monkeypatch, fan, coeffs):
         walks.append(key)
         return real_walk(fan, key)
 
-    def recording(name, real):
-        def ask(region):
-            asked.append((name, region))
-            return real(region)
+    def recording(name, real, name_of=lambda arg: arg):
+        def ask(arg, *rest):
+            asked.append((name, name_of(arg)))
+            return real(arg, *rest)
         return ask
 
     with monkeypatch.context() as patch:
         patch.setattr(cohomology, "_homology_chambers", walk)
-        for name in ("lattice_points", "has_lattice_point"):
-            patch.setattr(cohomology, name, recording(name, getattr(cohomology, name)))
+        patch.setattr(cohomology, "has_lattice_point",
+                      recording("has_lattice_point", regions.has_lattice_point))
+        patch.setattr(cohomology, "count_lattice_points",
+                      recording("count_lattice_points", regions.count_lattice_points, id))
         table = model_cohomology(fan, coeffs, DEFAULT_FIELDS)
     return table, len(walks), asked, kept
 
 
 def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeypatch):
-    # of the 7 chambers of K on P2 only the all-negative one has homology,
-    # and `lattice_points` decides its boundedness once for every field
-    from toricvanish import regions
+    # of the 7 chambers of K on P2 only the all-negative one has homology;
+    # its points are counted once for every field, off the levels the walk
+    # kept, which also decide its boundedness: no recession cone is dualized
+    counts, duals = [], []
+    real_count, real_zero = cohomology.count_lattice_points, regions.recession_is_zero
 
-    calls = []
-    real = regions.recession_is_zero
+    def counting(levels, n):
+        counts.append(n)
+        return real_count(levels, n)
 
-    def counting(region):
-        calls.append(region)
-        return real(region)
+    def dualizing(region):
+        duals.append(region)
+        return real_zero(region)
 
-    monkeypatch.setattr(regions, "recession_is_zero", counting)
+    monkeypatch.setattr(cohomology, "count_lattice_points", counting)
+    monkeypatch.setattr(regions, "recession_is_zero", dualizing)
     K = canonical(p2)
     assert coh_dims(p2, K, FIELDS) == ((0, 0, 1),) * len(FIELDS)
     assert len(chambers(p2, K)) == 7
-    assert len(calls) == 1
+    assert counts == [2]
+    assert duals == []
 
 
 @pytest.mark.parametrize("fan, coeffs, asked", [
@@ -474,10 +484,10 @@ def test_relative_cohomology_asks_for_lattice_points_once_per_chamber(
     assert mode == "relative"
     assert all(payload[f] == (True, None) for f in DEFAULT_FIELDS)
     assert walks == 1
-    regions = [region for _, region in questions]
+    asked_regions = [region for _, region in questions]
     assert {name for name, _ in questions} == {"has_lattice_point"}
-    assert len(regions) == len(set(regions)) == asked
-    assert set(regions) <= set(kept)
+    assert len(asked_regions) == len(set(asked_regions)) == asked
+    assert set(asked_regions) <= {region for region, _ in kept}
 
 
 def _reference_coh_dims(fan, coeffs, field):
@@ -557,13 +567,13 @@ def test_z_acyclic_rejects_a_complex_with_torsion_only():
 def test_each_field_reads_one_list_of_homology_chambers(p2, monkeypatch):
     # the Z-acyclic chambers are dropped once per (fan, D), and the table of
     # every field asks for that list once and counts the one kept chamber's
-    # lattice points once
+    # lattice points once, off the levels the walk kept
     K = canonical(p2)
     (mode, payload), walks, questions, kept = _table_with_counts(monkeypatch, p2, K)
     assert mode == "complete"
     assert payload == {f: [0, 0, 1] for f in DEFAULT_FIELDS}
     assert walks == 1
-    assert questions == [("lattice_points", kept[0])] and len(kept) == 1
+    assert questions == [("count_lattice_points", kept[0][1])] and len(kept) == 1
     assert vanishing_higher(p2, K, FIELDS) == ((False, ((0, 1, 2), 2)),) * len(FIELDS)
     assert len(chambers(p2, K)) == 7
 
@@ -593,7 +603,7 @@ def test_model_cohomology_matches_the_per_field_references(monkeypatch):
             table, walks, questions, kept = _table_with_counts(monkeypatch, fan, D)
             assert table == expect, (fan, D)
             assert walks == 1 and len(questions) == len(set(questions)), (fan, D)
-            assert {region for _, region in questions} <= set(kept), (fan, D)
+            assert {arg for _, arg in questions} <= {x for pair in kept for x in pair}, (fan, D)
             seen.add(expect[0])
     assert seen == {"complete", "relative"}
 
@@ -620,6 +630,12 @@ def _acyclic_witness(fan, pattern, complete):
     neg = sum(1 << i for i in pattern)
     return cohomology._cone_certificate(obstructions, vertices if complete else 0,
                                         neg, ~neg)
+
+
+def _pairs(homology_chambers):
+    """The (chamber, neg complex) pairs of `_homology_chambers`, without the
+    levels each chamber's points are counted from."""
+    return tuple((ch, cx) for ch, cx, _ in homology_chambers)
 
 
 def _reference_homology_chambers(fan, coeffs):
@@ -655,7 +671,7 @@ def test_acyclic_witnesses_hold_and_drop_only_z_acyclic_chambers():
                 assert cohomology._z_acyclic(cx), (fan, ch.pattern, witness)
                 decided[kind] += 1
             key = tuple(Fraction(a) for a in D)
-            assert cohomology._homology_chambers(fan, key) == \
+            assert _pairs(cohomology._homology_chambers(fan, key)) == \
                 _reference_homology_chambers(fan, D), (fan, D)
     assert decided["apex"] >= 1000 and decided["dual apex"] >= 100, decided
 
@@ -760,7 +776,7 @@ def test_pruned_walk_keeps_the_chambers_of_the_full_walk():
                       for _ in fan.rays)
         for D in (canonical(fan), coeffs_of(fan, {}), ints, fracs):
             key = tuple(Fraction(a) for a in D)
-            assert cohomology._homology_chambers(fan, key) == \
+            assert _pairs(cohomology._homology_chambers(fan, key)) == \
                 _reference_witness_homology_chambers(fan, D), (fan, D)
             checked += 1
     assert checked >= 250

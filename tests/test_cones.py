@@ -7,13 +7,20 @@ from toricvanish import lp
 from toricvanish.cones import (
     cone_dual,
     cone_facets,
-    cone_is_pointed,
     dd_cone,
     extreme_ray_indices,
     halfspaces,
     in_cone_hrep,
 )
 from toricvanish.linalg import dot, int_rank, primitive
+
+
+def cone_is_pointed(gens, dim):
+    """Whether cone(gens) holds no line, i.e. its dual is full-dimensional:
+    the double-description reference for the simplex pointedness test of
+    `extreme_ray_indices`."""
+    ineqs, eqs = cone_dual(gens, dim)
+    return int_rank(ineqs + eqs) == dim
 
 
 def test_dd_quadrant():

@@ -1,12 +1,16 @@
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import ray_divisor
+import toricvanish
+from conftest import ray_divisor, verify_instances
 from toricvanish.cli import suite
 from toricvanish.corpus import (
     curated_instances,
@@ -15,7 +19,7 @@ from toricvanish.corpus import (
     projective_space,
     seed_fans,
 )
-from toricvanish import cones, verify
+from toricvanish import cohomology, cones, fans, regions, verify
 from toricvanish.divisors import (
     NotQCartier,
     canonical,
@@ -392,3 +396,56 @@ def test_boundary_range_checks_survive_python_O(draw):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: rounding left a boundary coefficient outside")
+
+
+@pytest.fixture(scope="module")
+def cold_verify_counts():
+    """Counts of cold verification of `verify_instances`, as one process per
+    instance runs it: `validate`, `verify_kv` and `verify_mmp`, with every
+    memo of the package cleared before each instance. "extend": one-row
+    extensions of the chamber walk; "eliminate": eliminations of a whole
+    system; "pairs": cone pairs `_common_face` decides."""
+    package = [importlib.import_module(f"toricvanish.{m.name}")
+               for m in pkgutil.iter_modules(toricvanish.__path__)]
+    memos = {id(f): f for module in package for f in vars(module).values()
+             if hasattr(f, "cache_clear") and f.__module__.startswith("toricvanish")}
+    counts = Counter()
+    real_extend, real_eliminate = cohomology.extend_levels, regions._feasible_levels
+
+    def extend(levels, rows):
+        counts["extend"] += 1
+        return real_extend(levels, rows)
+
+    def eliminate(system):
+        counts["eliminate"] += 1
+        return real_eliminate(system)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cohomology, "extend_levels", extend)
+        patch.setattr(regions, "_feasible_levels", eliminate)
+        for inst in verify_instances():
+            for memo in memos.values():
+                memo.cache_clear()
+            assert validate(inst.fan) == []
+            verify.verify_kv(inst)
+            verify.verify_mmp(inst)
+            counts["pairs"] += fans._common_face.cache_info().misses
+    return counts
+
+
+def test_cold_verify_walks_chambers_in_a_cutting_ray_order(cold_verify_counts):
+    # rays held by more maximal cones are decided first, so a cone test
+    # drops a cell sooner: 1,193 extensions when rays went in index order
+    assert cold_verify_counts["extend"] == 845
+
+
+def test_cold_verify_eliminates_no_kept_chamber_again(cold_verify_counts):
+    # a chamber's lattice points are counted off the levels the walk kept:
+    # 99 eliminations when `lattice_points` eliminated each chamber again
+    assert cold_verify_counts["eliminate"] == 22
+
+
+def test_cold_verify_decides_cone_pairs_only_off_the_certificate(cold_verify_counts):
+    # complete simplicial fans pass the facet-matching certificate, and only
+    # the other fans ask about cone pairs: 533 when every fan asked
+    assert cold_verify_counts["pairs"] == 101

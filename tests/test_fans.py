@@ -1,5 +1,6 @@
 import random
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -10,6 +11,7 @@ from conftest import (
     f1_fan,
     flip_side_a,
     flip_side_b,
+    mmp_models,
     p2_fan,
     ray_divisor,
     reference_fans,
@@ -476,14 +478,20 @@ def test_common_face_runs_fourier_motzkin_only_when_no_sum_separates(
 
 
 def test_cubeq_flop_decides_each_cone_pair_once(monkeypatch):
-    # the models of an MMP run share cone pairs, and the pair memo decides
-    # each once; validate's first loop has dualized every cone, so its pair
-    # loop runs no double description
-    real_pair, real_dd = fans._common_face, cones.dd_cone
-    asked, inside, dd_in_pairs = [], [], []
+    # only the fans that the facet-matching certificate does not settle ask
+    # about cone pairs: exactly those that are not complete and simplicial.
+    # The pair memo decides each pair once, and the pair loop dualizes each
+    # cone at most once
+    real_pair, real_dd, real_cert = fans._common_face, cones.dd_cone, fans._is_triangulation
+    asked, inside, dd_in_pairs, certified, current = [], [], [], {}, []
+
+    def cert(fan):
+        current[:] = [fan]
+        certified[fan] = real_cert(fan)
+        return certified[fan]
 
     def pair(ga, gb, dim):
-        asked.append((ga, gb, dim))
+        asked.append((current[0], (ga, gb, dim)))
         inside.append(True)
         try:
             return real_pair(ga, gb, dim)
@@ -492,24 +500,29 @@ def test_cubeq_flop_decides_each_cone_pair_once(monkeypatch):
 
     def dd(rows, dim):
         if inside:
-            dd_in_pairs.append(rows)
+            dd_in_pairs.append((tuple(rows), dim))
         return real_dd(rows, dim)
 
     for memo in (cones._dual, cones.extreme_ray_indices, real_pair):
         memo.cache_clear()
+    monkeypatch.setattr(fans, "_is_triangulation", cert)
     monkeypatch.setattr(fans, "_common_face", pair)
     monkeypatch.setattr(cones, "dd_cone", dd)
     verify.verify_mmp(dict(curated_instances())["cubeq-flop"])
     info = real_pair.cache_info()
-    assert len(asked) > len(set(asked))
-    assert info.misses == len(set(asked))
-    assert info.hits == len(asked) - len(set(asked))
-    assert not dd_in_pairs
+    pairs = [p for _, p in asked]
+    assert info.misses == len(set(pairs))
+    assert info.hits == len(pairs) - len(set(pairs))
+    assert len(dd_in_pairs) == len(set(dd_in_pairs))
+    assert pairs and not any(certified[fan] for fan, _ in asked)
+    assert any(certified.values())
+    assert all(ok == (is_simplicial(fan) and is_complete(fan)) for fan, ok in certified.items())
 
 
 def test_validate_runs_no_simplex_on_simplicial_fans(monkeypatch):
-    # every cone of a simplicial fan has linearly independent rays, so all
-    # are extreme without an `lp.in_cone` call; `cube`'s cones need them
+    # every cone of a simplicial fan has linearly independent rays, so it is
+    # pointed and all are extreme without an `lp.in_cone` call; each of
+    # `cube`'s 6 cones needs one for pointedness and one per ray
     calls = []
     real = lp.in_cone
 
@@ -525,7 +538,7 @@ def test_validate_runs_no_simplex_on_simplicial_fans(monkeypatch):
         assert validate(fan) == []
     assert calls == []
     assert validate(cube_fan()) == []
-    assert len(calls) == 6 * 4
+    assert len(calls) == 6 * (1 + 4)
 
 
 def _separated(ga, gb, dim):
@@ -568,3 +581,124 @@ def test_cubeq_flop_runs_fourier_motzkin_only_on_unseparated_pairs(monkeypatch):
     assert len(fm) == len(set(fm))
     assert set(fm) == {p for p, sep in verdicts.items() if sep is False}
     assert 0 < len(fm) < sum(sep is True for sep in verdicts.values())
+
+
+def _reference_validate(fan):
+    """`validate` as it decided every pair of maximal cones: the reference for
+    its facet-matching certificate."""
+    defects = []
+    used = set()
+    for c in fan.max_cones:
+        used.update(c)
+        gens = tuple(fan.rays[i] for i in c)
+        if not c:
+            defects.append("empty cone listed")
+            continue
+        try:
+            extreme = set(cones.extreme_ray_indices(gens, fan.rank))
+        except ValueError:
+            defects.append(f"cone {c} is not strongly convex")
+            continue
+        if extreme != set(range(len(gens))):
+            bad = [c[i] for i in range(len(gens)) if i not in extreme]
+            defects.append(f"cone {c} lists non-extreme rays {bad}")
+    if set(range(len(fan.rays))) - used:
+        missing = sorted(set(range(len(fan.rays))) - used)
+        defects.append(f"rays {missing} appear in no cone")
+    if defects:
+        return defects
+    for ai in range(len(fan.max_cones)):
+        for bi in range(ai + 1, len(fan.max_cones)):
+            ca, cb = fan.max_cones[ai], fan.max_cones[bi]
+            if set(ca) <= set(cb) or set(cb) <= set(ca):
+                defects.append(f"cone {ca} is a face of cone {cb}")
+                continue
+            if not fans._common_face(tuple(fan.rays[i] for i in ca),
+                                     tuple(fan.rays[i] for i in cb), fan.rank):
+                defects.append(f"intersection of cones {ca} and {cb} is not a face")
+    return defects
+
+
+def _polygon_fan(rays, suspend=False):
+    """The cyclic chain of 2-cones (r_i, r_i+1) on rank-2 rays, each ray in
+    two of them: a pseudo-manifold that winds around the origin any number
+    of times, and folds back where two cones lie on one side of their common
+    ray. With `suspend`, each cone is joined to e3 and to -e3 in rank 3."""
+    n = len(rays)
+    chain = [(i, (i + 1) % n) for i in range(n)]
+    if not suspend:
+        return make_fan(2, rays, chain)
+    return make_fan(3, [r + (0,) for r in rays] + [(0, 0, 1), (0, 0, -1)],
+                    [c + (k,) for c in chain for k in (n, n + 1)])
+
+
+# rays (1,0), (1,3), (-4,3), (-4,-3), (1,-3) joined every second one: each
+# facet lies in two cones on opposite sides, and every generic point in two
+PENTAGRAM = [(1, 0), (-4, 3), (1, -3), (1, 3), (-4, -3)]
+# another such chain, whose first cone (-3,-2), (-1,4) has its ray sum on the
+# ray (-2,1): the first point is not generic, and the retry finds the second
+# cone over it
+PENTAGRAM_ON_A_RAY = [(1, -2), (-2, 1), (4, -1), (-3, -2), (-1, 4)]
+
+
+@lru_cache(maxsize=1)
+def _certificate_pool():
+    """The reference fans and every model of the reference MMP runs, which
+    hold both sides of their flips."""
+    return tuple(reference_fans() + [fan for fan, _ in mmp_models()])
+
+
+_primitive2 = st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda v: gcd(*v) == 1)
+_primitive3 = st.tuples(*[st.integers(-2, 2)] * 3).filter(lambda v: gcd(*v) == 1)
+
+
+@st.composite
+def certificate_fans(draw):
+    """A reference fan or MMP model, one star-subdivided at drawn points, a
+    side of a drawn flip, or a polygon chain, suspended or not: valid and
+    invalid, complete and not, and pseudo-manifolds that wind or fold."""
+    kind = draw(st.sampled_from(("pool", "subdivided", "flip", "polygon")))
+    if kind == "polygon":
+        rays = draw(st.lists(_primitive2, min_size=3, max_size=7, unique=True))
+        return _polygon_fan(rays, draw(st.booleans()))
+    if kind == "flip":
+        w4 = draw(_primitive3)
+        assume(w4 not in ((1, 0, 0), (0, 1, 0), (0, 0, 1)))
+        return draw(st.sampled_from((flip_side_a, flip_side_b)))(w4)
+    fan = draw(st.sampled_from(_certificate_pool()))
+    if kind == "subdivided":
+        rng = random.Random(draw(st.integers(0, 1 << 16)))
+        for _ in range(draw(st.integers(1, 2))):
+            v = _face_point(rng, fan)
+            if v is not None:
+                fan = star_subdivide(fan, v)[0]
+    return fan
+
+
+@given(certificate_fans())
+@example(_polygon_fan(PENTAGRAM_ON_A_RAY))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_validate_matches_the_pairwise_loop(fan):
+    # the certificate answers only for fans it proves valid, and proves
+    # every valid complete simplicial fan of rank >= 2
+    defects = validate(fan)
+    assert defects == _reference_validate(fan)
+    if not defects and fan.rank >= 2 and is_simplicial(fan) and is_complete(fan):
+        assert fans._is_triangulation(fan)
+
+
+@pytest.mark.parametrize("fan, count", [
+    (_polygon_fan(PENTAGRAM), 5),
+    (_polygon_fan(PENTAGRAM, suspend=True), 20),
+    (_polygon_fan(PENTAGRAM_ON_A_RAY), 5),
+])
+def test_validate_rejects_a_pseudo_manifold_of_degree_two(fan, count):
+    # every facet is matched, with its two cones on opposite sides, but the
+    # cones wind twice around the origin: only the pairwise loop says where
+    assert all(len(adj) == 2 for _, adj in fans.facet_incidence(fan))
+    assert not fans._is_triangulation(fan)
+    defects = validate(fan)
+    assert defects == _reference_validate(fan)
+    assert len(defects) == count
+    assert all("is not a face" in d for d in defects)

@@ -4,8 +4,9 @@ such a class that nothing in `src/`, `tests/` or `perfbench/` refers to, and
 no module with more `assert` statements than its ceiling (`python -O` strips
 them, so checks move to explicit raises and the ceilings only go down), and no
 module that imports another module's underscore name beyond an allow-list
-that only shrinks. The one nef/ample loop, `divisors._nef_test`, and the
-integer wall curve of `mori` name no `Fraction`, so they stay in integers,
+that only shrinks. The one nef/ample loop, `divisors._nef_test`, the
+integer wall curve of `mori` and the lattice point count of `regions` with
+its integer bounds name no `Fraction`, so they stay in integers,
 and no module imports `dataclasses`, which cost a third of the package's
 import time: frozen value types derive from `record.Record`.
 The exact simplex `lp.in_cone` and the
@@ -55,7 +56,8 @@ MEMOS = {
 # (module, function) for each function of src/toricvanish/ that names no
 # `Fraction`: the nef/ample loop and the wall curve stay in integers.
 INTEGER_ONLY = {("divisors", "_nef_test"), ("mori", "wall_relation"),
-                ("mori", "extremal_rays")}
+                ("mori", "extremal_rays"), ("regions", "count_lattice_points"),
+                ("regions", "_int_range")}
 # (module, function) for each function or method of src/toricvanish/ that
 # calls `lp.in_cone`; remove an entry when its call goes, and add none.
 IN_CONE_CALLERS = {("cones", "extreme_ray_indices")}

@@ -20,7 +20,7 @@ from conftest import (
     reference_pair,
     reference_primitive_direction,
 )
-from toricvanish import fans, mori
+from toricvanish import cones, fans, lp, mori
 from toricvanish.corpus import curated_instances
 from toricvanish.divisors import (
     NotQCartier,
@@ -31,7 +31,7 @@ from toricvanish.divisors import (
     semiample_witness,
 )
 from toricvanish.fans import is_simplicial, make_fan, q_factorialize
-from toricvanish.linalg import dot, primitive
+from toricvanish.linalg import dot, int_rank, primitive
 from toricvanish.mmp import run_mmp
 from toricvanish.mori import (
     Wall,
@@ -217,6 +217,55 @@ def test_extremal_rays_counts(p2, f1, p1xp1):
     assert len(rays_pp) == 2
     assert all(len(item[1]) == 2 for item in rays_pp)
     assert len(extremal_rays(flip_side_a())) == 1
+
+
+def _reference_extremal_rays(fan):
+    """`extremal_rays` as it decided the cone of the full relations in Z^rays:
+    pointedness by its double description, extremality by one simplex per
+    distinct relation."""
+    directions = {}
+    for w in walls(fan):
+        directions.setdefault(wall_relation(fan, w)[0], []).append(w)
+    gens = sorted(directions)
+    ineqs, eqs = cones.cone_dual(gens, len(fan.rays))
+    if gens and int_rank(ineqs + eqs) != len(fan.rays):
+        raise ValueError("not strongly convex")
+    keep = [d for d in gens if not lp.in_cone(d, [q for q in gens if q != d])]
+    return sorted(((d, directions[d]) for d in keep), key=lambda item: item[1][0].rays)
+
+
+def _rays_or_error(fn, fan):
+    try:
+        return fn(fan)
+    except ValueError as exc:
+        return str(exc)
+
+
+# a complete simplicial fan that is not projective: a prism over two
+# triangles whose three side squares are cut by diagonals that turn one
+# way. Its wall classes span a cone that holds a line
+TWISTED_PRISM = make_fan(
+    3, [(-2, 0, 1), (2, -1, 1), (2, 1, 1), (-3, 0, -1), (0, -3, -1), (0, 2, -1)],
+    [(0, 1, 2), (3, 4, 5), (0, 1, 3), (1, 3, 4), (1, 2, 4), (2, 4, 5), (2, 0, 5),
+     (0, 5, 3)])
+
+
+def test_extremal_rays_match_the_full_coordinate_reference():
+    # the relations restricted to the rays off one maximal cone give the
+    # extremal rays of the full relations, in the same order, and the same
+    # error where those span no strongly convex cone
+    models = [fan for fan in reference_fans() if is_simplicial(fan)]
+    models += [fan for fan, _ in mmp_models()]
+    checked = 0
+    for fan in models + [TWISTED_PRISM]:
+        assert _rays_or_error(extremal_rays, fan) == \
+            _rays_or_error(_reference_extremal_rays, fan), fan
+        checked += bool(walls(fan))
+    assert checked >= 70
+    assert not fans.validate(TWISTED_PRISM) and fans.is_complete(TWISTED_PRISM)
+    assert len({wall_relation(TWISTED_PRISM, w)[0] for w in walls(TWISTED_PRISM)}) > 3
+    with pytest.raises(ValueError, match="not strongly convex"):
+        extremal_rays(TWISTED_PRISM)
 
 
 def test_nef_via_walls_agrees_with_support_function(p2, f1, p112):

@@ -3,12 +3,12 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_row
 from toricvanish import regions
-from toricvanish.cones import cone_dual, extreme_rays, halfspaces, in_cone_hrep
+from toricvanish.cones import cone_dual, extreme_ray_indices, halfspaces, in_cone_hrep
 from toricvanish.linalg import primitive
 from toricvanish.regions import (
     IneqSystem,
@@ -174,6 +174,12 @@ def test_lattice_count_unimodular_invariance():
         assert len(lattice_points(sys_of(2, rows))) == n0
 
 
+def extreme_rays(gens):
+    """Minimal generating subset of a strongly convex cone, in input order."""
+    gens = tuple(map(tuple, gens))
+    return [gens[i] for i in extreme_ray_indices(gens, len(gens[0]))]
+
+
 def test_extreme_rays_examples():
     assert extreme_rays([(1, 0), (0, 1), (1, 1)]) == [(1, 0), (0, 1)]
     assert extreme_rays([(1, 0), (0, 1)]) == [(1, 0), (0, 1)]
@@ -313,9 +319,22 @@ def _reference_answers(sys):
         for v in range(low, high + 1):
             yield from points(x + [v])
 
+    def pick(lo, lo_s, hi, hi_s):
+        def ok(t):
+            return ((lo is None or t > lo or (t == lo and not lo_s))
+                    and (hi is None or t < hi or (t == hi and not hi_s)))
+
+        if ok(0):
+            return Fraction(0)
+        if lo is None:
+            return hi - 1 if hi_s else hi
+        if hi is None:
+            return lo + 1 if lo_s else lo
+        return lo if lo == hi else (lo + hi) / 2
+
     x = []
     for k in range(sys.dim):
-        x.append(regions._pick(*bounds(k, x)))
+        x.append(pick(*bounds(k, x)))
     return tuple(x), list(points([])) if _bounded(sys) else None
 
 
@@ -429,6 +448,43 @@ def test_recession_direction_is_a_primitive_recession_vector(sys):
     if d is not None:
         assert len(d) == sys.dim and any(d) and primitive(d) == tuple(d)
         assert all(sum(x * y for x, y in zip(a, d)) >= 0 for a, _, _ in sys.rows)
+
+
+@st.composite
+def boxed_systems(draw):
+    """A drawn system, as it is or cut to a box -r <= x_k <= r (strict or
+    not) with r drawn in 0..4: bounded and unbounded regions, thin ones with
+    no lattice point, empty ones and dimension 0."""
+    sys = draw(st.one_of(small_systems(), parallel_rich_systems()))
+    if not draw(st.booleans()):
+        return sys
+    rows = list(sys.rows)
+    for k in range(sys.dim):
+        for sign in (1, -1):
+            unit = tuple(sign if i == k else 0 for i in range(sys.dim))
+            rows.append((unit, -draw(st.integers(0, 4)), draw(st.booleans())))
+    return IneqSystem(sys.dim, tuple(rows))
+
+
+@given(boxed_systems())
+# dimension 0; a thin slab in a box, with no lattice point; a strict box
+@example(IneqSystem(0, ()))
+@example(sys_of(2, [((4, -4), 1, False), ((-3, 3), -1, False), ((1, 0), -3, False),
+                    ((-1, 0), -3, False)]))
+@example(sys_of(2, [((1, 0), -2, True), ((-1, 0), -2, True), ((0, 1), 0, False),
+                    ((0, -1), -3, True)]))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_lattice_count_matches_the_reference_enumerator(sys):
+    # the count reads integer bounds off the pruned levels; the reference
+    # lists the points under Fraction bounds of unpruned elimination
+    levels = regions._feasible_levels(sys)
+    _, points = _reference_answers(sys)
+    if levels is None:
+        assert points == []
+        return
+    count = regions.count_lattice_points(levels, sys.dim)
+    assert (count is None) == (points is None)
+    assert count is None or count == len(points)
 
 
 def test_boundedness_in_dim_zero():
