@@ -12,8 +12,10 @@ factors all 1, no Q-homology) has no homology over any field, so its
 chambers are dropped once per (fan, D). `coh_dims` and `vanishing_higher`
 take a tuple of fields and walk the rest once, reading every field's
 homology off each chamber and deciding its lattice points at most once:
-`coh_dims` counts them off the levels the walk kept for the chamber
-(`regions.count_lattice_points`), so no chamber is eliminated again.
+both count them off the levels the walk kept for the chamber
+(`regions.count_lattice_points`), so no bounded chamber is eliminated again;
+only `vanishing_higher` on an unbounded chamber asks its region
+(`regions.has_lattice_point`).
 
 Most neg complexes are shown Z-acyclic from their faces alone, before any
 boundary matrix is built. The tests read, per ray v, the minimal faces F of
@@ -305,11 +307,16 @@ def vanishing_higher(fan, coeffs, fields=(None,)):
     field, at the first chamber where it fails.
     """
     verdicts = [(True, None)] * len(fields)
-    for ch, cx, _ in _homology_chambers(fan, _chamber_key(fan, coeffs)):
+    for ch, cx, levels in _homology_chambers(fan, _chamber_key(fan, coeffs)):
         degrees = [next((p for p in range(1, fan.rank + 1) if hom.get(p - 1, 0)), None)
                    for hom in (homology_dims(cx, f, fan.rank - 1) for f in fields)]
         bad = [i for i, d in enumerate(degrees) if d is not None and verdicts[i][0]]
-        if bad and has_lattice_point(ch.region):
+        if not bad:
+            continue
+        # a bounded chamber's points are counted off the levels the walk
+        # kept; only an unbounded one asks its region
+        count = count_lattice_points(levels, fan.rank)
+        if count or (count is None and has_lattice_point(ch.region)):
             for i in bad:
                 verdicts[i] = (False, (ch.pattern, degrees[i]))
     return tuple(verdicts)

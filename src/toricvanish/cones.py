@@ -120,24 +120,26 @@ def cone_facets(gens, dim):
 
 
 @lru_cache(maxsize=16384)
-def extreme_ray_indices(gens, dim):
+def extreme_ray_indices(gens, dim, among=None):
     """Indices of the generators (a tuple of tuples) that are extreme rays of
-    the pointed cone(gens), as a sorted tuple; memoized like `_dual`.
+    the pointed cone(gens), as a sorted tuple; memoized like `_dual`. Only
+    the indices in `among` are asked, when it is given.
 
     Each distinct primitive generator is listed at its first index. When
     they are linearly independent (the cone is simplicial) the cone is
     pointed and each is extreme, since none is a combination of the others.
     Otherwise one exact simplex asks whether the cone holds a line, that is
     whether 0 is a convex combination of the distinct primitive generators,
-    and one per generator whether the others generate it.
+    and one per asked generator whether the others generate it.
     """
     prim = {}
     for i, g in enumerate(gens):
         if any(g):
             prim.setdefault(primitive(g), i)
+    asked = [(p, i) for p, i in prim.items() if among is None or i in among]
     if int_rank(list(prim)) == len(prim):
-        return tuple(prim.values())
+        return tuple(i for _, i in asked)
     if lp.in_cone((0,) * dim + (1,), [p + (1,) for p in prim]):
         raise ValueError("not strongly convex")
-    return tuple(i for p, i in prim.items()
+    return tuple(i for p, i in asked
                  if not lp.in_cone(p, [q for q in prim if q != p]))

@@ -18,10 +18,16 @@ Bigness is decided in ints where a certificate is at hand: every a_rho > 0
 (m = 0 is interior to P_D), else a nef D on a complete fan, where
 P_D = conv(m_sigma) and the centroid of the m_sigma decides; only the other
 divisors run the all-strict Fourier-Motzkin feasibility call.
-`support_value` and `mori.intersect` read the integers and return exact
-`Fraction`s. `pullback` reads a target ray's own coefficient, solves one
-cone (`_cone_covector`, shared with the Cartier data) for any other image,
-and asks for Cartier data only as a non-simplicial target's Q-Cartier check.
+`mori.intersect` reads the integers and returns an exact `Fraction`.
+`pullback` reads a target ray's own coefficient, solves one cone
+(`_cone_covector`, shared with the Cartier data) for any other image, and
+asks for Cartier data only as a non-simplicial target's Q-Cartier check.
+A flip's certificate reads no Cartier data either: `cone_coordinates` gives
+the coordinates lambda of a point v in the rays of the first cone that holds
+it, so phi_D(v) = sum lambda_rho a_rho for any D Q-Cartier there, and
+`discrepancy` is -1 + sum lambda_rho (1 - b_rho). `klt_check` solves for the
+Cartier data of K+B only on a fan that is not simplicial: on a simplicial
+one every Weil divisor is Q-Cartier.
 
 `cartier_data` is memoized on (fan, coefficients), safe for the same reason
 as the `fans` predicates: a `Fan` is frozen and compared structurally.
@@ -156,12 +162,22 @@ def _cone_covector(fan, cone, coeffs):
                  for i in range(fan.rank))
 
 
-def support_value(fan, cd, v):
-    """Value of the divisor's support function at v: phi_D(v) = -<m_sigma, v>."""
-    for cone, n in zip(fan.max_cones, cd.numerators):
-        if cone_contains(fan, cone, v):
-            return -Fraction(dot(n, v), cd.denominator)
-    raise ValueError("point outside the support")
+def cone_coordinates(fan, v):
+    """Coordinates of v in the rays of the first maximal cone that holds it:
+    one Fraction per fan ray, 0 off that cone, with sum lambda_rho u_rho = v;
+    unique on a simplicial fan. A divisor that is Q-Cartier on that cone has
+    the support value phi_D(v) = -<m_sigma, v> = sum lambda_rho a_rho there."""
+    v = tuple(v)
+    cone = next((c for c in fan.max_cones if cone_contains(fan, c, v)), None)
+    if cone is None:
+        raise ValueError("point outside the support")
+    sol = solve_rational([[fan.rays[i][k] for i in cone] for k in range(fan.rank)], v)
+    if sol is None:
+        raise RuntimeError(f"cone {cone} holds {v} but does not span it")
+    out = [Fraction(0)] * len(fan.rays)
+    for i, x in zip(cone, sol[0]):
+        out[i] = x
+    return tuple(out)
 
 
 class Positivity(Record):
@@ -282,30 +298,30 @@ def semiample_witness(fan, coeffs):
 
 
 def klt_check(fan, b_coeffs):
-    """Toric klt criterion: K+B Q-Cartier and every coefficient in [0, 1)."""
+    """Toric klt criterion: K+B Q-Cartier and every coefficient in [0, 1).
+
+    On a simplicial fan every Weil divisor is Q-Cartier (Cox, Little and
+    Schenck, Prop. 4.2.7), so only the coefficients are checked there."""
     for i, b in enumerate(b_coeffs):
         if not (0 <= b < 1):
             return False, f"coefficient {b} at ray {fan.rays[i]} not in [0, 1)"
+    if is_simplicial(fan):
+        return True, "ok"
     cd = cartier_data(fan, add(canonical(fan), b_coeffs))
     if isinstance(cd, NotQCartier):
         return False, f"K+B not Q-Cartier on cone {fan.max_cones[cd.cone_index]}"
     return True, "ok"
 
 
-def discrepancy(fan, b_coeffs, v):
-    """Discrepancy of the pair at the divisorial valuation of v in |Sigma|.
+def discrepancy(b_coeffs, coords):
+    """Discrepancy of the pair (X, B) at the divisorial valuation of
+    v = sum lambda_rho u_rho, given by its `cone_coordinates` lambda.
 
-    a(v) = -1 + phi(v) for the piecewise-linear phi with phi(u_rho) = 1 - b_rho.
+    a(v) = -1 + phi(v) for the piecewise-linear phi with phi(u_rho) = 1 - b_rho,
+    which is linear on the cone holding v: a(v) = -1 + sum lambda_rho (1 - b_rho).
     For v equal to a ray the answer is -b_rho.
     """
-    v = tuple(v)
-    if v in fan.rays:
-        return -b_coeffs[fan.ray_index(v)]
-    minus_k_b = tuple(Fraction(1) - b for b in b_coeffs)
-    cd = cartier_data(fan, minus_k_b)
-    if isinstance(cd, NotQCartier):
-        raise ValueError("K+B is not Q-Cartier")
-    return Fraction(-1) + support_value(fan, cd, v)
+    return Fraction(-1) + sum(x * (1 - b) for x, b in zip(coords, b_coeffs))
 
 
 def pullback(m, coeffs):

@@ -17,7 +17,9 @@ A failed certificate check raises RuntimeError; a caller's wrong input raises
 ValueError. Each flip step carries a certificate with the discrepancy a of
 the inserted divisor, the rounding defect b of the pulled-back divisor, the
 flip coefficient c, and the case split on -a+b (below 1 or not), including
-the unique nonnegative shift m for the low case.
+the unique nonnegative shift m for the low case. All of them are read off the
+coordinates of the inserted ray in the cones of the two sides that hold it,
+so a flip solves two small systems and asks for no Cartier data.
 """
 
 from fractions import Fraction
@@ -28,7 +30,7 @@ from .divisors import (
     NotQCartier,
     SemiampleWitness,
     cartier_data,
-    coeffs_of,
+    cone_coordinates,
     discrepancy,
     pullback,
     pushforward,
@@ -160,9 +162,8 @@ def _fibration(fan, merged, ray_walls, b):
 def negative_contractions(fan, coeffs):
     """Contract, lazily and in extremal_rays order, each extremal ray on which
     the divisor is negative; the MMP step takes the first one."""
-    for item in extremal_rays(fan):
-        if intersect(fan, coeffs, item[1][0]) < 0:
-            yield contract(fan, item)
+    for item in extremal_rays(fan, coeffs):
+        yield contract(fan, item)
 
 
 def flip(fan, contraction, coeffs):
@@ -201,16 +202,21 @@ def flip(fan, contraction, coeffs):
 
 
 class FlipDiagram(Record):
-    # gamma: one Fraction per source ray, F.Gamma = dot(gamma, F)
-    __slots__ = ("theta", "e_ray", "gamma", "psi", "psi_prime")
+    # gamma: one Fraction per source ray, F.Gamma = dot(gamma, F); coords:
+    # e_ray's `cone_coordinates` on the source, one Fraction per source ray
+    __slots__ = ("theta", "e_ray", "gamma", "psi", "psi_prime", "coords")
 
 
 def flip_diagram(x_fan, x_plus, contraction):
     """Common resolution of the two sides of a flip by one star subdivision,
-    at the ray through sum over J+ of b_i u_i for the contraction's relation b.
+    at the ray e through sum over J+ of b_i u_i for the contraction's
+    relation b, and the 1-cycle Gamma with psi*F = psi'*F' - (F.Gamma) E.
 
-    Verifies psi*F = psi'*F' - (F.Gamma) E exactly on the coordinate divisors
-    and returns the diagram data.
+    Both sides are simplicial and, as their subdivisions agree, have the
+    same rays in the same order, so a pullback keeps every coefficient of F
+    but the one on E, which is sum lambda_i f_i for the coordinates lambda
+    of e in the first cone of X that holds it, and sum lambda+_i f_i on X+.
+    Hence F.Gamma = dot(lambda+ - lambda, F), from two cone coordinates.
     """
     if contraction.kind != "flipping" or len(contraction.merged_groups) != 1:
         raise ValueError("flip diagram needs a single-circuit flip")
@@ -221,18 +227,11 @@ def flip_diagram(x_fan, x_plus, contraction):
     if theta != theta2:
         raise RuntimeError("star subdivisions of the two sides disagree")
     psi_prime = ToricMap(psi_prime.matrix, theta, x_plus)
-    e_idx = theta.ray_index(e_ray)
-    kappa = []
-    for ray in x_fan.rays:
-        pb = pullback(psi, coeffs_of(x_fan, {ray: 1}))
-        pb_plus = pullback(psi_prime, coeffs_of(x_plus, {ray: 1}))
-        for j in range(len(theta.rays)):
-            if j != e_idx and pb[j] != pb_plus[j]:
-                raise RuntimeError("pullbacks differ away from the exceptional ray")
-        kappa.append(pb_plus[e_idx] - pb[e_idx])
+    coords = cone_coordinates(x_fan, e_ray)
+    kappa = tuple(y - x for x, y in zip(coords, cone_coordinates(x_plus, e_ray)))
     if not any(kappa):
         raise RuntimeError("flip diagram produced a zero 1-cycle")
-    return FlipDiagram(theta, e_ray, tuple(kappa), psi, psi_prime)
+    return FlipDiagram(theta, e_ray, kappa, psi, psi_prime, coords)
 
 
 class StepCertificate(Record):
@@ -245,16 +244,19 @@ def step_certificate(x_fan, b_coeffs, d_coeffs, diagram):
     """Per-flip quantities a, b, c, the case tag and the shift m.
 
     a: discrepancy of (X, B) at the inserted ray; b: ceiling defect of the
-    pullback of D there; c: the flip coefficient. Raises unless a > -1,
-    b in [0,1) and c > 0; the case split then implies its own bounds: a gap
-    -a + b >= 1 gives 0 < -a < 1 and 0 < b < 1, and a gap < 1 gives m >= 0
-    and gap + m in [0, 1).
+    pullback of D there, sum lambda_i d_i for the inserted ray's
+    coordinates lambda on X, D's own coefficients on every other ray; c:
+    the flip coefficient. Raises unless a > -1, b in [0,1) and c > 0; the
+    case split then implies its own bounds: a gap -a + b >= 1 gives
+    0 < -a < 1 and 0 < b < 1, and a gap < 1 gives m >= 0 and gap + m in
+    [0, 1).
     """
     w = diagram.e_ray
-    a = discrepancy(x_fan, b_coeffs, w)
-    pb = pullback(diagram.psi, d_coeffs)
+    a = discrepancy(b_coeffs, diagram.coords)
+    x_val = dot(diagram.coords, d_coeffs)
+    own = dict(zip(x_fan.rays, d_coeffs))
+    pb = tuple(x_val if ray == w else own[ray] for ray in diagram.theta.rays)
     e_idx = diagram.theta.ray_index(w)
-    x_val = pb[e_idx]
     b = Fraction(ceil(x_val)) - x_val
     c = -dot(diagram.gamma, d_coeffs)
     if not a > -1:

@@ -5,6 +5,7 @@ from math import gcd, lcm
 
 import pytest
 
+from toricvanish import cones
 from toricvanish.corpus import (
     curated_instances,
     gen_corpus,
@@ -14,9 +15,10 @@ from toricvanish.corpus import (
     seed_fans,
 )
 from toricvanish.divisors import NotQCartier, cartier_data
-from toricvanish.fans import is_simplicial, make_fan
-from toricvanish.linalg import identity_matrix, smith_normal_form
+from toricvanish.fans import cone_contains, is_simplicial, make_fan
+from toricvanish.linalg import dot, identity_matrix, smith_normal_form
 from toricvanish.mmp import run_mmp
+from toricvanish.mori import wall_relation, walls
 from toricvanish.verify import _q_factorial_model
 
 
@@ -246,6 +248,49 @@ def mmp_runs():
 def mmp_models():
     """(fan, divisor) for every model of every run of `mmp_runs`."""
     return tuple(pair for run in mmp_runs() for pair in zip(run.models, run.divisors))
+
+
+def reference_extremal_rays(fan):
+    """The extremal rays of the cone of all wall classes, as
+    `mori.extremal_rays` found them before it asked only about D-negative
+    classes: (primitive direction, [walls on it]), ordered by each ray's
+    smallest representative wall, every class asked whether it is extreme
+    in the relations restricted to the rays off one maximal cone."""
+    ws = walls(fan)
+    if not ws:
+        return []
+    directions = {}
+    for w in ws:
+        directions.setdefault(wall_relation(fan, w)[0], []).append(w)
+    ordered = sorted(directions)
+    cone = fan.max_cones[ws[0].cone_a]
+    off = [i for i in range(len(fan.rays)) if i not in cone]
+    keep = cones.extreme_ray_indices(tuple(tuple(d[i] for i in off) for d in ordered),
+                                     len(off))
+    out = [(ordered[i], directions[ordered[i]]) for i in keep]
+    out.sort(key=lambda item: item[1][0].rays)
+    return out
+
+
+def reference_support_value(fan, covectors, v):
+    """phi_D(v) = -<m_sigma, v> for the first maximal cone sigma that holds
+    v, off the rational covectors of the Cartier data."""
+    for cone, m in zip(fan.max_cones, covectors):
+        if cone_contains(fan, cone, v):
+            return -Fraction(dot(m, v))
+    raise ValueError("point outside the support")
+
+
+def reference_discrepancy(fan, b_coeffs, v):
+    """`divisors.discrepancy` as it read -1 + phi(v) off the Cartier data of
+    -(K+B) on every cone, and -b_rho at a ray."""
+    v = tuple(v)
+    if v in fan.rays:
+        return -b_coeffs[fan.ray_index(v)]
+    cd = cartier_data(fan, tuple(Fraction(1) - b for b in b_coeffs))
+    if isinstance(cd, NotQCartier):
+        raise ValueError("K+B is not Q-Cartier")
+    return Fraction(-1) + reference_support_value(fan, cd.covectors, v)
 
 
 def reference_curve_class(fan, wall):

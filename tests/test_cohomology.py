@@ -47,6 +47,7 @@ from toricvanish.divisors import (
     sub,
 )
 from toricvanish.fans import (
+    full_span,
     is_complete,
     is_simplicial,
     make_fan,
@@ -58,6 +59,7 @@ from toricvanish.fans import (
 from toricvanish.mori import intersect, walls
 from toricvanish.regions import (
     IneqSystem,
+    count_lattice_points,
     feasible,
     has_lattice_point,
     lattice_points,
@@ -475,19 +477,32 @@ def test_coh_dims_decides_boundedness_only_where_homology_is_nonzero(p2, monkeyp
     # the first quadrant cut by the rays (1,1), (1,2) and (3,2)
     (make_fan(2, [(0, 1), (1, 0), (1, 1), (1, 2), (3, 2)],
               [(0, 3), (1, 4), (2, 3), (2, 4)]), (0, 0, 0, 0, -1), 2),
+    # the fan of P^2 in a plane of R^3: a torus factor, so every chamber is
+    # unbounded
+    (make_fan(3, [(-1, -1, 0), (0, 1, 0), (1, 0, 0)], [(0, 1), (0, 2), (1, 2)]),
+     (-3, -2, 3), 1),
 ])
 def test_relative_cohomology_asks_for_lattice_points_once_per_chamber(
         fan, coeffs, asked, monkeypatch):
     # every field reads the same chambers with higher homology in one pass,
-    # which asks about each one's lattice point once
+    # which decides each one's lattice point once: counted off the levels
+    # the walk kept, and asked of the region only where that count finds the
+    # chamber unbounded
     (mode, payload), walks, questions, kept = _table_with_counts(monkeypatch, fan, coeffs)
     assert mode == "relative"
     assert all(payload[f] == (True, None) for f in DEFAULT_FIELDS)
     assert walks == 1
-    asked_regions = [region for _, region in questions]
-    assert {name for name, _ in questions} == {"has_lattice_point"}
-    assert len(asked_regions) == len(set(asked_regions)) == asked
-    assert set(asked_regions) <= {region for region, _ in kept}
+    counted = [levels for name, levels in questions if name == "count_lattice_points"]
+    assert len(counted) == len(set(counted)) == asked
+    assert set(counted) <= {levels for _, levels in kept}
+    key = tuple(Fraction(a) for a in coeffs)
+    by_id = {id(levels): (ch.region, levels)
+             for ch, _, levels in cohomology._homology_chambers(fan, key)}
+    unbounded = [by_id[i][0] for i in counted
+                 if count_lattice_points(by_id[i][1], fan.rank) is None]
+    assert [region for name, region in questions if name == "has_lattice_point"] \
+        == unbounded
+    assert bool(unbounded) == (not full_span(fan))
 
 
 def _reference_coh_dims(fan, coeffs, field):

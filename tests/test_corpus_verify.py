@@ -19,7 +19,7 @@ from toricvanish.corpus import (
     projective_space,
     seed_fans,
 )
-from toricvanish import cohomology, cones, fans, regions, verify
+from toricvanish import cohomology, cones, fans, lp, regions, verify
 from toricvanish.divisors import (
     NotQCartier,
     canonical,
@@ -202,7 +202,7 @@ def test_verify_mfs_negative_control(p2):
     from toricvanish.mori import extremal_rays
 
     D = scale(-1, ray_divisor(p2, (1, 0)))
-    res = contract(p2, extremal_rays(p2)[0])
+    res = contract(p2, extremal_rays(p2, D)[0])
     v = verify_mfs(p2, D, res, ("q", "f2"))
     assert v.passed
     # D = 0 is not relatively negative: precondition error
@@ -404,13 +404,15 @@ def cold_verify_counts():
     instance runs it: `validate`, `verify_kv` and `verify_mmp`, with every
     memo of the package cleared before each instance. "extend": one-row
     extensions of the chamber walk; "eliminate": eliminations of a whole
-    system; "pairs": cone pairs `_common_face` decides."""
+    system; "pairs": cone pairs `_common_face` decides; "in_cone": exact
+    simplices."""
     package = [importlib.import_module(f"toricvanish.{m.name}")
                for m in pkgutil.iter_modules(toricvanish.__path__)]
     memos = {id(f): f for module in package for f in vars(module).values()
              if hasattr(f, "cache_clear") and f.__module__.startswith("toricvanish")}
     counts = Counter()
     real_extend, real_eliminate = cohomology.extend_levels, regions._feasible_levels
+    real_in_cone = lp.in_cone
 
     def extend(levels, rows):
         counts["extend"] += 1
@@ -420,8 +422,13 @@ def cold_verify_counts():
         counts["eliminate"] += 1
         return real_eliminate(system)
 
+    def in_cone(v, generators):
+        counts["in_cone"] += 1
+        return real_in_cone(v, generators)
+
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cohomology, "extend_levels", extend)
+        patch.setattr(lp, "in_cone", in_cone)
         patch.setattr(regions, "_feasible_levels", eliminate)
         for inst in verify_instances():
             for memo in memos.values():
@@ -440,12 +447,21 @@ def test_cold_verify_walks_chambers_in_a_cutting_ray_order(cold_verify_counts):
 
 
 def test_cold_verify_eliminates_no_kept_chamber_again(cold_verify_counts):
-    # a chamber's lattice points are counted off the levels the walk kept:
-    # 99 eliminations when `lattice_points` eliminated each chamber again
-    assert cold_verify_counts["eliminate"] == 22
+    # a chamber's lattice points are counted, or on a relative model found,
+    # off the levels the walk kept: 99 eliminations when `lattice_points`
+    # eliminated each chamber again, and 22 when `vanishing_higher` asked
+    # `has_lattice_point` of each bounded chamber with homology
+    assert cold_verify_counts["eliminate"] == 12
 
 
 def test_cold_verify_decides_cone_pairs_only_off_the_certificate(cold_verify_counts):
     # complete simplicial fans pass the facet-matching certificate, and only
     # the other fans ask about cone pairs: 533 when every fan asked
     assert cold_verify_counts["pairs"] == 101
+
+
+def test_cold_verify_asks_extremality_only_of_negative_classes(cold_verify_counts):
+    # extremal_rays asks only the D-negative wall classes whether they are
+    # extreme, and a lone one not at all: 118 simplices when every class
+    # was asked
+    assert cold_verify_counts["in_cone"] == 70

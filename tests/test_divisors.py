@@ -24,7 +24,10 @@ from conftest import (
     p3_fan,
     p112_fan,
     ray_divisor,
+    reference_discrepancy,
+    reference_extremal_rays,
     reference_fans,
+    reference_support_value,
 )
 from toricvanish import divisors
 from toricvanish.corpus import curated_instances, seed_fans
@@ -40,6 +43,7 @@ from toricvanish.divisors import (
     canonical,
     cartier_data,
     coeffs_of,
+    cone_coordinates,
     discrepancy,
     h0_dim,
     klt_check,
@@ -53,7 +57,6 @@ from toricvanish.divisors import (
     scale,
     section_rows,
     semiample_witness,
-    support_value,
 )
 from toricvanish.fans import (
     cone_contains,
@@ -76,7 +79,7 @@ from toricvanish.linalg import (
     solve_rational,
 )
 from toricvanish.mmp import contract, flip, flip_diagram
-from toricvanish.mori import extremal_rays, intersect, wall_relation, walls
+from toricvanish.mori import intersect, wall_relation, walls
 from toricvanish.regions import IneqSystem, is_feasible
 
 
@@ -255,11 +258,52 @@ def test_klt(p2, cube):
     assert ok_cube
 
 
+def _reference_klt(fan, b_coeffs):
+    """`klt_check` as it solved for the Cartier data of K+B on every fan:
+    K+B is Q-Cartier on a cone iff <m, u_rho> = -a_rho on its rays has a
+    solution m."""
+    for i, b in enumerate(b_coeffs):
+        if not (0 <= b < 1):
+            return False, f"coefficient {b} at ray {fan.rays[i]} not in [0, 1)"
+    k_b = add(canonical(fan), b_coeffs)
+    for cone in fan.max_cones:
+        if solve_rational([list(fan.rays[i]) for i in cone], [-k_b[i] for i in cone]) is None:
+            return False, f"K+B not Q-Cartier on cone {cone}"
+    return True, "ok"
+
+
+def test_klt_check_matches_the_solve_reference_on_simplicial_fans():
+    # every Weil divisor on a simplicial fan is Q-Cartier, so klt_check reads
+    # the coefficients alone there; the per-cone solve agrees on drawn B
+    rng = random.Random(47)
+    checked = Counter()
+    for fan in REFERENCE_FANS + [f for f, _ in mmp_models()]:
+        if not is_simplicial(fan):
+            continue
+        for _ in range(4):
+            b = tuple(Fraction(rng.randint(0, 11), 12) for _ in fan.rays)
+            if fan.rays and rng.random() < 0.25:
+                b = (Fraction(rng.choice((-1, 12, 13)), 12),) + b[1:]
+            got = klt_check(fan, b)
+            assert got == _reference_klt(fan, b), (fan, b)
+            checked[got[0]] += 1
+    assert checked[True] >= 200 and checked[False] >= 20
+
+
+def test_klt_check_names_the_cone_where_k_plus_b_is_not_q_cartier(cube):
+    # on the non-simplicial cube K is Q-Cartier and K + D_rho is not
+    b = coeffs_of(cube, {cube.rays[0]: Fraction(1, 2)})
+    expected = _reference_klt(cube, b)
+    assert not expected[0] and expected[1].startswith("K+B not Q-Cartier on cone ")
+    assert klt_check(cube, b) == expected
+    assert klt_check(cube, coeffs_of(cube, {})) == (True, "ok")
+
+
 def test_discrepancy_blowup(p2):
-    assert discrepancy(p2, coeffs_of(p2, {}), (1, 1)) == 1
+    assert discrepancy(coeffs_of(p2, {}), cone_coordinates(p2, (1, 1))) == 1
     half = tuple([Fraction(1, 2)] * 3)
-    assert discrepancy(p2, half, (1, 1)) == 0
-    assert discrepancy(p2, half, (0, 1)) == Fraction(-1, 2)
+    assert discrepancy(half, cone_coordinates(p2, (1, 1))) == 0
+    assert discrepancy(half, cone_coordinates(p2, (0, 1))) == Fraction(-1, 2)
 
 
 def test_discrepancy_klt_positive(p2, f1, p112):
@@ -276,7 +320,8 @@ def test_discrepancy_klt_positive(p2, f1, p112):
                 if cand != (0, 0) and gcd(*cand) == 1 and cand not in fan.rays \
                         and any(cone_contains(fan, c, cand) for c in fan.max_cones):
                     v = cand
-            assert discrepancy(fan, b, v) > -1
+            a = discrepancy(b, cone_coordinates(fan, v))
+            assert a == reference_discrepancy(fan, b, v) and a > -1
 
 
 def test_pullback_examples(p2):
@@ -412,18 +457,20 @@ def test_memoized_cartier_data_matches_the_uncached_solve():
 
 def test_cartier_data_solves_once_per_fan_and_divisor():
     # verify_mmp asks for Cartier data at every hypothesis check, positivity,
-    # nef stop and intersection number, but not for a pullback to a
-    # simplicial model; each distinct (fan, divisor) is solved once. The hits
-    # are pinned, not compared with the misses: they count repeated
-    # questions, which fewer intersect calls make fewer of.
+    # nef stop, extremal ray list and intersection number, but not for a
+    # pullback to a simplicial model, for K+B on a simplicial fan or for a
+    # flip's discrepancy; each distinct (fan, divisor) is solved once. The
+    # hits are pinned, not compared with the misses: they count repeated
+    # questions, which fewer intersect calls make fewer of. Before klt and
+    # the discrepancy read no Cartier data: 17 hits and 6 misses.
     from toricvanish.verify import verify_mmp
 
     inst = dict(curated_instances())["cubeq-flop"]
     divisors._cartier_data.cache_clear()
     verify_mmp(inst)
     info = divisors._cartier_data.cache_info()
-    assert info.hits == 17
-    assert info.misses == info.currsize == 6
+    assert info.hits == 10
+    assert info.misses == info.currsize == 4
 
 
 # A Fraction copy of the Cartier data, nef/ample loop, semiample certificate,
@@ -481,13 +528,6 @@ def _reference_semiample(fan, coeffs, covectors):
     return SemiampleWitness(ell, tuple(tuple(int(x * ell) for x in m) for m in covectors))
 
 
-def _reference_support_value(fan, covectors, v):
-    for cone, m in zip(fan.max_cones, covectors):
-        if cone_contains(fan, cone, v):
-            return -Fraction(dot(m, v))
-    raise ValueError("point outside the support")
-
-
 def _reference_intersect(fan, coeffs, covectors, wall):
     b, u, v = wall_relation(fan, wall)
     delta = tuple(x - y for x, y in zip(covectors[wall.cone_a], covectors[wall.cone_b]))
@@ -532,7 +572,7 @@ def test_integer_cartier_data_matches_the_fraction_reference(fan, data):
                                          max_size=len(cone)))
             v = tuple(sum(w * fan.rays[i][k] for w, i in zip(weights, cone))
                       for k in range(fan.rank))
-            assert support_value(fan, cd, v) == _reference_support_value(
+            assert dot(cone_coordinates(fan, v), D) == reference_support_value(
                 fan, covectors, v), (D, v)
         if is_simplicial(fan):
             for wall in walls(fan):
@@ -641,7 +681,7 @@ def _pullback_maps():
     convex = [f for f in REFERENCE_FANS
               if f.rays and is_simplicial(f) and support_is_convex(f) and full_span(f)]
     for fan in dict.fromkeys(convex + [f for f, _ in mmp_models()]):
-        for item in extremal_rays(fan):
+        for item in reference_extremal_rays(fan):
             res = contract(fan, item)
             if res.kind == "divisorial":
                 maps["divisorial"].append(res.map)
@@ -659,7 +699,8 @@ def _reference_pullback(m, coeffs):
     cd = cartier_data(m.target, coeffs)
     if isinstance(cd, NotQCartier):
         raise ValueError("pullback needs a Q-Cartier divisor")
-    return tuple(support_value(m.target, cd, m.apply(ray)) for ray in m.source.rays)
+    return tuple(reference_support_value(m.target, cd.covectors, m.apply(ray))
+                 for ray in m.source.rays)
 
 
 def _pullback_or_error(fn, m, coeffs):

@@ -51,13 +51,13 @@ MEMOS = {
     ("fans", "full_span"),
     ("fans", "is_complete"),
     ("fans", "support_is_convex"),
-    ("mori", "wall_relation"),
+    ("mori", "_circuit"),
 }
 # (module, function) for each function of src/toricvanish/ that names no
 # `Fraction`: the nef/ample loop and the wall curve stay in integers.
 INTEGER_ONLY = {("divisors", "_nef_test"), ("mori", "wall_relation"),
-                ("mori", "extremal_rays"), ("regions", "count_lattice_points"),
-                ("regions", "_int_range")}
+                ("mori", "_circuit"), ("mori", "extremal_rays"),
+                ("regions", "count_lattice_points"), ("regions", "_int_range")}
 # (module, function) for each function or method of src/toricvanish/ that
 # calls `lp.in_cone`; remove an entry when its call goes, and add none.
 IN_CONE_CALLERS = {("cones", "extreme_ray_indices")}

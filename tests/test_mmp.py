@@ -1,8 +1,10 @@
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from math import ceil, floor
 from pathlib import Path
 
 import pytest
@@ -16,15 +18,19 @@ from conftest import (
     p2_fan,
     ray_divisor,
     reference_curve_class,
+    reference_discrepancy,
+    reference_extremal_rays,
     reference_fans,
     reference_pair,
     reference_primitive_direction,
 )
 from toricvanish import cones, divisors, fans, lp, mmp
 from toricvanish.cones import cone_dual
-from toricvanish.corpus import curated_instances, seed_fans
+from toricvanish.corpus import curated_instances, gen_corpus, seed_fans
 from toricvanish.divisors import (
+    NotQCartier,
     canonical,
+    cartier_data,
     coeffs_of,
     pullback,
     pushforward,
@@ -43,7 +49,7 @@ from toricvanish.fans import (
 )
 from toricvanish.mmp import flip, flip_diagram, negative_contractions, run_mmp
 from toricvanish.linalg import adapted_basis, dot, int_rank, mat_vec, primitive
-from toricvanish.mori import extremal_rays, intersect, walls, walls_within
+from toricvanish.mori import intersect, walls, walls_within
 from toricvanish.verify import _q_factorial_model, verify_flip_diagram_for
 
 
@@ -352,7 +358,9 @@ def test_run_mmp_contracts_once_per_step(monkeypatch):
 
 def test_run_mmp_intersects_only_to_pick_and_check_rays(monkeypatch):
     # the nef stop is semiample_witness's integer loop, not one intersection
-    # number per wall: on cubeq-flop, 34 intersect calls became 11
+    # number per wall: on cubeq-flop, 34 intersect calls became 11; and the
+    # sign of D.C that picks a ray is read in ints by extremal_rays, so only
+    # the flip's own checks ask: 11 became 2
     inst = _curated("cubeq-flop")
     calls = []
     real = mmp.intersect
@@ -364,7 +372,7 @@ def test_run_mmp_intersects_only_to_pick_and_check_rays(monkeypatch):
     monkeypatch.setattr(mmp, "intersect", counting)
     run = run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)
     assert run.end == "nef"
-    assert len(calls) == 11
+    assert len(calls) == 2
 
 
 def test_flip_diagram_verifier_contracts_once(monkeypatch):
@@ -376,9 +384,8 @@ def test_flip_diagram_verifier_contracts_once(monkeypatch):
 
 
 def test_flip_diagram_asks_for_no_cartier_data_on_simplicial_sides():
-    # the two sides of a flip are simplicial, so each of the 2n pullbacks of
-    # a coordinate divisor reads the target rays' own coefficients and solves
-    # one covector, for the cone holding the new ray, outside the memo
+    # the two sides of a flip are simplicial, so Gamma is read off the new
+    # ray's coordinates in one cone of each side, with no Cartier data
     inst = dict(curated_instances())["cubeq-flop"]
     run = next(r for r in mmp_runs() if r.models[0] == _q_factorial_model(inst)[0])
     (step,) = [s for s in run.steps if s.kind == "flip"]
@@ -433,7 +440,7 @@ def test_contract_walls_from_entry_match_a_rescan(monkeypatch):
     for fan in fans:
         if not is_simplicial(fan):
             continue
-        for item in extremal_rays(fan):
+        for item in reference_extremal_rays(fan):
             groups, on_ray = _merge_groups_rescan(fan, item[0])
             assert list(item[1]) == on_ray
             got = _outcome(fan, item)
@@ -615,6 +622,84 @@ def _reference_flip_diagram(x_fan, x_plus, z_fan):
     return theta, e_ray, tuple(gamma)
 
 
+def _reference_certificate(x_fan, x_plus, contraction, b_coeffs, d_coeffs):
+    """(kappa, a, b, c, case, m, D_Y) of a flip as `flip_diagram` and
+    `step_certificate` read them before they read two cone coordinates:
+    kappa off 2n pullbacks of unit divisors, a off the Cartier data of
+    -(K+B) on every cone, and b and D_Y off the pullback of D."""
+    theta, e_ray, kappa = _reference_flip_diagram(x_fan, x_plus, contraction.target)
+    pb = pullback(star_subdivide(x_fan, e_ray)[1], d_coeffs)
+    e_idx = theta.ray_index(e_ray)
+    a = reference_discrepancy(x_fan, b_coeffs, e_ray)
+    b = ceil(pb[e_idx]) - pb[e_idx]
+    gap = -a + b
+    if gap < 1:
+        m = -floor(gap)
+        d_y = tuple(ceil(x) + (m if j == e_idx else 0) for j, x in enumerate(pb))
+    else:
+        m, d_y = None, tuple(floor(x) for x in pb)
+    return kappa, a, b, -dot(kappa, d_coeffs), "low" if gap < 1 else "high", m, d_y
+
+
+def _seed_corpus_flips():
+    """(source, flipped fan, contraction, B, D, diagram, certificate) of
+    every flip step of the MMP runs of the curated instances and of the
+    corpora of seeds 1, 7, 13, 42 and 101, each on its small
+    Q-factorialization."""
+    insts = [inst for _, inst in curated_instances()]
+    insts += [inst for seed in (1, 7, 13, 42, 101) for rank in (2, 3)
+              for inst in gen_corpus(seed, rank)[0]]
+    for inst in insts:
+        if isinstance(cartier_data(inst.fan, inst.d_coeffs), NotQCartier):
+            continue
+        fan, b, d, _ = _q_factorial_model(inst)
+        run = run_mmp(fan, d, b)
+        for step in run.steps:
+            if step.kind == "flip":
+                i = step.source_index
+                yield (run.models[i], run.models[i + 1], step.contraction,
+                       run.boundaries[i], run.divisors[i], step.diagram,
+                       step.certificate)
+
+
+def _drawn_flips():
+    """The same for each flipping ray of `_sign_pattern_fans()`, twice, with
+    a drawn D, negated where needed so that D.C < 0, and a drawn B in
+    [0, 1)."""
+    rng = random.Random(53)
+    for fan in _sign_pattern_fans():
+        for item in 2 * reference_extremal_rays(fan):
+            res = mmp.contract(fan, item)
+            if res.kind != "flipping" or len(res.merged_groups) != 1:
+                continue
+            D = tuple(Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in fan.rays)
+            if intersect(fan, D, item[1][0]) >= 0:
+                D = scale(-1, D)
+            if not intersect(fan, D, item[1][0]):
+                continue
+            B = tuple(Fraction(rng.randint(0, 5), 6) for _ in fan.rays)
+            flipped = flip(fan, res, D)
+            diagram = flip_diagram(fan, flipped, res)
+            yield (fan, flipped, res, B, D, diagram,
+                   _or_error(mmp.step_certificate, fan, B, D, diagram))
+
+
+def test_flip_certificates_match_the_pullback_and_cartier_reference():
+    # kappa = lambda+ - lambda, a = -1 + sum lambda_i (1 - b_i) and the
+    # pulled-back coefficient sum lambda_i d_i, from the inserted ray's
+    # coordinates on the two sides, equal the reference on every flip
+    counts = Counter()
+    for source, cases in (("corpus", _seed_corpus_flips()), ("drawn", _drawn_flips())):
+        for x_fan, x_plus, res, B, D, diagram, cert in cases:
+            expected = _or_error(_reference_certificate, x_fan, x_plus, res, B, D)
+            got = (diagram.gamma, cert.a, cert.b, cert.c, cert.case, cert.m_shift,
+                   cert.d_y) if not isinstance(cert, str) else cert
+            assert got == expected, (x_fan, B, D)
+            counts[source, "low" if isinstance(cert, str) else cert.case] += 1
+    assert counts == {("corpus", "low"): 6, ("corpus", "high"): 1,
+                      ("drawn", "low"): 99, ("drawn", "high"): 11}
+
+
 def _sign_pattern_fans():
     """The distinct simplicial, convex, full-span fans of `reference_fans()`
     and `mmp_models()`."""
@@ -636,7 +721,7 @@ def test_sign_pattern_matches_the_reference_contraction_flip_and_diagram():
     # off-wall ray, so D.C < 0) and its diagram, agree with the old path
     kinds = Counter()
     for fan in _sign_pattern_fans():
-        for item in extremal_rays(fan):
+        for item in reference_extremal_rays(fan):
             res = mmp.contract(fan, item)
             expected = _reference_contract(fan, item)
             assert (res.kind, res.target, res.map, res.merged_groups,
@@ -677,7 +762,7 @@ def test_contract_asks_the_simplex_only_through_validate(monkeypatch):
     monkeypatch.setattr(lp, "in_cone", counting)
     rays = 0
     for fan in dict.fromkeys(f for f, _ in mmp_models()):
-        for item in extremal_rays(fan):
+        for item in reference_extremal_rays(fan):
             res, inside = cold_calls(mmp.contract, fan, item)
             _, alone = cold_calls(validate, res.target)
             assert inside == alone, (res.kind, inside, alone)

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -16,15 +17,17 @@ from conftest import (
     mmp_models,
     ray_divisor,
     reference_curve_class,
+    reference_extremal_rays,
     reference_fans,
     reference_pair,
     reference_primitive_direction,
 )
-from toricvanish import cones, fans, lp, mori
+from toricvanish import cones, fans, lp, mmp, mori
 from toricvanish.corpus import curated_instances
 from toricvanish.divisors import (
     NotQCartier,
     SemiampleWitness,
+    canonical,
     cartier_data,
     positivity,
     principal,
@@ -32,7 +35,7 @@ from toricvanish.divisors import (
 )
 from toricvanish.fans import is_simplicial, make_fan, q_factorialize
 from toricvanish.linalg import dot, int_rank, primitive
-from toricvanish.mmp import run_mmp
+from toricvanish.mmp import negative_contractions, run_mmp
 from toricvanish.mori import (
     Wall,
     _off_ray,
@@ -210,13 +213,21 @@ def test_wall_relation_is_the_class_direction_and_pairing():
 
 
 def test_extremal_rays_counts(p2, f1, p1xp1):
-    assert len(extremal_rays(p2)) == 1
-    assert len(extremal_rays(p2)[0][1]) == 3
-    assert len(extremal_rays(f1)) == 2
-    rays_pp = extremal_rays(p1xp1)
+    assert len(reference_extremal_rays(p2)) == 1
+    assert len(reference_extremal_rays(p2)[0][1]) == 3
+    assert len(reference_extremal_rays(f1)) == 2
+    rays_pp = reference_extremal_rays(p1xp1)
     assert len(rays_pp) == 2
     assert all(len(item[1]) == 2 for item in rays_pp)
-    assert len(extremal_rays(flip_side_a())) == 1
+    assert len(reference_extremal_rays(flip_side_a())) == 1
+    # only the rays on which the divisor is negative
+    H = ray_divisor(p2, (1, 0))
+    assert extremal_rays(p2, H) == []
+    assert extremal_rays(p2, principal(p2, (1, 0))) == []
+    assert extremal_rays(p2, tuple(-x for x in H)) == reference_extremal_rays(p2)
+    E = ray_divisor(f1, (1, 1))
+    (item,) = extremal_rays(f1, E)
+    assert item in reference_extremal_rays(f1) and intersect(f1, E, item[1][0]) < 0
 
 
 def _reference_extremal_rays(fan):
@@ -250,22 +261,76 @@ TWISTED_PRISM = make_fan(
      (0, 5, 3)])
 
 
+def _negative_rays(fan, coeffs, rays):
+    """The entries of an extremal ray list (or its error) with D.C < 0."""
+    if isinstance(rays, str):
+        return rays
+    return [item for item in rays if intersect(fan, coeffs, item[1][0]) < 0]
+
+
 def test_extremal_rays_match_the_full_coordinate_reference():
     # the relations restricted to the rays off one maximal cone give the
     # extremal rays of the full relations, in the same order, and the same
-    # error where those span no strongly convex cone
-    models = [fan for fan in reference_fans() if is_simplicial(fan)]
-    models += [fan for fan, _ in mmp_models()]
-    checked = 0
-    for fan in models + [TWISTED_PRISM]:
-        assert _rays_or_error(extremal_rays, fan) == \
-            _rays_or_error(_reference_extremal_rays, fan), fan
+    # error where those span no strongly convex cone; extremal_rays(fan, D)
+    # gives those with D.C < 0, for the model's own divisor and drawn ones
+    rng = random.Random(43)
+    models = [(fan, ()) for fan in reference_fans() if is_simplicial(fan)]
+    models += [(fan, (d,)) for fan, d in mmp_models()]
+    checked = negative = 0
+    for fan, own in models + [(TWISTED_PRISM, ())]:
+        full = _rays_or_error(_reference_extremal_rays, fan)
+        assert _rays_or_error(reference_extremal_rays, fan) == full, fan
+        drawn = tuple(tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in fan.rays) for _ in range(3))
+        for D in own + drawn:
+            got = _rays_or_error(lambda f: extremal_rays(f, D), fan)
+            assert got == _negative_rays(fan, D, full), (fan, D)
+            negative += bool(got) and not isinstance(got, str)
         checked += bool(walls(fan))
-    assert checked >= 70
+    assert checked >= 70 and negative >= 150
     assert not fans.validate(TWISTED_PRISM) and fans.is_complete(TWISTED_PRISM)
     assert len({wall_relation(TWISTED_PRISM, w)[0] for w in walls(TWISTED_PRISM)}) > 3
-    with pytest.raises(ValueError, match="not strongly convex"):
-        extremal_rays(TWISTED_PRISM)
+    for D in (canonical(TWISTED_PRISM), ray_divisor(TWISTED_PRISM, (-2, 0, 1))):
+        with pytest.raises(ValueError, match="not strongly convex"):
+            extremal_rays(TWISTED_PRISM, D)
+
+
+@cache
+def _contractible_fans():
+    """The distinct simplicial fans with convex, full-dimensional support of
+    `reference_fans()` and `mmp_models()`, and `TWISTED_PRISM`."""
+    chosen = [f for f in reference_fans() + [f for f, _ in mmp_models()]
+              if f.rays and is_simplicial(f) and fans.support_is_convex(f)
+              and fans.full_span(f)]
+    return tuple(dict.fromkeys(chosen + [TWISTED_PRISM]))
+
+
+def _contractions_or_error(fn):
+    try:
+        return list(fn())
+    except ValueError as exc:
+        return str(exc)
+
+
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_negative_contractions_are_the_reference_rays_with_negative_d(data):
+    # the D-negative extremal rays alone reach contract, in the order of
+    # all extremal rays, and the cone of classes on TWISTED_PRISM still
+    # raises for it holds a line
+    pool = _contractible_fans()
+    fan = pool[data.draw(st.integers(0, len(pool) - 1))]
+    D = tuple(data.draw(st.lists(st.one_of(st.just(Fraction(0)), _fractions),
+                                 min_size=len(fan.rays), max_size=len(fan.rays))))
+    expected = _contractions_or_error(
+        lambda: [mmp.contract(fan, item) for item in reference_extremal_rays(fan)
+                 if intersect(fan, D, item[1][0]) < 0])
+    assert _contractions_or_error(lambda: negative_contractions(fan, D)) == expected
+    if fan == TWISTED_PRISM:
+        assert expected == "not strongly convex"
 
 
 def test_nef_via_walls_agrees_with_support_function(p2, f1, p112):
@@ -317,12 +382,13 @@ def test_walls_within_matches_the_group_scan():
     assert checked >= 20
 
 
-def test_wall_relation_solves_once_per_fan_and_wall(monkeypatch):
-    # run_mmp reaches wall_relation through both extremal_rays and intersect;
-    # the memo makes one solve, rank + 1 maximal minors, per distinct
-    # (fan, wall) pair
+def test_wall_relation_solves_once_per_geometry(monkeypatch):
+    # run_mmp reaches wall_relation through both extremal_rays and intersect,
+    # on every model; the memo makes one solve, rank + 1 maximal minors, per
+    # distinct tuple of the rays of a wall's two cones, so a wall of a later
+    # model whose two cones an earlier model had is not solved again
     inst = dict(curated_instances())["cubeq-flop"]
-    mori.wall_relation.cache_clear()
+    mori._circuit.cache_clear()
     minors, queries = [], []
     real_det, real_relation = mori.det_int, mori.wall_relation
 
@@ -336,9 +402,12 @@ def test_wall_relation_solves_once_per_fan_and_wall(monkeypatch):
 
     monkeypatch.setattr(mori, "det_int", counting_det)
     monkeypatch.setattr(mori, "wall_relation", recording_relation)
-    run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)
-    assert len(queries) > len(set(queries))
-    assert len(minors) == (inst.fan.rank + 1) * len(set(queries))
+    run = run_mmp(inst.fan, inst.d_coeffs, inst.b_coeffs)
+    geometries = {frozenset(fan.rays[i] for i in fan.max_cones[wall.cone_a]
+                            + fan.max_cones[wall.cone_b]) for fan, wall in queries}
+    assert len(run.models) == 3 and len({fan for fan, _ in queries}) == 2
+    assert len(queries) > len(set(queries)) > len(geometries)
+    assert len(minors) == (inst.fan.rank + 1) * len(geometries)
 
 
 def test_off_ray_rejects_a_wall_that_is_not_a_facet(p2):
@@ -425,6 +494,6 @@ def test_wall_relation_matches_the_kernel_reference_on_drawn_walls(rank, vectors
     index = [fan.ray_index(r) for r in rays]
     cone_a = fan.max_cones.index(tuple(sorted(index[:rank])))
     wall = Wall(tuple(sorted(index[:rank - 1])), cone_a, 1 - cone_a)
-    mori.wall_relation.cache_clear()
+    mori._circuit.cache_clear()
     assert (_relation_or_error(wall_relation, fan, wall)
             == _relation_or_error(_reference_wall_relation, fan, wall))
